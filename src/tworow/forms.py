@@ -6,6 +6,10 @@ substituting variables, which permutes the monomials, so the monomial basis
 is orthonormal for the coefficientwise inner product and the action is
 unitary.
 
+Integral coefficients are kept as ``int`` and the rest as ``Fraction``.
+Products of differences, their psi-images and their permuted images are
+integral, so only the operations that divide produce fractions.
+
 The harmonic forms are the ones killed by the divergence operator, which
 sends the coefficient at a (k-1)-subset J to the sum of coefficients over
 all one-element extensions of J.  Products of differences of distinct
@@ -20,7 +24,6 @@ exact norm bookkeeping possible throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -35,7 +38,9 @@ class SquareFreeForm:
 
     Keys are strictly increasing tuples of variable indices in 1..n, all of
     the same length k.  Zero coefficients are dropped on construction, so two
-    forms are equal exactly when they have identical coefficient maps.
+    forms are equal exactly when they have identical coefficient maps.  The
+    constructor validates every key and stores integral values as ``int``;
+    the package's own operations build results through ``_trusted``.
     """
 
     __slots__ = ("n", "k", "coeffs")
@@ -47,7 +52,7 @@ class SquareFreeForm:
             raise ValueError(f"degree must lie in 0..{n}, got {k}")
         self.n = n
         self.k = k
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, Scalar] = {}
         for raw_key, raw_val in (coeffs or {}).items():
             key = tuple(raw_key)
             if len(key) != k:
@@ -58,8 +63,18 @@ class SquareFreeForm:
                 raise ValueError(f"monomial indices must lie in 1..{n}: {key}")
             val = Fraction(raw_val)
             if val:
-                clean[key] = val
+                clean[key] = val.numerator if val.denominator == 1 else val
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, coeffs: Mapping[Key, Scalar]) -> SquareFreeForm:
+        """Build from keys already known to be sorted k-subsets of 1..n,
+        without validation; only zero coefficients are dropped."""
+        form = object.__new__(cls)
+        form.n = n
+        form.k = k
+        form.coeffs = {key: val for key, val in coeffs.items() if val}
+        return form
 
     @classmethod
     def zero(cls, n: int, k: int) -> SquareFreeForm:
@@ -73,7 +88,7 @@ class SquareFreeForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def terms(self) -> Iterator[tuple[Key, Fraction]]:
+    def terms(self) -> Iterator[tuple[Key, Scalar]]:
         """Coefficients in lexicographic monomial order."""
         for key in sorted(self.coeffs):
             yield key, self.coeffs[key]
@@ -87,18 +102,19 @@ class SquareFreeForm:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return SquareFreeForm(self.n, self.k, out)
+            out[key] = out.get(key, 0) + val
+        return SquareFreeForm._trusted(self.n, self.k, out)
 
     def __sub__(self, other: SquareFreeForm) -> SquareFreeForm:
         return self + (-other)
 
     def __neg__(self) -> SquareFreeForm:
-        return SquareFreeForm(self.n, self.k, {key: -val for key, val in self.coeffs.items()})
+        return self * -1
 
     def __mul__(self, scalar: Scalar) -> SquareFreeForm:
-        val = Fraction(scalar)
-        return SquareFreeForm(self.n, self.k, {key: val * c for key, c in self.coeffs.items()})
+        val = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
+        coeffs = {key: val * c for key, c in self.coeffs.items()}
+        return SquareFreeForm._trusted(self.n, self.k, coeffs)
 
     __rmul__ = __mul__
 
@@ -121,18 +137,18 @@ class SquareFreeForm:
         """The same form viewed inside x_1 .. x_{n_new} for n_new >= n."""
         if n_new < self.n:
             raise ValueError(f"cannot shrink variable range {self.n} -> {n_new}")
-        return SquareFreeForm(n_new, self.k, self.coeffs)
+        return SquareFreeForm._trusted(n_new, self.k, self.coeffs)
 
     def times_var(self, v: int) -> SquareFreeForm:
         """Multiply by the variable x_v, which must not occur in any term."""
         if not 1 <= v <= self.n:
             raise ValueError(f"variable must lie in 1..{self.n}, got {v}")
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         for key, val in self.coeffs.items():
             if v in key:
                 raise ValueError(f"variable x{v} already occurs in {key}")
             out[tuple(sorted(key + (v,)))] = val
-        return SquareFreeForm(self.n, self.k + 1, out)
+        return SquareFreeForm._trusted(self.n, self.k + 1, out)
 
 
 class Permutation:
@@ -207,18 +223,20 @@ def act(sigma: Permutation, f: SquareFreeForm) -> SquareFreeForm:
     """Substitute x_i -> x_{sigma(i)} in every monomial of f."""
     if sigma.n != f.n:
         raise ValueError(f"permutation of 1..{sigma.n} cannot act on {f.n} variables")
-    out: dict[Key, Fraction] = {}
+    images = sigma.images
+    out: dict[Key, Scalar] = {}
     for key, val in f.coeffs.items():
-        new_key = tuple(sorted(sigma(i) for i in key))
-        out[new_key] = out.get(new_key, Fraction(0)) + val
-    return SquareFreeForm(f.n, f.k, out)
+        new_key = tuple(sorted(images[i - 1] for i in key))
+        out[new_key] = out.get(new_key, 0) + val
+    return SquareFreeForm._trusted(f.n, f.k, out)
 
 
-def inner(f: SquareFreeForm, g: SquareFreeForm) -> Fraction:
-    """Coefficientwise inner product, with the monomials orthonormal."""
+def inner(f: SquareFreeForm, g: SquareFreeForm) -> Scalar:
+    """Coefficientwise inner product, with the monomials orthonormal; an
+    ``int`` when both forms are integral."""
     f._check_compatible(g)
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    total = Fraction(0)
+    total = 0
     for key, val in small.coeffs.items():
         other = large.coeffs.get(key)
         if other is not None:
@@ -230,12 +248,12 @@ def divergence(f: SquareFreeForm) -> SquareFreeForm:
     """Sum over one-element extensions: (div f)_J = sum_{j not in J} f_{J + j}."""
     if f.k == 0:
         raise ValueError("degree-0 forms have no divergence")
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Scalar] = {}
     for key, val in f.coeffs.items():
         for drop in range(f.k):
             sub = key[:drop] + key[drop + 1:]
-            out[sub] = out.get(sub, Fraction(0)) + val
-    return SquareFreeForm(f.n, f.k - 1, out)
+            out[sub] = out.get(sub, 0) + val
+    return SquareFreeForm._trusted(f.n, f.k - 1, out)
 
 
 def is_harmonic(f: SquareFreeForm) -> bool:
@@ -256,16 +274,16 @@ def pseudo_monomial(n: int, pairs: Iterable[tuple[int, int]]) -> SquareFreeForm:
         raise ValueError(f"indices must be pairwise distinct: {pair_list}")
     if any(not 1 <= idx <= n for idx in flat):
         raise ValueError(f"indices must lie in 1..{n}: {pair_list}")
-    coeffs: dict[Key, Fraction] = {(): Fraction(1)}
+    coeffs: dict[Key, int] = {(): 1}
     for i, j in pair_list:
-        nxt: dict[Key, Fraction] = {}
+        nxt: dict[Key, int] = {}
         for key, val in coeffs.items():
             up = tuple(sorted(key + (i,)))
             down = tuple(sorted(key + (j,)))
-            nxt[up] = nxt.get(up, Fraction(0)) + val
-            nxt[down] = nxt.get(down, Fraction(0)) - val
+            nxt[up] = nxt.get(up, 0) + val
+            nxt[down] = nxt.get(down, 0) - val
         coeffs = nxt
-    return SquareFreeForm(n, len(pair_list), coeffs)
+    return SquareFreeForm._trusted(n, len(pair_list), coeffs)
 
 
 def psi(f: SquareFreeForm, l: int) -> SquareFreeForm:
@@ -282,14 +300,14 @@ def psi(f: SquareFreeForm, l: int) -> SquareFreeForm:
     if f.k + l > f.n:
         raise ValueError(f"target degree {f.k + l} exceeds {f.n} variables")
     universe = range(1, f.n + 1)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Scalar] = {}
     for key, val in f.coeffs.items():
         in_key = set(key)
         rest = [i for i in universe if i not in in_key]
         for extra in combinations(rest, l):
             new_key = tuple(sorted(key + extra))
-            out[new_key] = out.get(new_key, Fraction(0)) + val
-    return SquareFreeForm(f.n, f.k + l, out)
+            out[new_key] = out.get(new_key, 0) + val
+    return SquareFreeForm._trusted(f.n, f.k + l, out)
 
 
 def decompose_step(
@@ -353,11 +371,11 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     scale = comb(n - 2 * k, m - k)
     if scale == 0:
         raise ValueError(f"no degree-{k} harmonic component in degree {m}")
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Scalar] = {}
     for key, val in f.coeffs.items():
         for sub in combinations(key, k):
-            out[sub] = out.get(sub, Fraction(0)) + val
-    f0 = SquareFreeForm(n, k, {key: val / scale for key, val in out.items()})
+            out[sub] = out.get(sub, 0) + val
+    f0 = SquareFreeForm._trusted(n, k, {key: Fraction(val, scale) for key, val in out.items()})
     if not is_harmonic(f0) or psi(f0, m - k) != f:
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
     return f0

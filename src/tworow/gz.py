@@ -11,8 +11,11 @@ operator, with eigenvalue at level l the content of the cell holding l, so
 they form the Gelfand-Tsetlin basis of the harmonic space.  Applying psi
 carries the basis into each higher-degree copy of the same irreducible.
 
-Vectors are kept unnormalized with their exact squared norms; the expected
-closed forms for those norms live in ``closed_harmonic_norm_sq``.
+Vectors are kept unnormalized with integer coefficients and exact integer
+squared norms; the expected closed forms for those norms live in
+``closed_harmonic_norm_sq``.  Only ``full_gz_basis`` caches; single vectors
+are recomputed on every call, which keeps bulk export at one vector in
+memory.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .forms import Permutation, SquareFreeForm, act, inner, psi
+from .forms import Key, Permutation, Scalar, SquareFreeForm, act, inner, psi
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -33,17 +36,16 @@ class GzVector:
 
     tableau: TwoRowTableau
     form: SquareFreeForm
-    norm_sq: Fraction
+    norm_sq: int
 
 
-@lru_cache(maxsize=None)
 def gz_harmonic(u: TwoRowTableau) -> GzVector:
     """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized."""
     n = u.n
     ps = u.second_row
     k = len(ps)
     taken = set(ps)
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    coeffs: dict[Key, int] = {}
 
     def place(j: int, chosen: tuple[int, ...]) -> None:
         if j == k:
@@ -55,12 +57,12 @@ def gz_harmonic(u: TwoRowTableau) -> GzVector:
             place(j + 1, chosen + (i,))
 
     place(0, ())
-    form = SquareFreeForm(n, k, coeffs)
+    form = SquareFreeForm._trusted(n, k, coeffs)
     return GzVector(u, form, inner(form, form))
 
 
 def _accumulate(
-    coeffs: dict[tuple[int, ...], Fraction],
+    coeffs: dict[Key, int],
     lows: tuple[int, ...],
     highs: tuple[int, ...],
 ) -> None:
@@ -68,10 +70,9 @@ def _accumulate(
     for picks in product((0, 1), repeat=len(lows)):
         key = tuple(sorted(h if b else l for l, h, b in zip(lows, highs, picks)))
         sign = (-1) ** sum(picks)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + sign
+        coeffs[key] = coeffs.get(key, 0) + sign
 
 
-@lru_cache(maxsize=None)
 def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
     """The vector for u inside the degree-m module, via the psi lift."""
     k = len(u.second_row)
@@ -98,46 +99,46 @@ def closed_norm_sq_in_H(u: TwoRowTableau, m: int) -> Fraction:
     return closed_harmonic_norm_sq(u) * comb(u.n - 2 * k, m - k)
 
 
-@lru_cache(maxsize=None)
-def full_gz_basis(n: int, m: int) -> tuple[GzVector, ...]:
-    """The Gelfand-Tsetlin basis of the whole degree-m module in n variables.
+def iter_basis(n: int, m: int):
+    """Yield the Gelfand-Tsetlin basis of the degree-m module in n variables.
 
     Vectors are ordered by second-row length k, then lexicographically by
-    second-row entries; their count telescopes to C(n, m).
-    """
-    if not 0 <= 2 * m <= n:
-        raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")
-    out = []
-    for k in range(m + 1):
-        for u in enumerate_tableaux(TwoRowDiagram(n, k)):
-            out.append(gz_in_H(u, m))
-    return tuple(out)
-
-
-def iter_basis(n: int, m: int):
-    """Yield the degree-m basis vectors in order without caching them.
-
-    Bulk export can touch thousands of large forms; this path keeps memory
-    flat at one vector.  Cost still grows quickly with the second-row
-    length, see the package notes on practical sizes.
+    second-row entries; their count telescopes to C(n, m).  Nothing is
+    cached, so bulk export holds one vector at a time.
     """
     if not 0 <= 2 * m <= n:
         raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")
     for k in range(m + 1):
         for u in enumerate_tableaux(TwoRowDiagram(n, k)):
-            base = gz_harmonic.__wrapped__(u)
-            form = psi(base.form, m - k)
+            form = psi(gz_harmonic(u).form, m - k)
             yield GzVector(u, form, inner(form, form))
 
 
+@lru_cache(maxsize=None)
+def full_gz_basis(n: int, m: int) -> tuple[GzVector, ...]:
+    """The vectors of ``iter_basis(n, m)`` as a tuple, cached per (n, m)
+    for the life of the process; this is the package's only cache."""
+    return tuple(iter_basis(n, m))
+
+
 def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
-    """Apply the sum of transpositions (i l) over i < l to f."""
+    """Apply the sum of transpositions (i l) over i < l to f.
+
+    Each transposition moves a monomial only when exactly one of i and l
+    occurs in it, by exchanging that index for the other one.
+    """
     if not 1 <= l <= f.n:
         raise ValueError(f"index must lie in 1..{f.n}, got {l}")
-    out = SquareFreeForm.zero(f.n, f.k)
-    for i in range(1, l):
-        out = out + act(Permutation.transposition(f.n, i, l), f)
-    return out
+    out: dict[Key, Scalar] = {}
+    for key, val in f.coeffs.items():
+        has_l = l in key
+        for i in range(1, l):
+            if (i in key) == has_l:
+                key_i = key
+            else:
+                key_i = tuple(sorted(l if j == i else i if j == l else j for j in key))
+            out[key_i] = out.get(key_i, 0) + val
+    return SquareFreeForm._trusted(f.n, f.k, out)
 
 
 def yjm_eigencheck(u: TwoRowTableau, m: int | None = None) -> bool:
@@ -204,7 +205,7 @@ def transposition_matrix_in_basis(
     matrix = []
     for vec in basis:
         image = act(sigma, vec.form)
-        row = [inner(image, w.form) / w.norm_sq for w in basis]
+        row = [Fraction(inner(image, w.form), w.norm_sq) for w in basis]
         recon = SquareFreeForm.zero(d.n, m)
         for c, w in zip(row, basis):
             recon = recon + c * w.form

@@ -15,49 +15,29 @@ from itertools import combinations
 _PRIME = (1 << 61) - 1
 
 
-def _rank_mod_p(rows: list[list[int]], p: int = _PRIME) -> int:
-    rows = [[v % p for v in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
+def _rank(rows: list[list[int]], p: int | None = None) -> int:
+    """Rank by Gaussian elimination over GF(p), or over the rationals when
+    p is None."""
+    if p is None:
+        work = [[Fraction(v) for v in row] for row in rows]
+    else:
+        work = [[v % p for v in row] for row in rows]
     rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        lead = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * lv) % p for v, lv in zip(rows[r], lead)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_exact(rows: list[list[int]]) -> int:
-    work = [[Fraction(v) for v in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
+    for col in range(len(work[0]) if work else 0):
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
         lead = work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * lv for v, lv in zip(work[r], lead)]
+        inv = 1 / lead[col] if p is None else pow(lead[col], p - 2, p)
+        for r in range(rank + 1, len(work)):
+            if work[r][col]:
+                factor = work[r][col] * inv
+                row = [v - factor * lv for v, lv in zip(work[r], lead)]
+                work[r] = row if p is None else [v % p for v in row]
         rank += 1
-        col += 1
+        if rank == len(work):
+            break
     return rank
 
 
@@ -85,8 +65,8 @@ def harmonic_dim(n: int, k: int) -> int:
         return 1
     rows = divergence_matrix(n, k)
     ncols = len(rows[0])
-    rank = _rank_mod_p(rows)
+    rank = _rank(rows, _PRIME)
     if rank < len(rows):
         # Rank can only drop mod p, so a deficit needs exact confirmation.
-        rank = _rank_exact(rows)
+        rank = _rank(rows)
     return ncols - rank

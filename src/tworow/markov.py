@@ -225,33 +225,34 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
     for vec in full_gz_basis(level, m):
         c = vec.form.coeffs.get(key)
         if c:
-            probs[vec.tableau] = c * c / vec.norm_sq
+            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
     return SpectralTable(level, probs)
 
 
 def path_product_table(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
     """The same table from the closed kernel: each tableau's weight is the
-    product of stay/up probabilities along its path."""
+    product of stay/up probabilities along its path, and 0 once the path
+    leaves the kernel's states."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):
         raise ValueError(f"level must lie in 1..{len(prefix)}, got {level}")
+    rows = kernel_from_prefix(prefix, level).entries
     probs: dict[TwoRowTableau, Fraction] = {}
     for u in enumerate_all_tableaux(level):
         second = set(u.second_row)
         p = Fraction(1)
         k = 0
         for t in range(1, level):
-            m = prefix.ones(t)
-            if k > m:
+            entry = rows.get((t, k))
+            if entry is None:
                 p = Fraction(0)
                 break
-            stay, up = induced_transition(t, k, m, prefix.bits[t])
             if t + 1 in second:
-                p *= up
+                p *= entry.p_up
                 k += 1
             else:
-                p *= stay
+                p *= entry.p_stay
             if not p:
                 break
         if p:
@@ -349,12 +350,6 @@ def central_shape_weight(d: TwoRowDiagram) -> Fraction:
     for cell in d.cells():
         w *= Fraction(2 + cell.content, hook_length(d, cell))
     return w
-
-
-def central_alpha_prob(u: TwoRowTableau) -> Fraction:
-    """The central measure's mass on the path u, a function of its shape
-    alone."""
-    return central_shape_weight(u.shape)
 
 
 def central_table(level: int) -> SpectralTable:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .forms import decompose_step, harmonic_preimage, inner, is_harmonic, psi
+from .forms import decompose_step, harmonic_preimage, inner, psi
 from .gz import (
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
@@ -495,27 +495,3 @@ def run_scope(scope: str, n_max: int | None = None) -> list[CheckResult]:
         out += check_central(bound(12), bound(10))
     return out
 
-
-def run_all(
-    basis_levels: int = 8,
-    psi_levels: int = 8,
-    decompose_levels: int = 7,
-    spectral_levels: int = 8,
-    good_levels: int = 12,
-    central_levels: int = 12,
-    ratio_levels: int = 10,
-    rank_levels: int = 10,
-    matrix_levels: int = 6,
-) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    out += check_basis(basis_levels)
-    out += check_psi(psi_levels)
-    out += check_decompose(decompose_levels)
-    out += check_spectral(spectral_levels)
-    out += check_good(good_levels)
-    out += check_central(central_levels, ratio_levels)
-    out += check_parity(min(spectral_levels, 8))
-    out += check_markov_detector()
-    out += check_dimensions(rank_levels)
-    out += check_matrices(matrix_levels)
-    return out

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tworow import (
+    BitPrefix,
+    Permutation,
     SquareFreeForm,
     TwoRowDiagram,
     TwoRowTableau,
+    act,
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
     dim,
@@ -18,16 +22,19 @@ from tworow import (
     gz_harmonic,
     gz_in_H,
     harmonic_dim,
+    harmonic_preimage,
     inner,
     is_harmonic,
     iter_basis,
     orthogonal_form_matrix,
     pseudo_monomial,
     psi,
+    spectral_measure,
     transposition_matrix_in_basis,
     yjm_apply,
     yjm_eigencheck,
 )
+from tworow.linalg import _PRIME, _rank, divergence_matrix
 
 
 def mono(n, *indices):
@@ -39,6 +46,21 @@ def tableaux(draw, min_n=1, max_n=7):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     k = draw(st.integers(min_value=0, max_value=n // 2))
     return draw(st.sampled_from(enumerate_tableaux(TwoRowDiagram(n, k))))
+
+
+@st.composite
+def forms(draw, max_n=7):
+    """Forms with integer coefficients, or with rational ones."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    k = draw(st.integers(min_value=0, max_value=n))
+    keys = list(combinations(range(1, n + 1), k))
+    chosen = draw(
+        st.lists(st.sampled_from(keys), max_size=min(5, len(keys)), unique=True)
+    )
+    dens = st.just(1) if draw(st.booleans()) else st.integers(2, 9)
+    return SquareFreeForm(
+        n, k, {key: Fraction(draw(st.integers(-9, 9)), draw(dens)) for key in chosen}
+    )
 
 
 # hand-expanded basis vectors
@@ -152,6 +174,15 @@ def test_yjm_known_values():
     assert yjm_apply(2, mono(3, 1) + mono(3, 2)) == mono(3, 1) + mono(3, 2)
 
 
+@given(forms())
+def test_yjm_equals_sum_of_transpositions(f):
+    for l in range(1, f.n + 1):
+        expect = SquareFreeForm.zero(f.n, f.k)
+        for i in range(1, l):
+            expect = expect + act(Permutation.transposition(f.n, i, l), f)
+        assert yjm_apply(l, f) == expect
+
+
 def test_yjm_index_validation():
     with pytest.raises(ValueError):
         yjm_apply(4, mono(3, 1))
@@ -233,6 +264,32 @@ def test_iter_basis_matches_cached():
         assert x.norm_sq == y.norm_sq
 
 
+def _all_int(form):
+    return all(type(c) is int for c in form.coeffs.values())
+
+
+def test_integral_inputs_keep_int_coefficients():
+    u = TwoRowTableau(6, (3, 5))
+    vectors = [gz_harmonic(u), gz_in_H(u, 3), *full_gz_basis(6, 3)]
+    for vec in vectors:
+        assert _all_int(vec.form)
+        assert type(vec.norm_sq) is int
+    f = gz_harmonic(u).form
+    assert _all_int(psi(f, 1))
+    assert _all_int(act(Permutation.transposition(6, 1, 5), f))
+    assert _all_int(pseudo_monomial(6, [(1, 2), (5, 3)]))
+
+
+def test_divisions_give_fractions():
+    u = TwoRowTableau(6, (3, 5))
+    f0 = harmonic_preimage(psi(gz_harmonic(u).form, 1), 2)
+    assert f0.coeffs and all(type(c) is Fraction for c in f0.coeffs.values())
+    table = spectral_measure(BitPrefix.from_string("010101"))
+    assert all(type(p) is Fraction for _, p in table.items())
+    matrix = transposition_matrix_in_basis(2, TwoRowDiagram(5, 2))
+    assert all(type(x) is Fraction for row in matrix for x in row)
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         full_gz_basis(3, 2)
@@ -245,6 +302,16 @@ def test_harmonic_dims():
         for k in range(1, n // 2 + 1):
             assert harmonic_dim(n, k) == comb(n, k) - comb(n, k - 1)
     assert harmonic_dim(8, 4) == dim(TwoRowDiagram(8, 4))
+
+
+def test_rank_over_both_fields():
+    rows = [[2, 4, 0], [1, 2, 0], [0, 0, 7]]
+    assert _rank(rows) == 2
+    assert _rank(rows, 7) == 1
+    for n in range(2, 8):
+        for k in range(1, n // 2 + 1):
+            rows = divergence_matrix(n, k)
+            assert _rank(rows) == _rank(rows, _PRIME) == len(rows)
 
 
 def test_harmonic_dim_validation():

@@ -12,7 +12,6 @@ from tworow import (
     TwoRowDiagram,
     TwoRowTableau,
     bernoulli,
-    central_alpha_prob,
     central_alpha_transition,
     central_kernel,
     central_shape_weight,
@@ -360,7 +359,7 @@ def test_good_tableau_ratio_equals_stay_probability(p):
 
 
 def test_central_weights_small_levels():
-    assert central_alpha_prob(TwoRowTableau(1, ())) == 1
+    assert central_shape_weight(TwoRowTableau(1, ()).shape) == 1
     assert central_shape_weight(TwoRowDiagram(2, 0)) == Fraction(3, 4)
     assert central_shape_weight(TwoRowDiagram(2, 1)) == Fraction(1, 4)
     assert central_shape_weight(TwoRowDiagram(3, 1)) == Fraction(1, 4)
