@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 from .gz import iter_basis
 from .markov import (
@@ -19,19 +20,20 @@ from .markov import (
     central_kernel,
     kernel_from_prefix,
     path_product_table,
-    sample_path,
+    sample_paths,
     spectral_measure,
     transition_counts,
     within_three_sigma,
 )
 from .serialize import (
+    TRACE_HEADER,
     gz_vector_to_dict,
     json_text,
     kernel_to_csv,
     kernel_to_rows,
     summary_to_csv,
     table_to_dict,
-    trace_to_csv,
+    trace_rows,
 )
 from .verify import run_scope
 
@@ -39,12 +41,20 @@ MAX_BASIS_LEVEL = 16
 MAX_SAMPLE_DEPTH = 64
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The stream a command writes to: the current ``sys.stdout``, or the
+    file ``out`` as UTF-8 with newline translation off."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _thread_cap() -> int:
@@ -115,9 +125,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
             rows.append((n, k, visits, ups, p_up, within_three_sigma(visits, ups, p_up)))
         _emit(summary_to_csv(rows), args.out)
     else:
-        rng = random.Random(args.seed)
-        paths = [sample_path(kernel, depth, rng) for _ in range(args.count)]
-        _emit(trace_to_csv(paths), args.out)
+        with _output(args.out) as handle:
+            handle.write(TRACE_HEADER + "\n")
+            for ks in sample_paths(kernel, depth, args.count, args.seed):
+                handle.write(trace_rows(ks))
     return 0
 
 

@@ -33,6 +33,14 @@ Key = tuple[int, ...]
 Scalar = int | Fraction
 
 
+def _scalar(x: object) -> Scalar:
+    """``x`` if it is an exact rational: ``int`` (``bool`` included) or
+    ``Fraction``.  Floats, strings and decimals raise ``TypeError``."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(x).__name__}: {x!r}")
+    return x
+
+
 class SquareFreeForm:
     """A square-free multilinear form, stored as subset -> coefficient.
 
@@ -61,7 +69,7 @@ class SquareFreeForm:
                 raise ValueError(f"monomial indices must increase: {key}")
             if key and (key[0] < 1 or key[-1] > n):
                 raise ValueError(f"monomial indices must lie in 1..{n}: {key}")
-            val = Fraction(raw_val)
+            val = Fraction(_scalar(raw_val))
             if val:
                 clean[key] = val.numerator if val.denominator == 1 else val
         self.coeffs = clean
@@ -112,7 +120,7 @@ class SquareFreeForm:
         return self * -1
 
     def __mul__(self, scalar: Scalar) -> SquareFreeForm:
-        val = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
+        val = _scalar(scalar)
         coeffs = {key: val * c for key, c in self.coeffs.items()}
         return SquareFreeForm._trusted(self.n, self.k, coeffs)
 

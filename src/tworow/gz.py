@@ -145,10 +145,12 @@ def yjm_eigencheck(u: TwoRowTableau, m: int | None = None) -> bool:
     """Check that u's vector is an eigenvector of every level's operator,
     with eigenvalue the content of the cell holding that level."""
     vec = gz_harmonic(u) if m is None else gz_in_H(u, m)
-    for l in range(1, u.n + 1):
-        if yjm_apply(l, vec.form) != u.content(l) * vec.form:
-            return False
-    return True
+    return _is_yjm_eigenform(u, vec.form)
+
+
+def _is_yjm_eigenform(u: TwoRowTableau, form: SquareFreeForm) -> bool:
+    """Whether every level l's operator scales ``form`` by u's content at l."""
+    return all(yjm_apply(l, form) == u.content(l) * form for l in range(1, u.n + 1))
 
 
 def _swap_levels(u: TwoRowTableau, i: int) -> TwoRowTableau:

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from .gz import full_gz_basis
 from .ygraph import (
@@ -146,6 +147,10 @@ class KernelEntry:
             )
 
 
+def _missing_row(n: int, k: int) -> ValueError:
+    return ValueError(f"no transition stored for level {n}, k={k}")
+
+
 class TransitionKernel:
     """Stay/up probabilities keyed by (level, second-row length)."""
 
@@ -166,7 +171,7 @@ class TransitionKernel:
         try:
             return self.entries[(n, k)]
         except KeyError:
-            raise ValueError(f"no transition stored for level {n}, k={k}") from None
+            raise _missing_row(n, k) from None
 
     def rows(self) -> list[tuple[int, int, KernelEntry]]:
         return [(n, k, self.entries[(n, k)]) for n, k in sorted(self.entries)]
@@ -423,13 +428,28 @@ def negative_control_tables() -> tuple[SpectralTable, SpectralTable]:
     return t3, t4
 
 
+def _up_threshold(p: Fraction) -> int:
+    """ceil(p * 2^64): for every 64-bit r, r < T exactly when
+    r * den < num * 2^64, so one int compare decides a step."""
+    return -((-p.numerator << 64) // p.denominator)
+
+
+def _up_thresholds(kernel: TransitionKernel, depth: int) -> list[list[int | None]]:
+    """The up thresholds of levels 1 .. depth - 1, one list per level indexed
+    by k, with None where the kernel stores no row."""
+    rows: list[list[int | None]] = [[None] * (n // 2 + 1) for n in range(1, depth)]
+    for (n, k), entry in kernel.entries.items():
+        if n < depth:
+            rows[n - 1][k] = _up_threshold(entry.p_up)
+    return rows
+
+
 def bernoulli(rng: random.Random, p: Fraction) -> bool:
     """One exact-threshold coin flip from 64 fresh bits: true with
     probability within 2^-64 of p, and exactly 0 or 1 at the endpoints."""
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    r = rng.getrandbits(64)
-    return r * p.denominator < p.numerator << 64
+    return rng.getrandbits(64) < _up_threshold(p)
 
 
 def _as_rng(rng: random.Random | int) -> random.Random:
@@ -438,12 +458,38 @@ def _as_rng(rng: random.Random | int) -> random.Random:
     return random.Random(rng)
 
 
+def _check_walks(kernel: TransitionKernel, depth: int, count: int) -> None:
+    if not 1 <= depth <= kernel.depth:
+        raise ValueError(f"depth must lie in 1..{kernel.depth}, got {depth}")
+    if count < 0:
+        raise ValueError(f"path count must be nonnegative, got {count}")
+
+
+def _walk(thresholds: list[list[int | None]], rng: random.Random) -> list[int]:
+    getrandbits = rng.getrandbits
+    ks = [0]
+    k = 0
+    try:
+        for n, row in enumerate(thresholds, start=1):
+            limit = row[k]
+            if limit is None:
+                raise _missing_row(n, k)
+            if getrandbits(64) < limit:
+                k += 1
+            ks.append(k)
+    except IndexError:
+        # An up step past n/2 leaves the kernel's states.
+        raise _missing_row(n, k) from None
+    return ks
+
+
 def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) -> list[int]:
     """Run the walk once; the second-row length at levels 1 .. depth.
 
     ``rng`` is a Random instance or an integer seed.  Each step consumes
     exactly 64 bits, so traces are reproducible byte for byte under a
-    fixed seed.
+    fixed seed.  Only the visited rows' thresholds are computed; for many
+    walks, ``sample_paths`` computes every row's threshold once.
     """
     rng = _as_rng(rng)
     if not 1 <= depth <= kernel.depth:
@@ -451,11 +497,23 @@ def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) 
     ks = [0]
     k = 0
     for n in range(1, depth):
-        entry = kernel.transition(n, k)
-        if bernoulli(rng, entry.p_up):
+        limit = _up_threshold(kernel.transition(n, k).p_up)
+        if rng.getrandbits(64) < limit:
             k += 1
         ks.append(k)
     return ks
+
+
+def sample_paths(
+    kernel: TransitionKernel, depth: int, count: int, rng: random.Random | int
+) -> Iterator[list[int]]:
+    """``count`` walks drawn one after another from ``rng``, each as
+    ``sample_path`` returns it.  Arguments are checked and every row's
+    threshold is built before the first walk is asked for."""
+    rng = _as_rng(rng)
+    _check_walks(kernel, depth, count)
+    thresholds = _up_thresholds(kernel, depth)
+    return (_walk(thresholds, rng) for _ in range(count))
 
 
 def sample_tableau(kernel: TransitionKernel, depth: int, rng: random.Random | int) -> TwoRowTableau:
@@ -469,22 +527,32 @@ def transition_counts(
     kernel: TransitionKernel, depth: int, paths: int, seed: int
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Visit and up counts per (level, k) over ``paths`` sampled walks."""
-    if not 1 <= depth <= kernel.depth:
-        raise ValueError(f"depth must lie in 1..{kernel.depth}, got {depth}")
-    if paths < 0:
-        raise ValueError(f"path count must be nonnegative, got {paths}")
-    rng = random.Random(seed)
-    counts: dict[tuple[int, int], list[int]] = {}
-    for _ in range(paths):
-        k = 0
-        for n in range(1, depth):
-            entry = kernel.transition(n, k)
-            c = counts.setdefault((n, k), [0, 0])
-            c[0] += 1
-            if bernoulli(rng, entry.p_up):
-                c[1] += 1
-                k += 1
-    return {key: (c[0], c[1]) for key, c in sorted(counts.items())}
+    _check_walks(kernel, depth, paths)
+    thresholds = _up_thresholds(kernel, depth)
+    visits = [[0] * len(row) for row in thresholds]
+    ups = [[0] * len(row) for row in thresholds]
+    levels = list(zip(range(1, depth), thresholds, visits, ups))
+    getrandbits = random.Random(seed).getrandbits
+    try:
+        for _ in range(paths):
+            k = 0
+            for n, limits, seen, went_up in levels:
+                limit = limits[k]
+                if limit is None:
+                    raise _missing_row(n, k)
+                seen[k] += 1
+                if getrandbits(64) < limit:
+                    went_up[k] += 1
+                    k += 1
+    except IndexError:
+        # An up step past n/2 leaves the kernel's states.
+        raise _missing_row(n, k) from None
+    return {
+        (n, k): (v, u)
+        for n, _, seen, went_up in levels
+        for k, (v, u) in enumerate(zip(seen, went_up))
+        if v
+    }
 
 
 def within_three_sigma(visits: int, ups: int, p: Fraction) -> bool:

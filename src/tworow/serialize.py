@@ -117,15 +117,16 @@ def kernel_to_rows(kernel: TransitionKernel) -> list[dict[str, Any]]:
 TRACE_HEADER = "step,k,j"
 
 
+def trace_rows(ks: list[int]) -> str:
+    """One path's CSV rows, each ending in a newline: the path is its list
+    of second-row lengths at levels 1, 2, ...; the j column is the walk
+    coordinate level - 2k.  Steps restart at 1 for every path."""
+    return "".join(f"{step},{k},{step - 2 * k}\n" for step, k in enumerate(ks, start=1))
+
+
 def trace_to_csv(paths: list[list[int]]) -> str:
-    """Each path is its list of second-row lengths at levels 1, 2, ...; the
-    j column is the walk coordinate level - 2k.  Steps restart at 1 for
-    every path."""
-    lines = [TRACE_HEADER]
-    for ks in paths:
-        for step, k in enumerate(ks, start=1):
-            lines.append(f"{step},{k},{step - 2 * k}")
-    return "\n".join(lines) + "\n"
+    """The header line, then every path's ``trace_rows``."""
+    return TRACE_HEADER + "\n" + "".join(trace_rows(ks) for ks in paths)
 
 
 SUMMARY_HEADER = "n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok"

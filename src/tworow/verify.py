@@ -14,6 +14,7 @@ from math import comb
 
 from .forms import decompose_step, harmonic_preimage, inner, psi
 from .gz import (
+    _is_yjm_eigenform,
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
     full_gz_basis,
@@ -21,7 +22,6 @@ from .gz import (
     gz_in_H,
     orthogonal_form_matrix,
     transposition_matrix_in_basis,
-    yjm_eigencheck,
 )
 from .linalg import harmonic_dim
 from .markov import (
@@ -73,14 +73,15 @@ def check_basis(n_max: int = 8) -> list[CheckResult]:
         for d in enumerate_diagrams(n):
             for u in enumerate_tableaux(d):
                 vectors += 1
-                if not yjm_eigencheck(u):
+                harmonic = gz_harmonic(u)
+                if not _is_yjm_eigenform(u, harmonic.form):
                     eig_fail.append(f"harmonic {u.second_row} at n={n}")
-                if gz_harmonic(u).norm_sq != closed_harmonic_norm_sq(u):
+                if harmonic.norm_sq != closed_harmonic_norm_sq(u):
                     norm_fail.append(f"harmonic norm {u.second_row} at n={n}")
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
             for vec in basis:
-                if not yjm_eigencheck(vec.tableau, m):
+                if not _is_yjm_eigenform(vec.tableau, vec.form):
                     eig_fail.append(f"lifted {vec.tableau.second_row} at n={n} m={m}")
                 if vec.norm_sq != closed_norm_sq_in_H(vec.tableau, m):
                     norm_fail.append(

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +169,43 @@ def test_sample_central_summary(capsys):
     assert (num, den) == (1, 4)
 
 
+# A valid 64-bit direction sequence (at most t/2 ones in every prefix).
+GOLDEN_XI = "0001001000110110011010110100010100100111011001011011110010100000"
+
+# sha256 of the stdout bytes as the Fraction-comparison sampler wrote them;
+# a seed's walks, summaries and traces must never change.
+GOLDEN_SAMPLES = [
+    (
+        ["--central", "--count", "300", "--seed", "17"],
+        "d8e82b7c09cf93340d0822315999d44254578e29ed82635e00d5812d0d4e6a18",
+    ),
+    (
+        ["--xi", GOLDEN_XI, "--count", "300", "--seed", "18"],
+        "240cadb5d6bf3018790429b56be91e07e714553ccc40c1bc1218400f82358e67",
+    ),
+    (
+        ["--central", "--count", "50", "--seed", "19", "--mode", "trace"],
+        "cd553f02a6c1ced51116f95891055a39b1af626965860f11ed5f5fd1ea2685ee",
+    ),
+    (
+        ["--xi", GOLDEN_XI, "--count", "50", "--seed", "20", "--mode", "trace"],
+        "8989756f08386092d0f7a7a0b8256c496b1c4baa60f5d11574f482a3cda8e603",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags,digest", GOLDEN_SAMPLES)
+def test_sample_depth_64_golden_bytes(capsys, tmp_path, flags, digest):
+    argv = ["sample", "--depth", "64", *flags]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    target = tmp_path / "sample.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     _, stdout_text, _ = run_cli(capsys, "measure", "--xi", "0101")
     target = tmp_path / "measure.json"
@@ -244,6 +284,20 @@ def test_console_script_roundtrip():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["oracle_match"] is True
+
+
+def test_python_dash_m_package(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tworow", "verify", "--scope", "gz", "--n-max", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip().endswith("0 failures")
 
 
 def test_installed_entry_point():

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -98,6 +99,19 @@ def test_construction_rejects_bad_keys():
         SquareFreeForm(3, 2, {(2, 4): 1})
     with pytest.raises(ValueError):
         SquareFreeForm(3, 4)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", Decimal("0.5")])
+def test_only_exact_rationals_are_scalars(bad):
+    with pytest.raises(TypeError):
+        SquareFreeForm(2, 1, {(1,): bad})
+    with pytest.raises(TypeError):
+        mono(2, 1) * bad
+    with pytest.raises(TypeError):
+        bad * mono(2, 1)
+    flagged = SquareFreeForm(2, 1, {(1,): True, (2,): Fraction(3, 1)})
+    assert flagged.coeffs == {(1,): 1, (2,): 3}
+    assert all(type(c) is int for c in flagged.coeffs.values())
 
 
 def test_arithmetic_known_values():

@@ -27,11 +27,13 @@ from tworow import (
     negative_control_tables,
     path_product_table,
     sample_path,
+    sample_paths,
     sample_tableau,
     spectral_measure,
     transition_counts,
     within_three_sigma,
 )
+from tworow.markov import _up_threshold
 
 
 @st.composite
@@ -424,6 +426,138 @@ def test_bernoulli_endpoints_are_exact():
     assert all(bernoulli(rng, Fraction(1)) for _ in range(200))
     with pytest.raises(ValueError):
         bernoulli(rng, Fraction(3, 2))
+
+
+@st.composite
+def unit_fractions(draw):
+    den = draw(st.integers(min_value=1, max_value=2**70))
+    return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+@given(unit_fractions(), st.integers(min_value=0, max_value=2**64 - 1))
+def test_up_threshold_is_the_fraction_compare(p, r_random):
+    t = _up_threshold(p)
+    assert 0 <= t <= 2**64
+    for r in (0, t - 1, t, 2**64 - 1, r_random):
+        if 0 <= r < 2**64:
+            assert (r < t) == (r * p.denominator < p.numerator << 64)
+
+
+def test_up_threshold_endpoints():
+    assert _up_threshold(Fraction(0)) == 0
+    assert _up_threshold(Fraction(1)) == 2**64
+    assert _up_threshold(Fraction(1, 2)) == 2**63
+    assert _up_threshold(Fraction(1, 3)) == 2**64 // 3 + 1
+
+
+def _reference_walks(kernel, depth, paths, seed):
+    """Walks drawn with the Fraction comparison r * den < num * 2^64."""
+    rng = random.Random(seed)
+    walks = []
+    for _ in range(paths):
+        ks = [0]
+        for n in range(1, depth):
+            p = kernel.transition(n, ks[-1]).p_up
+            up = rng.getrandbits(64) * p.denominator < p.numerator << 64
+            ks.append(ks[-1] + up)
+        walks.append(ks)
+    return walks
+
+
+def _counts_of(walks):
+    counts = {}
+    for ks in walks:
+        for n in range(1, len(ks)):
+            c = counts.setdefault((n, ks[n - 1]), [0, 0])
+            c[0] += 1
+            c[1] += ks[n] - ks[n - 1]
+    return {key: tuple(c) for key, c in sorted(counts.items())}
+
+
+@pytest.mark.parametrize(
+    "kernel,depth",
+    [
+        (central_kernel(20), 20),
+        (central_kernel(20), 7),
+        (kernel_from_prefix(BitPrefix.alternating(16)), 16),
+        (kernel_from_prefix(BitPrefix.from_string("0010110100110011")), 16),
+    ],
+)
+def test_samplers_equal_fraction_reference(kernel, depth):
+    walks = _reference_walks(kernel, depth, 300, seed=41)
+    counts = transition_counts(kernel, depth, 300, seed=41)
+    assert list(counts.items()) == list(_counts_of(walks).items())
+    assert list(sample_paths(kernel, depth, 300, 41)) == walks
+    assert sample_path(kernel, depth, 41) == walks[0]
+
+
+def _gap_kernels():
+    one = KernelEntry(None, Fraction(0), Fraction(1))
+    # Level 2 stores k = 0 only, but the walk reaches k = 1 there.
+    missing = TransitionKernel(4, {(1, 0): one, (2, 0): one, (3, 0): one})
+    # Level 2 steps up from k = 1, past the states level 3 can hold.
+    past_half = TransitionKernel(4, {(1, 0): one, (2, 1): one})
+    return [(missing, (2, 1)), (past_half, (3, 2))]
+
+
+@pytest.mark.parametrize("kernel,state", _gap_kernels())
+def test_samplers_raise_on_missing_rows_like_transition(kernel, state):
+    with pytest.raises(ValueError) as lookup:
+        kernel.transition(*state)
+    message = str(lookup.value)
+    assert message == "no transition stored for level {}, k={}".format(*state)
+    with pytest.raises(ValueError) as walked:
+        sample_path(kernel, 4, 0)
+    assert str(walked.value) == message
+    with pytest.raises(ValueError) as streamed:
+        list(sample_paths(kernel, 4, 2, 0))
+    assert str(streamed.value) == message
+    with pytest.raises(ValueError) as counted:
+        transition_counts(kernel, 4, 2, 0)
+    assert str(counted.value) == message
+    assert transition_counts(kernel, 4, 0, 0) == {}
+    assert sample_path(kernel, 2, 0) == [0, 1]
+
+
+def test_sample_paths_checks_arguments_before_drawing():
+    kern = central_kernel(6)
+    with pytest.raises(ValueError):
+        sample_paths(kern, 7, 1, 0)
+    with pytest.raises(ValueError):
+        sample_paths(kern, 6, -1, 0)
+    assert list(sample_paths(kern, 6, 0, 0)) == []
+
+
+def _law_of_k(kernel, level):
+    """The exact law of the second-row length at ``level``, propagated
+    through the kernel's Fraction rows one level at a time."""
+    law = {0: Fraction(1)}
+    for n in range(1, level):
+        nxt = {}
+        for k, p in law.items():
+            entry = kernel.transition(n, k)
+            nxt[k] = nxt.get(k, 0) + p * entry.p_stay
+            nxt[k + 1] = nxt.get(k + 1, 0) + p * entry.p_up
+        law = {k: p for k, p in nxt.items() if p}
+    return law
+
+
+def _shape_marginal(table):
+    law = {}
+    for u, p in table.probs.items():
+        k = len(u.second_row)
+        law[k] = law.get(k, 0) + p
+    return law
+
+
+def test_law_of_k_equals_table_marginals():
+    prefix = BitPrefix.alternating(10)
+    kern = kernel_from_prefix(prefix)
+    for level in range(1, 11):
+        assert _law_of_k(kern, level) == _shape_marginal(path_product_table(prefix, level))
+    central = central_kernel(12)
+    for level in range(1, 13):
+        assert _law_of_k(central, level) == _shape_marginal(central_table(level))
 
 
 def test_sample_path_all_zero_directions():
