@@ -11,6 +11,19 @@ operator, with eigenvalue at level l the content of the cell holding l, so
 they form the Gelfand-Tsetlin basis of the harmonic space.  Applying psi
 carries the basis into each higher-degree copy of the same irreducible.
 
+Applying psi(., m - k) to h_u gives the vector of u in the degree-m module.
+Its coefficient on x_I, for an m-subset I, is a closed sum that needs no
+expansion: it is the sum over k-subsets S of I of
+
+    (-1)^|H| * R1 * R2,    H = {j : p_j in S},
+
+where P = {p_1, .., p_k}, R1 counts the ways to match S - P onto the p_j
+outside H with i_j < p_j, and R2 counts the ways to give each p_j in H a
+distinct free low i_j < p_j from {1, .., n} - (P union S).  Both are
+Ferrers-board rook numbers: walking the p's upwards, each contributes the
+number of entries available below it minus those already placed, and the
+count is 0 once a factor is not positive (``gz_coefficient``).
+
 Vectors are kept unnormalized with integer coefficients and exact integer
 squared norms; the expected closed forms for those norms live in
 ``closed_harmonic_norm_sq``.  Only ``full_gz_basis`` caches; single vectors
@@ -23,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from .forms import Key, Permutation, Scalar, SquareFreeForm, act, inner, psi
@@ -85,15 +98,53 @@ def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
     return GzVector(u, form, inner(form, form))
 
 
-def closed_harmonic_norm_sq(u: TwoRowTableau) -> Fraction:
+def gz_coefficient(u: TwoRowTableau, key: Key) -> int:
+    """The coefficient of x_key in psi(h_u, m - k), m = len(key), by the
+    closed rook-count sum in the module docstring."""
+    n, ps = u.n, u.second_row
+    k = len(ps)
+    if list(key) != sorted(set(key)) or not all(1 <= i <= n for i in key):
+        raise ValueError(f"key must increase within 1..{n}, got {key}")
+    if len(key) < k:
+        raise ValueError(f"degree {len(key)} is below the tableau's second row {k}")
+    in_p = set(ps)
+    total = 0
+    for sub in combinations(key, k):
+        chosen = set(sub)
+        lows = [s for s in sub if s not in in_p]
+        below = 0  # entries of S - P below the current p
+        matched = 0  # p's outside H, each matched to one of those entries
+        freed = 0  # p's in H, each given a free low
+        term = 1
+        for j, p in enumerate(ps, start=1):
+            while below < len(lows) and lows[below] < p:
+                below += 1
+            if p in chosen:
+                # Free lows below p_j: p_j - 1 entries, less the j - 1
+                # smaller p's and the entries of S - P below it.
+                factor = p - j - below - freed
+                freed += 1
+                term = -term
+            else:
+                factor = below - matched
+                matched += 1
+            if factor <= 0:
+                break
+            term *= factor
+        else:
+            total += term
+    return total
+
+
+def closed_harmonic_norm_sq(u: TwoRowTableau) -> int:
     """Product formula prod_j (p_j - 2j + 1)(p_j - 2j + 2) for |h_u|^2."""
-    out = Fraction(1)
+    out = 1
     for j, p in enumerate(u.second_row, start=1):
         out *= (p - 2 * j + 1) * (p - 2 * j + 2)
     return out
 
 
-def closed_norm_sq_in_H(u: TwoRowTableau, m: int) -> Fraction:
+def closed_norm_sq_in_H(u: TwoRowTableau, m: int) -> int:
     """The harmonic norm times the psi isometry constant C(n - 2k, m - k)."""
     k = len(u.second_row)
     return closed_harmonic_norm_sq(u) * comb(u.n - 2 * k, m - k)

@@ -22,11 +22,10 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .gz import full_gz_basis
+from .gz import closed_norm_sq_in_H, gz_coefficient
 from .ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
-    enumerate_all_tableaux,
     enumerate_diagrams,
     enumerate_tableaux,
     hook_length,
@@ -219,7 +218,9 @@ def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> Transitio
 
 def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
     """Project the direction sequence's monomial onto the basis: the weight
-    of tableau u is the squared coefficient over the squared norm."""
+    of tableau u is the squared coefficient over the squared norm.  Each
+    coefficient comes from the closed rook-count sum, so no basis vector
+    is built."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):
@@ -227,41 +228,38 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
     m = prefix.ones(level)
     key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
     probs: dict[TwoRowTableau, Fraction] = {}
-    for vec in full_gz_basis(level, m):
-        c = vec.form.coeffs.get(key)
-        if c:
-            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
+    for k in range(m + 1):
+        for u in enumerate_tableaux(TwoRowDiagram(level, k)):
+            c = gz_coefficient(u, key)
+            if c:
+                probs[u] = Fraction(c * c, closed_norm_sq_in_H(u, m))
     return SpectralTable(level, probs)
 
 
 def path_product_table(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
     """The same table from the closed kernel: each tableau's weight is the
-    product of stay/up probabilities along its path, and 0 once the path
-    leaves the kernel's states."""
+    product of stay/up probabilities along its path.  Only paths through
+    stored rows and nonzero steps are walked; every other tableau has
+    weight 0."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):
         raise ValueError(f"level must lie in 1..{len(prefix)}, got {level}")
     rows = kernel_from_prefix(prefix, level).entries
     probs: dict[TwoRowTableau, Fraction] = {}
-    for u in enumerate_all_tableaux(level):
-        second = set(u.second_row)
-        p = Fraction(1)
-        k = 0
-        for t in range(1, level):
-            entry = rows.get((t, k))
-            if entry is None:
-                p = Fraction(0)
-                break
-            if t + 1 in second:
-                p *= entry.p_up
-                k += 1
-            else:
-                p *= entry.p_stay
-            if not p:
-                break
-        if p:
-            probs[u] = p
+    stack: list[tuple[int, int, tuple[int, ...], Fraction]] = [(1, 0, (), Fraction(1))]
+    while stack:
+        t, k, second, p = stack.pop()
+        if t == level:
+            probs[TwoRowTableau(level, second)] = p
+            continue
+        entry = rows.get((t, k))
+        if entry is None:
+            continue
+        if entry.p_stay:
+            stack.append((t + 1, k, second, p * entry.p_stay))
+        if entry.p_up:
+            stack.append((t + 1, k + 1, second + (t + 1,), p * entry.p_up))
     return SpectralTable(level, probs)
 
 

@@ -26,6 +26,7 @@ from .gz import (
 from .linalg import harmonic_dim
 from .markov import (
     BitPrefix,
+    SpectralTable,
     central_alpha_transition,
     central_table,
     central_transition_oracle,
@@ -40,6 +41,7 @@ from .markov import (
 )
 from .ygraph import (
     TwoRowDiagram,
+    TwoRowTableau,
     dim,
     enumerate_diagrams,
     enumerate_tableaux,
@@ -199,27 +201,46 @@ def _valid_prefixes(length: int) -> list[BitPrefix]:
     return out
 
 
+def _projection_table(prefix: BitPrefix, level: int) -> SpectralTable:
+    """The spectral table read off the full basis: each vector's
+    coefficient on the sequence's monomial, squared, over its norm."""
+    m = prefix.ones(level)
+    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
+    probs: dict[TwoRowTableau, Fraction] = {}
+    for vec in full_gz_basis(level, m):
+        c = vec.form.coeffs.get(key)
+        if c:
+            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
+    return SpectralTable(level, probs)
+
+
 def check_spectral(n_max: int = 8) -> list[CheckResult]:
-    """Projection tables equal kernel path products for every valid
-    direction sequence, and the step ratios equal the kernel exactly."""
+    """Rook-count tables equal the basis projection and the kernel path
+    products for every valid direction sequence, and the step ratios
+    equal the kernel exactly."""
     table_fail: list[str] = []
     markov_fail: list[str] = []
     prefixes = 0
+    shallower: dict[tuple[int, ...], SpectralTable] = {}
     for length in range(1, n_max + 1):
+        tables: dict[tuple[int, ...], SpectralTable] = {}
         for prefix in _valid_prefixes(length):
             prefixes += 1
-            left = spectral_measure(prefix)
-            right = path_product_table(prefix)
-            if left != right:
-                table_fail.append(f"xi={prefix}")
+            left = tables[prefix.bits] = spectral_measure(prefix)
+            if left != _projection_table(prefix, length):
+                table_fail.append(f"xi={prefix} (basis projection)")
+                continue
+            if left != path_product_table(prefix):
+                table_fail.append(f"xi={prefix} (path products)")
                 continue
             if length >= 2:
                 kernel = kernel_from_prefix(prefix)
-                shallow = spectral_measure(prefix, length - 1)
+                shallow = shallower[prefix.bits[:-1]]
                 if not is_markov(shallow, left).ok:
                     markov_fail.append(f"xi={prefix}")
                 elif not kernel_matches(shallow, left, kernel):
                     markov_fail.append(f"kernel xi={prefix}")
+        shallower = tables
     return [
         _result(
             "spectral-vs-paths",

@@ -206,6 +206,33 @@ def test_sample_depth_64_golden_bytes(capsys, tmp_path, flags, digest):
     assert target.read_bytes() == out.encode("utf-8")
 
 
+# sha256 of the measure stdout as the basis-projection route wrote it:
+# sparse level 16, dense level 10 with m = 5, and alternating level 12.
+GOLDEN_MEASURES = [
+    ("0100100000000000", "json", "198a1a2a3dff2f9dd794e386b13505a79218301f7445510cd7a1edf459797122"),
+    ("0100100000000000", "csv", "3533b33a970ea85948bcee9b440787b4f76c29ee32512c0d9b7f26343e70f775"),
+    ("0010110101", "json", "75024b0092ae2b56b01245d49d89e9922808c82b0293df0626d6a31a7200405a"),
+    ("0010110101", "csv", "0150d1d9cb59a9f0fb796639c16c3c4d09d061035249190687cec08736818e1c"),
+    ("010101010101", "json", "f72cfaf319d5d918eaae700a72b9963fd629d269426bc24e95a5a6c4bbf855bb"),
+    ("010101010101", "csv", "86eeee88f5b14683eab23e02892e5a89316a7816f07015aa820261d0460dcd7c"),
+]
+
+
+@pytest.mark.parametrize("xi,fmt,digest", GOLDEN_MEASURES)
+def test_measure_golden_bytes(capsys, xi, fmt, digest):
+    code, out, err = run_cli(capsys, "measure", "--xi", xi, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_measure_alternating_level_14(capsys):
+    code, out, _ = run_cli(capsys, "measure", "--xi", "01010101010101")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["level"] == 14
+    assert doc["oracle_match"] is True
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     _, stdout_text, _ = run_cli(capsys, "measure", "--xi", "0101")
     target = tmp_path / "measure.json"

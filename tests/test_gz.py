@@ -19,6 +19,7 @@ from tworow import (
     enumerate_tableaux,
     full_gz_basis,
     good_tableau,
+    gz_coefficient,
     gz_harmonic,
     gz_in_H,
     harmonic_dim,
@@ -159,6 +160,45 @@ def test_lift_norm_matches_inner_product(u, data):
     vec = gz_in_H(u, m)
     assert inner(vec.form, vec.form) == vec.norm_sq
     assert vec.norm_sq == closed_harmonic_norm_sq(u) * comb(u.n - 2 * k, m - k)
+
+
+# closed rook-count coefficients
+
+
+def test_gz_coefficient_equals_expansion():
+    """Every coefficient of every lifted vector with n <= 8, and the zeros
+    off its support, against the index-tuple expansion."""
+    for n in range(0, 9):
+        for d in enumerate_diagrams(n):
+            for u in enumerate_tableaux(d):
+                for m in range(d.k, n // 2 + 1):
+                    coeffs = gz_in_H(u, m).form.coeffs
+                    for key in combinations(range(1, n + 1), m):
+                        assert gz_coefficient(u, key) == coeffs.get(key, 0), (u, key)
+
+
+def test_gz_coefficient_known_values():
+    # h_(3,4) at n = 4 is (x1 - x3)(x2 - x4) + (x2 - x3)(x1 - x4)
+    u = TwoRowTableau(4, (3, 4))
+    assert gz_coefficient(u, (1, 2)) == 2
+    assert gz_coefficient(u, (3, 4)) == 2
+    assert gz_coefficient(u, (1, 3)) == -1
+    assert gz_coefficient(TwoRowTableau(3, ()), ()) == 1
+    assert gz_coefficient(TwoRowTableau(5, (2,)), (1, 2)) == 0
+
+
+def test_gz_coefficient_validation():
+    u = TwoRowTableau(4, (2, 4))
+    for key in [(1,), (2, 1), (1, 1), (0, 2), (1, 5)]:
+        with pytest.raises(ValueError):
+            gz_coefficient(u, key)
+
+
+def test_closed_norms_are_int():
+    u = TwoRowTableau(6, (3, 5))
+    assert type(closed_harmonic_norm_sq(u)) is int
+    assert type(closed_norm_sq_in_H(u, 3)) is int
+    assert closed_norm_sq_in_H(u, 3) == gz_in_H(u, 3).norm_sq
 
 
 # eigenvector property

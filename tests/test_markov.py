@@ -18,7 +18,9 @@ from tworow import (
     central_table,
     central_transition_oracle,
     dim,
+    enumerate_all_tableaux,
     enumerate_diagrams,
+    full_gz_basis,
     good_tableau_ratio,
     induced_transition,
     is_markov,
@@ -34,6 +36,7 @@ from tworow import (
     within_three_sigma,
 )
 from tworow.markov import _up_threshold
+from tworow.verify import _valid_prefixes
 
 
 @st.composite
@@ -268,6 +271,69 @@ def test_measure_equals_path_products(p):
     """The projection route and the kernel route agree table for table."""
     for level in range(1, len(p) + 1):
         assert spectral_measure(p, level) == path_product_table(p, level)
+
+
+def _all_prefixes(max_len):
+    return [p for length in range(1, max_len + 1) for p in _valid_prefixes(length)]
+
+
+def _basis_projection(prefix):
+    """The table read off the full basis: squared coefficient of the
+    sequence's monomial over each vector's squared norm."""
+    level = len(prefix)
+    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
+    probs = {}
+    for vec in full_gz_basis(level, len(key)):
+        c = vec.form.coeffs.get(key)
+        if c:
+            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
+    return SpectralTable(level, probs)
+
+
+def _enumerated_path_products(prefix):
+    """Every level-n tableau's path product, 0 once a row is missing."""
+    level = len(prefix)
+    rows = kernel_from_prefix(prefix).entries
+    probs = {}
+    for u in enumerate_all_tableaux(level):
+        second = set(u.second_row)
+        p = Fraction(1)
+        k = 0
+        for t in range(1, level):
+            entry = rows.get((t, k))
+            if entry is None:
+                p = Fraction(0)
+                break
+            if t + 1 in second:
+                p *= entry.p_up
+                k += 1
+            else:
+                p *= entry.p_stay
+            if not p:
+                break
+        if p:
+            probs[u] = p
+    return SpectralTable(level, probs)
+
+
+def test_measure_equals_basis_projection():
+    for prefix in _all_prefixes(9):
+        assert spectral_measure(prefix) == _basis_projection(prefix), str(prefix)
+
+
+def test_path_products_equal_enumeration():
+    for prefix in _all_prefixes(10):
+        assert path_product_table(prefix) == _enumerated_path_products(prefix), str(prefix)
+
+
+@pytest.mark.parametrize("level", [14, 15, 16])
+def test_path_products_equal_enumeration_sparse_deep(level):
+    """The benchmark's sparse shapes: ones at index 1 and at index 3, 4 or 5."""
+    for second in (3, 4, 5):
+        bits = ["0"] * level
+        bits[1] = bits[second] = "1"
+        prefix = BitPrefix.from_string("".join(bits))
+        assert path_product_table(prefix) == _enumerated_path_products(prefix)
 
 
 @given(prefixes(min_len=2, max_len=7))
