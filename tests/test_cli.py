@@ -66,6 +66,41 @@ def test_basis_4_2_counts(capsys):
     assert sizes == {0: 1, 1: 3, 2: 2}
 
 
+# sha256 of the basis stdout as the index-tuple expansion and json.dumps
+# wrote it; the export bytes must never change.
+GOLDEN_BASES = [
+    (0, 0, "ee477bad07328f81034a7e983fb6b8bd2fe0a79c476d29ec432427714967774a"),
+    (1, 0, "8c86c50f78cc941819ae68a2c600f0d58519966fe9ef93e2256793c5822c7586"),
+    (2, 1, "a79c88f3c0a8a5338eb072913add7a014e93dc0b98e4758a0db21aaae364f576"),
+    (5, 2, "0bab43249c5725d2ef73e5db4ddbde387738522dd80e076404ba59a4088a9b41"),
+    (8, 4, "00a097e278266fa1e32cd2979d7c3667ae0bc36ce0af9430849c2b4ea425da1e"),
+    (10, 5, "1885a25862090c50573378cd73aa1218085f6fd04f0f2613d58dba20535855d0"),
+]
+
+
+@pytest.mark.parametrize("n,m,digest", GOLDEN_BASES)
+def test_basis_golden_bytes(capsys, n, m, digest):
+    code, out, err = run_cli(capsys, "basis", "--n", str(n), "--m", str(m))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_basis_12_6_golden_bytes_to_file(capsys, tmp_path):
+    target = tmp_path / "basis.json"
+    assert main(["basis", "--n", "12", "--m", "6", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "ce6d70c6fd907a6bfd74ae31c6c0a138e2eddf91bc38003fd11a922e6a187f37"
+
+
+def test_basis_out_file_matches_stdout(capsys, tmp_path):
+    _, stdout_text, _ = run_cli(capsys, "basis", "--n", "7", "--m", "3")
+    target = tmp_path / "basis.json"
+    assert main(["basis", "--n", "7", "--m", "3", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout_text.encode("utf-8")
+
+
 def test_measure_01(capsys):
     code, out, _ = run_cli(capsys, "measure", "--xi", "01", "--n", "2")
     assert code == 0
