@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from math import comb
 from typing import Iterator, TextIO
 
 from .gz import iter_basis
@@ -27,17 +28,20 @@ from .markov import (
 )
 from .serialize import (
     TRACE_HEADER,
-    gz_vector_to_dict,
     json_text,
     kernel_to_csv,
     kernel_to_rows,
     summary_to_csv,
     table_to_dict,
     trace_rows,
+    write_basis,
 )
 from .verify import run_scope
 
 MAX_BASIS_LEVEL = 16
+# C(14, 4).  The slowest export it admits, n = 12, m = 6, writes 102 MB of
+# JSON in about 5 s; C(14, 7) would be about 1.4 GB.
+MAX_BASIS_VECTORS = 1001
 MAX_SAMPLE_DEPTH = 64
 
 
@@ -78,8 +82,13 @@ def cmd_basis(args: argparse.Namespace) -> int:
         raise ValueError(f"n must lie in 0..{MAX_BASIS_LEVEL}, got {n}")
     if not 0 <= 2 * m <= n:
         raise ValueError(f"m must lie in 0..n/2, got n={n}, m={m}")
-    vectors = [gz_vector_to_dict(vec) for vec in iter_basis(n, m)]
-    _emit(json_text({"n": n, "m": m, "vectors": vectors}), args.out)
+    count = comb(n, m)
+    if count > MAX_BASIS_VECTORS:
+        raise ValueError(
+            f"basis exports at most {MAX_BASIS_VECTORS} vectors, got C({n}, {m}) = {count}"
+        )
+    with _output(args.out) as handle:
+        write_basis(handle, n, m, iter_basis(n, m))
     return 0
 
 
@@ -159,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
         "basis", help="emit the degree-m Gelfand-Tsetlin basis with exact norms"
     )
     p_basis.add_argument("--n", type=int, required=True, help="number of variables")
-    p_basis.add_argument("--m", type=int, required=True, help="form degree, at most n/2")
+    p_basis.add_argument(
+        "--m",
+        type=int,
+        required=True,
+        help=f"form degree, at most n/2, with C(n, m) <= {MAX_BASIS_VECTORS}",
+    )
     p_basis.add_argument("--format", choices=["json"], default="json")
     p_basis.add_argument("--out", help="output path (default stdout)")
     p_basis.set_defaults(func=cmd_basis)

@@ -22,13 +22,17 @@ outside H with i_j < p_j, and R2 counts the ways to give each p_j in H a
 distinct free low i_j < p_j from {1, .., n} - (P union S).  Both are
 Ferrers-board rook numbers: walking the p's upwards, each contributes the
 number of entries available below it minus those already placed, and the
-count is 0 once a factor is not positive (``gz_coefficient``).
+count is 0 once a factor is not positive (``_rook_term``).  At m = k the sum
+has the single term S = I, so the term of S is the coefficient of x_S in
+h_u itself: ``gz_harmonic`` takes one such term per k-subset and never
+expands the products of differences.  ``gz_coefficient`` sums the terms
+for one monomial of a lifted vector.
 
 Vectors are kept unnormalized with integer coefficients and exact integer
 squared norms; the expected closed forms for those norms live in
 ``closed_harmonic_norm_sq``.  Only ``full_gz_basis`` caches; single vectors
-are recomputed on every call, which keeps bulk export at one vector in
-memory.
+are recomputed on every call, and ``iter_basis`` yields them one at a time,
+so a streamed export such as ``tworow basis`` holds one vector in memory.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .forms import Key, Permutation, Scalar, SquareFreeForm, act, inner, psi
@@ -53,37 +57,16 @@ class GzVector:
 
 
 def gz_harmonic(u: TwoRowTableau) -> GzVector:
-    """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized."""
-    n = u.n
+    """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized: the
+    coefficient of x_S is the rook term of S (``_rook_term``)."""
     ps = u.second_row
-    k = len(ps)
-    taken = set(ps)
     coeffs: dict[Key, int] = {}
-
-    def place(j: int, chosen: tuple[int, ...]) -> None:
-        if j == k:
-            _accumulate(coeffs, chosen, ps)
-            return
-        for i in range(1, ps[j]):
-            if i in taken or i in chosen:
-                continue
-            place(j + 1, chosen + (i,))
-
-    place(0, ())
-    form = SquareFreeForm._trusted(n, k, coeffs)
+    for sub in combinations(range(1, u.n + 1), len(ps)):
+        term = _rook_term(ps, sub)
+        if term:
+            coeffs[sub] = term
+    form = SquareFreeForm._trusted(u.n, len(ps), coeffs)
     return GzVector(u, form, inner(form, form))
-
-
-def _accumulate(
-    coeffs: dict[Key, int],
-    lows: tuple[int, ...],
-    highs: tuple[int, ...],
-) -> None:
-    """Add the expansion of prod_j (x_{lows[j]} - x_{highs[j]}) into coeffs."""
-    for picks in product((0, 1), repeat=len(lows)):
-        key = tuple(sorted(h if b else l for l, h, b in zip(lows, highs, picks)))
-        sign = (-1) ** sum(picks)
-        coeffs[key] = coeffs.get(key, 0) + sign
 
 
 def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
@@ -107,33 +90,35 @@ def gz_coefficient(u: TwoRowTableau, key: Key) -> int:
         raise ValueError(f"key must increase within 1..{n}, got {key}")
     if len(key) < k:
         raise ValueError(f"degree {len(key)} is below the tableau's second row {k}")
-    in_p = set(ps)
-    total = 0
-    for sub in combinations(key, k):
-        chosen = set(sub)
-        lows = [s for s in sub if s not in in_p]
-        below = 0  # entries of S - P below the current p
-        matched = 0  # p's outside H, each matched to one of those entries
-        freed = 0  # p's in H, each given a free low
-        term = 1
-        for j, p in enumerate(ps, start=1):
-            while below < len(lows) and lows[below] < p:
-                below += 1
-            if p in chosen:
-                # Free lows below p_j: p_j - 1 entries, less the j - 1
-                # smaller p's and the entries of S - P below it.
-                factor = p - j - below - freed
-                freed += 1
-                term = -term
-            else:
-                factor = below - matched
-                matched += 1
-            if factor <= 0:
-                break
-            term *= factor
+    return sum(_rook_term(ps, sub) for sub in combinations(key, k))
+
+
+def _rook_term(ps: tuple[int, ...], sub: Key) -> int:
+    """The term (-1)^|H| * R1 * R2 of the k-subset S = sub, k = len(ps), in
+    the closed sum of the module docstring; it is the coefficient of x_S in
+    the harmonic vector with second row ps."""
+    k = len(ps)
+    below = 0  # entries of S below the current p
+    term = 1
+    for j, p in enumerate(ps):  # j smaller p's
+        while below < k and sub[below] < p:
+            below += 1
+        if below < k and sub[below] == p:
+            # p is in H.  Of the p - 1 entries below it, the smaller p's,
+            # the entries of S - P and one free low per smaller p in H are
+            # taken; the last two number ``below`` together, as the smaller
+            # p's in H are the entries of both S and P below p.
+            factor = p - 1 - j - below
+            below += 1
+            term = -term
         else:
-            total += term
-    return total
+            # Each smaller p uses up one entry of S below p: itself when in
+            # H, else its matched entry of S - P.
+            factor = below - j
+        if factor <= 0:
+            return 0
+        term *= factor
+    return term
 
 
 def closed_harmonic_norm_sq(u: TwoRowTableau) -> int:
@@ -154,8 +139,10 @@ def iter_basis(n: int, m: int):
     """Yield the Gelfand-Tsetlin basis of the degree-m module in n variables.
 
     Vectors are ordered by second-row length k, then lexicographically by
-    second-row entries; their count telescopes to C(n, m).  Nothing is
-    cached, so bulk export holds one vector at a time.
+    second-row entries; their count telescopes to C(n, m).  Each is the psi
+    lift of the closed harmonic vector, built when it is requested and not
+    cached, so a consumer that writes each vector before asking for the next
+    holds one at a time.
     """
     if not 0 <= 2 * m <= n:
         raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")

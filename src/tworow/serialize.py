@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable, TextIO
 
 from .forms import SquareFreeForm
 from .gz import GzVector
@@ -59,6 +59,48 @@ def gz_vector_to_dict(vec: GzVector) -> dict[str, Any]:
         "terms": form_to_dict(vec.form)["terms"],
         "norm_sq": fraction_to_dict(vec.norm_sq),
     }
+
+
+def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> None:
+    """Write ``json_text({"n": n, "m": m, "vectors": [gz_vector_to_dict(v)
+    for v in vectors]})`` to handle, one vector at a time, byte for byte."""
+    # A term's text after its numerator depends only on its monomial, and a
+    # degree-m basis has only C(n, m) monomials, so each is laid out once.
+    tails: dict[tuple[int, ...], str] = {}
+    handle.write(f'{{\n  "m": {m},\n  "n": {n},\n  "vectors": [')
+    sep = "\n"
+    for vec in vectors:
+        terms = []
+        for key, val in vec.form.terms():
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = f'",\n          "vars": {_json_ints(key, 12)}\n        }}'
+            terms.append(
+                f'{{\n          "den": "{val.denominator}",'
+                f'\n          "num": "{val.numerator}{tail}'
+            )
+        norm = vec.norm_sq
+        handle.write(
+            f'{sep}    {{\n      "norm_sq": {{\n        "den": "{norm.denominator}",'
+            f'\n        "num": "{norm.numerator}"\n      }},'
+            f'\n      "second_row": {_json_ints(vec.tableau.second_row, 8)},'
+            f'\n      "terms": {_json_list(terms, 8)}\n    }}'
+        )
+        sep = ",\n"
+    handle.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """A list of already-indented JSON values as ``json.dumps(indent=2)``
+    lays it out with its items at ``indent`` spaces."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
+
+
+def _json_ints(values: Iterable[int], indent: int) -> str:
+    return _json_list([str(v) for v in values], indent)
 
 
 def table_to_dict(table: SpectralTable) -> dict[str, Any]:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tworow import cli, gz
 from tworow.cli import main
 
 
@@ -99,6 +100,24 @@ def test_basis_out_file_matches_stdout(capsys, tmp_path):
     assert main(["basis", "--n", "7", "--m", "3", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == stdout_text.encode("utf-8")
+
+
+def test_basis_past_the_size_rule_leaves_out_file_untouched(capsys, tmp_path):
+    target = tmp_path / "basis.json"
+    target.write_bytes(b"keep me\n")
+    code = main(["basis", "--n", "14", "--m", "7", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "C(14, 7) = 3432" in captured.err
+    assert target.read_bytes() == b"keep me\n"
+
+
+def test_basis_size_rule_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_BASIS_VECTORS", 6)
+    assert main(["basis", "--n", "4", "--m", "2"]) == 0
+    assert main(["basis", "--n", "5", "--m", "2"]) == 2
+    assert main(["basis", "--n", "12", "--m", "0"]) == 0
+    capsys.readouterr()
 
 
 def test_measure_01(capsys):
@@ -285,6 +304,16 @@ def test_verify_scoped(capsys):
     assert lines[-1].endswith("0 failures")
 
 
+def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
+    rook = gz._rook_term
+    monkeypatch.setattr(gz, "_rook_term", lambda ps, sub: abs(rook(ps, sub)))
+    code, out, err = run_cli(capsys, "verify", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion" in out
+    assert "FAIL spectral: raised " in out
+    assert out.endswith(" failures\n") and not out.endswith(" 0 failures\n")
+
+
 def test_verify_central_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "central", "--n-max", "6")
     assert code == 0
@@ -295,6 +324,7 @@ def test_verify_central_scope(capsys):
     "argv",
     [
         ["basis", "--n", "20", "--m", "1"],
+        ["basis", "--n", "16", "--m", "8"],
         ["basis", "--n", "4", "--m", "3"],
         ["measure", "--xi", "11"],
         ["measure", "--xi", "0101", "--n", "5"],

@@ -36,6 +36,7 @@ from tworow import (
     yjm_eigencheck,
 )
 from tworow.linalg import _PRIME, _rank, divergence_matrix
+from tworow.verify import _expanded_harmonic
 
 
 def mono(n, *indices):
@@ -165,14 +166,24 @@ def test_lift_norm_matches_inner_product(u, data):
 # closed rook-count coefficients
 
 
+def test_gz_harmonic_equals_expansion():
+    """The closed harmonic vector of every tableau with n <= 9 against the
+    index-tuple expansion of its products of differences."""
+    for n in range(0, 10):
+        for d in enumerate_diagrams(n):
+            for u in enumerate_tableaux(d):
+                assert gz_harmonic(u).form == _expanded_harmonic(u), u
+
+
 def test_gz_coefficient_equals_expansion():
     """Every coefficient of every lifted vector with n <= 8, and the zeros
-    off its support, against the index-tuple expansion."""
+    off its support, against the psi lift of the index-tuple expansion."""
     for n in range(0, 9):
         for d in enumerate_diagrams(n):
             for u in enumerate_tableaux(d):
+                expanded = _expanded_harmonic(u)
                 for m in range(d.k, n // 2 + 1):
-                    coeffs = gz_in_H(u, m).form.coeffs
+                    coeffs = psi(expanded, m - d.k).coeffs
                     for key in combinations(range(1, n + 1), m):
                         assert gz_coefficient(u, key) == coeffs.get(key, 0), (u, key)
 

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -7,9 +8,11 @@ from hypothesis import given, strategies as st
 
 from tworow import (
     BitPrefix,
+    GzVector,
     SquareFreeForm,
     central_kernel,
     gz_harmonic,
+    iter_basis,
     kernel_from_prefix,
     spectral_measure,
 )
@@ -29,6 +32,7 @@ from tworow.serialize import (
     table_from_dict,
     table_to_dict,
     trace_to_csv,
+    write_basis,
 )
 from tworow.ygraph import TwoRowTableau
 
@@ -103,6 +107,31 @@ def test_gz_vector_dict():
         ],
         "norm_sq": {"num": "2", "den": "1"},
     }
+
+
+def _buffered_basis(n, m, vectors):
+    buf = io.StringIO()
+    write_basis(buf, n, m, vectors)
+    return buf.getvalue()
+
+
+def test_write_basis_equals_json_text():
+    for n in range(0, 10):
+        for m in range(n // 2 + 1):
+            vectors = list(iter_basis(n, m))
+            doc = {"n": n, "m": m, "vectors": [gz_vector_to_dict(v) for v in vectors]}
+            assert _buffered_basis(n, m, vectors) == json_text(doc), (n, m)
+
+
+def test_write_basis_empty_lists_and_fractions():
+    u = TwoRowTableau(3, (2,))
+    vectors = [
+        GzVector(u, SquareFreeForm(3, 1, {(1,): Fraction(-1, 2), (3,): 5}), Fraction(101, 4)),
+        GzVector(TwoRowTableau(3, ()), SquareFreeForm.zero(3, 1), 0),
+    ]
+    for vecs in ([], vectors):
+        doc = {"n": 3, "m": 1, "vectors": [gz_vector_to_dict(v) for v in vecs]}
+        assert _buffered_basis(3, 1, vecs) == json_text(doc)
 
 
 def test_table_roundtrip_and_layout():
