@@ -37,7 +37,7 @@ def _scalar(x: object) -> Scalar:
     """``x`` if it is an exact rational: ``int`` (``bool`` included) or
     ``Fraction``.  Floats, strings and decimals raise ``TypeError``."""
     if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, got {type(x).__name__}: {x!r}")
+        raise TypeError(f"scalars must be int or Fraction, got {type(x).__name__}: {x!r}")
     return x
 
 

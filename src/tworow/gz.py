@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .forms import Key, Permutation, Scalar, SquareFreeForm, act, inner, psi
+from .forms import Key, Scalar, SquareFreeForm, inner, psi
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -179,18 +179,6 @@ def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
     return SquareFreeForm._trusted(f.n, f.k, out)
 
 
-def yjm_eigencheck(u: TwoRowTableau, m: int | None = None) -> bool:
-    """Check that u's vector is an eigenvector of every level's operator,
-    with eigenvalue the content of the cell holding that level."""
-    vec = gz_harmonic(u) if m is None else gz_in_H(u, m)
-    return _is_yjm_eigenform(u, vec.form)
-
-
-def _is_yjm_eigenform(u: TwoRowTableau, form: SquareFreeForm) -> bool:
-    """Whether every level l's operator scales ``form`` by u's content at l."""
-    return all(yjm_apply(l, form) == u.content(l) * form for l in range(1, u.n + 1))
-
-
 def _swap_levels(u: TwoRowTableau, i: int) -> TwoRowTableau:
     """The tableau with entries i and i + 1 exchanged (rows differ)."""
     ps = set(u.second_row)
@@ -226,30 +214,3 @@ def orthogonal_form_matrix(i: int, d: TwoRowDiagram) -> list[list[Fraction]]:
             matrix[r][index[v.second_row]] = 1 - Fraction(1, dist)
     return matrix
 
-
-def transposition_matrix_in_basis(
-    i: int, d: TwoRowDiagram, m: int | None = None
-) -> list[list[Fraction]]:
-    """Matrix of (i i+1) computed directly from the forms, row = source.
-
-    Each image is expanded over the shape's basis by orthogonal projection
-    and the expansion is verified exactly, so the result is trustworthy
-    independent of any closed formula.
-    """
-    if not 1 <= i <= d.n - 1:
-        raise ValueError(f"transposition index must lie in 1..{d.n - 1}, got {i}")
-    if m is None:
-        m = d.k
-    basis = [gz_in_H(u, m) for u in enumerate_tableaux(d)]
-    sigma = Permutation.transposition(d.n, i, i + 1)
-    matrix = []
-    for vec in basis:
-        image = act(sigma, vec.form)
-        row = [Fraction(inner(image, w.form), w.norm_sq) for w in basis]
-        recon = SquareFreeForm.zero(d.n, m)
-        for c, w in zip(row, basis):
-            recon = recon + c * w.form
-        if recon != image:
-            raise ValueError("image does not lie in the span of the shape's basis")
-        matrix.append(row)
-    return matrix

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
+from .forms import _scalar
 from .gz import closed_norm_sq_in_H, gz_coefficient
 from .ygraph import (
     TwoRowDiagram,
@@ -84,7 +85,7 @@ class SpectralTable:
         for u, p in probs.items():
             if u.n != level:
                 raise ValueError(f"tableau {u} does not live at level {level}")
-            p = Fraction(p)
+            p = Fraction(_scalar(p))
             if p < 0:
                 raise ValueError(f"negative probability {p} at {u}")
             total += p
@@ -130,7 +131,7 @@ class SpectralTable:
 @dataclass(frozen=True)
 class KernelEntry:
     """One transition row: direction bit (None when level-homogeneous) and
-    exact stay/up probabilities."""
+    exact stay/up probabilities, each an ``int`` or a ``Fraction``."""
 
     bit: int | None
     p_stay: Fraction
@@ -139,6 +140,8 @@ class KernelEntry:
     def __post_init__(self) -> None:
         if self.bit not in (0, 1, None):
             raise ValueError(f"bit must be 0, 1 or None, got {self.bit!r}")
+        _scalar(self.p_stay)
+        _scalar(self.p_up)
         if self.p_stay < 0 or self.p_up < 0 or self.p_stay + self.p_up != 1:
             raise ValueError(
                 f"probabilities must be nonnegative and sum to 1, "
@@ -377,18 +380,6 @@ def central_alpha_transition(n: int, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(n - 2 * k + 2, d), Fraction(n - 2 * k, d)
 
 
-def central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """The same probabilities from first principles, as weight ratios
-    between consecutive levels."""
-    here = central_shape_weight(TwoRowDiagram(n, k))
-    stay = central_shape_weight(TwoRowDiagram(n + 1, k)) / here
-    if 2 * (k + 1) <= n + 1:
-        up = central_shape_weight(TwoRowDiagram(n + 1, k + 1)) / here
-    else:
-        up = Fraction(0)
-    return stay, up
-
-
 def central_kernel(depth: int) -> TransitionKernel:
     """The central walk's kernel for levels 1 .. depth - 1."""
     if depth < 1:
@@ -401,45 +392,16 @@ def central_kernel(depth: int) -> TransitionKernel:
     return TransitionKernel(depth, entries)
 
 
-def negative_control_tables() -> tuple[SpectralTable, SpectralTable]:
-    """A coherent but non-Markov pair of tables, for exercising detectors.
-
-    The level-4 table refines the level-3 one exactly, yet the two level-3
-    tableaux of shape (2, 1) step up with different conditional weights.
-    """
-    t3 = SpectralTable(
-        3,
-        {
-            TwoRowTableau(3, ()): Fraction(1, 2),
-            TwoRowTableau(3, (2,)): Fraction(1, 4),
-            TwoRowTableau(3, (3,)): Fraction(1, 4),
-        },
-    )
-    t4 = SpectralTable(
-        4,
-        {
-            TwoRowTableau(4, ()): Fraction(1, 2),
-            TwoRowTableau(4, (2,)): Fraction(1, 4),
-            TwoRowTableau(4, (3, 4)): Fraction(1, 4),
-        },
-    )
-    return t3, t4
-
-
 def _up_threshold(p: Fraction) -> int:
     """ceil(p * 2^64): for every 64-bit r, r < T exactly when
     r * den < num * 2^64, so one int compare decides a step."""
     return -((-p.numerator << 64) // p.denominator)
 
 
-def _up_thresholds(kernel: TransitionKernel, depth: int) -> list[list[int | None]]:
-    """The up thresholds of levels 1 .. depth - 1, one list per level indexed
-    by k, with None where the kernel stores no row."""
-    rows: list[list[int | None]] = [[None] * (n // 2 + 1) for n in range(1, depth)]
-    for (n, k), entry in kernel.entries.items():
-        if n < depth:
-            rows[n - 1][k] = _up_threshold(entry.p_up)
-    return rows
+def _threshold_table(depth: int) -> list[list[int | None]]:
+    """Empty up thresholds for levels 1 .. depth - 1, one list per level
+    indexed by k; a walk fills a row from the kernel on its first visit."""
+    return [[None] * (n // 2 + 1) for n in range(1, depth)]
 
 
 def bernoulli(rng: random.Random, p: Fraction) -> bool:
@@ -463,15 +425,17 @@ def _check_walks(kernel: TransitionKernel, depth: int, count: int) -> None:
         raise ValueError(f"path count must be nonnegative, got {count}")
 
 
-def _walk(thresholds: list[list[int | None]], rng: random.Random) -> list[int]:
+def _walk(
+    kernel: TransitionKernel, table: list[list[int | None]], rng: random.Random
+) -> list[int]:
     getrandbits = rng.getrandbits
     ks = [0]
     k = 0
     try:
-        for n, row in enumerate(thresholds, start=1):
+        for n, row in enumerate(table, start=1):
             limit = row[k]
             if limit is None:
-                raise _missing_row(n, k)
+                limit = row[k] = _up_threshold(kernel.transition(n, k).p_up)
             if getrandbits(64) < limit:
                 k += 1
             ks.append(k)
@@ -486,37 +450,27 @@ def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) 
 
     ``rng`` is a Random instance or an integer seed.  Each step consumes
     exactly 64 bits, so traces are reproducible byte for byte under a
-    fixed seed.  Only the visited rows' thresholds are computed; for many
-    walks, ``sample_paths`` computes every row's threshold once.
+    fixed seed.
     """
-    rng = _as_rng(rng)
-    if not 1 <= depth <= kernel.depth:
-        raise ValueError(f"depth must lie in 1..{kernel.depth}, got {depth}")
-    ks = [0]
-    k = 0
-    for n in range(1, depth):
-        limit = _up_threshold(kernel.transition(n, k).p_up)
-        if rng.getrandbits(64) < limit:
-            k += 1
-        ks.append(k)
-    return ks
+    return next(sample_paths(kernel, depth, 1, rng))
 
 
 def sample_paths(
     kernel: TransitionKernel, depth: int, count: int, rng: random.Random | int
 ) -> Iterator[list[int]]:
     """``count`` walks drawn one after another from ``rng``, each as
-    ``sample_path`` returns it.  Arguments are checked and every row's
-    threshold is built before the first walk is asked for."""
+    ``sample_path`` returns it.  Arguments are checked before the first
+    walk is asked for; the walks share one threshold table, whose rows
+    are filled as they are first reached."""
     rng = _as_rng(rng)
     _check_walks(kernel, depth, count)
-    thresholds = _up_thresholds(kernel, depth)
-    return (_walk(thresholds, rng) for _ in range(count))
+    table = _threshold_table(depth)
+    return (_walk(kernel, table, rng) for _ in range(count))
 
 
 def sample_tableau(kernel: TransitionKernel, depth: int, rng: random.Random | int) -> TwoRowTableau:
     """Run the walk from the one-cell tableau down to ``depth`` levels."""
-    ks = sample_path(kernel, depth, _as_rng(rng))
+    ks = sample_path(kernel, depth, rng)
     second = tuple(t for t in range(2, depth + 1) if ks[t - 1] > ks[t - 2])
     return TwoRowTableau(depth, second)
 
@@ -526,10 +480,10 @@ def transition_counts(
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Visit and up counts per (level, k) over ``paths`` sampled walks."""
     _check_walks(kernel, depth, paths)
-    thresholds = _up_thresholds(kernel, depth)
-    visits = [[0] * len(row) for row in thresholds]
-    ups = [[0] * len(row) for row in thresholds]
-    levels = list(zip(range(1, depth), thresholds, visits, ups))
+    table = _threshold_table(depth)
+    visits = [[0] * len(row) for row in table]
+    ups = [[0] * len(row) for row in table]
+    levels = list(zip(range(1, depth), table, visits, ups))
     getrandbits = random.Random(seed).getrandbits
     try:
         for _ in range(paths):
@@ -537,7 +491,7 @@ def transition_counts(
             for n, limits, seen, went_up in levels:
                 limit = limits[k]
                 if limit is None:
-                    raise _missing_row(n, k)
+                    limit = limits[k] = _up_threshold(kernel.transition(n, k).p_up)
                 seen[k] += 1
                 if getrandbits(64) < limit:
                     went_up[k] += 1

@@ -3,6 +3,20 @@
 Every check recomputes something two independent ways and compares exactly.
 The suites are sized by level bounds so both the command line tool and the
 test suite can run them at the documented desk scale.
+
+The library keeps one closed route per fact; the first-principles oracles
+it is checked against live here, private to this module:
+
+- ``_expanded_harmonic``: the harmonic vector expanded product by product;
+- ``_is_yjm_eigenform``: every level's transposition sum applied to a form;
+- ``_projection_table``: spectral tables read off the cached full basis;
+- ``_transposition_matrix_in_basis``: adjacent-transposition matrices by
+  projecting each permuted basis vector back onto the basis;
+- ``_central_transition_oracle``: the central kernel as ratios of shape
+  weights between consecutive levels;
+- ``_negative_control_tables``: a coherent, non-Markov pair of tables that
+  the shape-dependence test must reject;
+- ``linalg.harmonic_dim``: harmonic dimensions by exact rank.
 """
 
 from __future__ import annotations
@@ -12,30 +26,36 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .forms import SquareFreeForm, decompose_step, harmonic_preimage, inner, psi
+from .forms import (
+    Permutation,
+    SquareFreeForm,
+    act,
+    decompose_step,
+    harmonic_preimage,
+    inner,
+    psi,
+)
 from .gz import (
-    _is_yjm_eigenform,
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
     full_gz_basis,
     gz_harmonic,
     gz_in_H,
     orthogonal_form_matrix,
-    transposition_matrix_in_basis,
+    yjm_apply,
 )
 from .linalg import harmonic_dim
 from .markov import (
     BitPrefix,
     SpectralTable,
     central_alpha_transition,
+    central_shape_weight,
     central_table,
-    central_transition_oracle,
     good_tableau_ratio,
     induced_transition,
     is_markov,
     kernel_from_prefix,
     kernel_matches,
-    negative_control_tables,
     path_product_table,
     spectral_measure,
 )
@@ -85,6 +105,89 @@ def _expanded_harmonic(u: TwoRowTableau) -> SquareFreeForm:
 
     place(0, ())
     return SquareFreeForm(u.n, k, coeffs)
+
+
+def _is_yjm_eigenform(u: TwoRowTableau, form: SquareFreeForm) -> bool:
+    """Whether every level l's operator scales ``form`` by u's content at l."""
+    return all(yjm_apply(l, form) == u.content(l) * form for l in range(1, u.n + 1))
+
+
+def _projection_table(prefix: BitPrefix, level: int) -> SpectralTable:
+    """The spectral table read off the full basis: each vector's
+    coefficient on the sequence's monomial, squared, over its norm."""
+    m = prefix.ones(level)
+    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
+    probs: dict[TwoRowTableau, Fraction] = {}
+    for vec in full_gz_basis(level, m):
+        c = vec.form.coeffs.get(key)
+        if c:
+            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
+    return SpectralTable(level, probs)
+
+
+def _transposition_matrix_in_basis(
+    i: int, d: TwoRowDiagram, m: int | None = None
+) -> list[list[Fraction]]:
+    """Matrix of (i i+1) computed directly from the forms, row = source.
+
+    Each image is expanded over the shape's basis by orthogonal projection
+    and the expansion is verified exactly, so the result is trustworthy
+    independent of any closed formula.
+    """
+    if not 1 <= i <= d.n - 1:
+        raise ValueError(f"transposition index must lie in 1..{d.n - 1}, got {i}")
+    if m is None:
+        m = d.k
+    basis = [gz_in_H(u, m) for u in enumerate_tableaux(d)]
+    sigma = Permutation.transposition(d.n, i, i + 1)
+    matrix = []
+    for vec in basis:
+        image = act(sigma, vec.form)
+        row = [Fraction(inner(image, w.form), w.norm_sq) for w in basis]
+        recon = SquareFreeForm.zero(d.n, m)
+        for c, w in zip(row, basis):
+            recon = recon + c * w.form
+        if recon != image:
+            raise ValueError("image does not lie in the span of the shape's basis")
+        matrix.append(row)
+    return matrix
+
+
+def _central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """The central walk's stay/up probabilities from first principles, as
+    weight ratios between consecutive levels."""
+    here = central_shape_weight(TwoRowDiagram(n, k))
+    stay = central_shape_weight(TwoRowDiagram(n + 1, k)) / here
+    if 2 * (k + 1) <= n + 1:
+        up = central_shape_weight(TwoRowDiagram(n + 1, k + 1)) / here
+    else:
+        up = Fraction(0)
+    return stay, up
+
+
+def _negative_control_tables() -> tuple[SpectralTable, SpectralTable]:
+    """A coherent but non-Markov pair of tables, for exercising detectors.
+
+    The level-4 table refines the level-3 one exactly, yet the two level-3
+    tableaux of shape (2, 1) step up with different conditional weights.
+    """
+    t3 = SpectralTable(
+        3,
+        {
+            TwoRowTableau(3, ()): Fraction(1, 2),
+            TwoRowTableau(3, (2,)): Fraction(1, 4),
+            TwoRowTableau(3, (3,)): Fraction(1, 4),
+        },
+    )
+    t4 = SpectralTable(
+        4,
+        {
+            TwoRowTableau(4, ()): Fraction(1, 2),
+            TwoRowTableau(4, (2,)): Fraction(1, 4),
+            TwoRowTableau(4, (3, 4)): Fraction(1, 4),
+        },
+    )
+    return t3, t4
 
 
 def check_basis(n_max: int = 8) -> list[CheckResult]:
@@ -226,19 +329,6 @@ def _valid_prefixes(length: int) -> list[BitPrefix]:
     return out
 
 
-def _projection_table(prefix: BitPrefix, level: int) -> SpectralTable:
-    """The spectral table read off the full basis: each vector's
-    coefficient on the sequence's monomial, squared, over its norm."""
-    m = prefix.ones(level)
-    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
-    probs: dict[TwoRowTableau, Fraction] = {}
-    for vec in full_gz_basis(level, m):
-        c = vec.form.coeffs.get(key)
-        if c:
-            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
-    return SpectralTable(level, probs)
-
-
 def check_spectral(n_max: int = 8) -> list[CheckResult]:
     """Rook-count tables equal the basis projection and the kernel path
     products for every valid direction sequence, and the step ratios
@@ -329,7 +419,7 @@ def check_central(mass_max: int = 12, ratio_max: int = 10) -> list[CheckResult]:
             mass_fail.append(f"n={n}: {exc}")
     for n in range(0, ratio_max + 1):
         for k in range(n // 2 + 1):
-            if central_alpha_transition(n, k) != central_transition_oracle(n, k):
+            if central_alpha_transition(n, k) != _central_transition_oracle(n, k):
                 ratio_fail.append(f"n={n} k={k}")
     for n in range(1, min(mass_max, 9)):
         if not is_markov(central_table(n), central_table(n + 1)).ok:
@@ -405,7 +495,7 @@ def check_markov_detector() -> list[CheckResult]:
             failures.append(f"spectral pair rejected at n={n}")
     if not is_markov(central_table(5), central_table(6)).ok:
         failures.append("central pair rejected")
-    bad = negative_control_tables()
+    bad = _negative_control_tables()
     report = is_markov(*bad)
     if report.ok:
         failures.append("corrupted pair accepted")
@@ -476,10 +566,10 @@ def check_matrices(n_max: int = 6) -> list[CheckResult]:
             mats = {}
             for i in range(1, n):
                 closed = orthogonal_form_matrix(i, d)
-                direct = transposition_matrix_in_basis(i, d)
+                direct = _transposition_matrix_in_basis(i, d)
                 if closed != direct:
                     agree_fail.append(f"n={n} k={d.k} i={i}")
-                if d.k < n // 2 and closed != transposition_matrix_in_basis(i, d, d.k + 1):
+                if d.k < n // 2 and closed != _transposition_matrix_in_basis(i, d, d.k + 1):
                     agree_fail.append(f"lifted n={n} k={d.k} i={i}")
                 mats[i] = closed
             size = len(mats[1])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tworow import cli, gz
+from tworow import cli, gz, verify
 from tworow.cli import main
 
 
@@ -314,6 +314,26 @@ def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
     assert out.endswith(" failures\n") and not out.endswith(" 0 failures\n")
 
 
+def test_verify_fails_on_a_swapped_central_kernel(capsys, monkeypatch):
+    closed = verify.central_alpha_transition
+    monkeypatch.setattr(verify, "central_alpha_transition", lambda n, k: closed(n, k)[::-1])
+    code, out, err = run_cli(capsys, "verify", "--scope", "central", "--n-max", "6")
+    assert (code, err) == (1, "")
+    assert "FAIL central-kernel: n=0 k=0; " in out
+    assert "PASS central-mass: " in out
+
+
+def test_verify_fails_on_a_corrupted_transposition_matrix(capsys, monkeypatch):
+    closed = verify.orthogonal_form_matrix
+    monkeypatch.setattr(
+        verify, "orthogonal_form_matrix", lambda i, d: [list(c) for c in zip(*closed(i, d))]
+    )
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "FAIL matrices-agree: n=3 k=1 i=2; " in out
+    assert "PASS basis-eigen: " in out
+
+
 def test_verify_central_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "central", "--n-max", "6")
     assert code == 0
@@ -390,6 +410,27 @@ def test_python_dash_m_package(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("0 failures")
+
+
+def test_cli_loads_every_traced_layer(tmp_path):
+    """The benchmark's traced runs look up each layer of ``LAYERS`` in
+    ``perfbench/spans.py`` as a loaded ``tworow.<layer>`` module; importing
+    the CLI must load them all."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    probe = (
+        "import json, sys\n"
+        "import tworow.cli\n"
+        "from spans import LAYERS\n"
+        "print(json.dumps([[l, f'tworow.{l}' in sys.modules] for l in LAYERS]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = dict(json.loads(proc.stdout))
+    assert len(loaded) == 8
+    assert all(loaded.values()), loaded
 
 
 def test_installed_entry_point():

@@ -22,7 +22,6 @@ from tworow import (
     gz_coefficient,
     gz_harmonic,
     gz_in_H,
-    harmonic_dim,
     harmonic_preimage,
     inner,
     is_harmonic,
@@ -31,12 +30,14 @@ from tworow import (
     pseudo_monomial,
     psi,
     spectral_measure,
-    transposition_matrix_in_basis,
     yjm_apply,
-    yjm_eigencheck,
 )
-from tworow.linalg import _PRIME, _rank, divergence_matrix
-from tworow.verify import _expanded_harmonic
+from tworow.linalg import _PRIME, _rank, divergence_matrix, harmonic_dim
+from tworow.verify import (
+    _expanded_harmonic,
+    _is_yjm_eigenform,
+    _transposition_matrix_in_basis,
+)
 
 
 def mono(n, *indices):
@@ -243,9 +244,9 @@ def test_yjm_index_validation():
 
 @given(tableaux(max_n=6), st.data())
 def test_eigencheck_all_levels(u, data):
-    assert yjm_eigencheck(u)
+    assert _is_yjm_eigenform(u, gz_harmonic(u).form)
     m = data.draw(st.integers(min_value=len(u.second_row), max_value=u.n // 2))
-    assert yjm_eigencheck(u, m)
+    assert _is_yjm_eigenform(u, gz_in_H(u, m).form)
 
 
 def test_corrupted_vector_fails_eigencheck():
@@ -337,7 +338,7 @@ def test_divisions_give_fractions():
     assert f0.coeffs and all(type(c) is Fraction for c in f0.coeffs.values())
     table = spectral_measure(BitPrefix.from_string("010101"))
     assert all(type(p) is Fraction for _, p in table.items())
-    matrix = transposition_matrix_in_basis(2, TwoRowDiagram(5, 2))
+    matrix = _transposition_matrix_in_basis(2, TwoRowDiagram(5, 2))
     assert all(type(x) is Fraction for row in matrix for x in row)
 
 
@@ -406,7 +407,7 @@ def test_matrix_index_validation():
     with pytest.raises(ValueError):
         orthogonal_form_matrix(3, TwoRowDiagram(3, 1))
     with pytest.raises(ValueError):
-        transposition_matrix_in_basis(3, TwoRowDiagram(3, 1))
+        _transposition_matrix_in_basis(3, TwoRowDiagram(3, 1))
 
 
 def _mat_mul(a, b):
@@ -446,14 +447,14 @@ def test_closed_matrix_matches_projection():
     for n in range(2, 6):
         for d in enumerate_diagrams(n):
             for i in range(1, n):
-                assert orthogonal_form_matrix(i, d) == transposition_matrix_in_basis(i, d)
+                assert orthogonal_form_matrix(i, d) == _transposition_matrix_in_basis(i, d)
 
 
 def test_projection_matrix_independent_of_degree():
     d = TwoRowDiagram(6, 2)
-    base = transposition_matrix_in_basis(3, d)
+    base = _transposition_matrix_in_basis(3, d)
     for m in (2, 3):
-        assert transposition_matrix_in_basis(3, d, m) == base
+        assert _transposition_matrix_in_basis(3, d, m) == base
 
 
 def test_off_diagonal_entries_square_correctly():

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from tworow import (
     central_kernel,
     central_shape_weight,
     central_table,
-    central_transition_oracle,
     dim,
     enumerate_all_tableaux,
     enumerate_diagrams,
@@ -26,7 +26,6 @@ from tworow import (
     is_markov,
     kernel_from_prefix,
     kernel_matches,
-    negative_control_tables,
     path_product_table,
     sample_path,
     sample_paths,
@@ -36,7 +35,11 @@ from tworow import (
     within_three_sigma,
 )
 from tworow.markov import _up_threshold
-from tworow.verify import _valid_prefixes
+from tworow.verify import (
+    _central_transition_oracle,
+    _negative_control_tables,
+    _valid_prefixes,
+)
 
 
 @st.composite
@@ -196,6 +199,15 @@ def test_kernel_entry_validation():
         KernelEntry(None, Fraction(3, 2), Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")])
+def test_kernel_entry_takes_only_exact_rationals(bad):
+    with pytest.raises(TypeError):
+        KernelEntry(None, bad, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        KernelEntry(None, Fraction(1, 2), bad)
+    assert KernelEntry(1, 1, 0) == KernelEntry(1, Fraction(1), Fraction(0))
+
+
 def test_transition_kernel_validation():
     good = KernelEntry(None, Fraction(1), Fraction(0))
     with pytest.raises(ValueError):
@@ -222,6 +234,14 @@ def test_table_validation():
                 TwoRowTableau(2, (2,)): Fraction(-1, 2),
             },
         )
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", Decimal(1)])
+def test_table_takes_only_exact_rationals(bad):
+    u = TwoRowTableau(1, ())
+    with pytest.raises(TypeError):
+        SpectralTable(1, {u: bad})
+    assert SpectralTable(1, {u: True}).prob(u) == SpectralTable(1, {u: 1}).prob(u) == 1
 
 
 def test_table_drops_zero_entries():
@@ -370,7 +390,7 @@ def test_measure_steps_are_markov(p):
 
 
 def test_detector_rejects_negative_control():
-    t3, t4 = negative_control_tables()
+    t3, t4 = _negative_control_tables()
     report = is_markov(t3, t4)
     assert not report.ok
     assert len(report.violations) >= 1
@@ -454,7 +474,7 @@ def test_central_transition_matches_weight_ratios():
     weights at every reachable state."""
     for n in range(1, 9):
         for k in range(n // 2 + 1):
-            assert central_alpha_transition(n, k) == central_transition_oracle(n, k)
+            assert central_alpha_transition(n, k) == _central_transition_oracle(n, k)
 
 
 def test_central_tables_are_markov():
