@@ -41,6 +41,14 @@ def _scalar(x: object) -> Scalar:
     return x
 
 
+def _index(x: object) -> int:
+    """``x`` if it is an ``int`` and not a ``bool``; anything else, floats
+    with integral values included, raises ``TypeError``."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"indices must be int, got {type(x).__name__}: {x!r}")
+    return x
+
+
 class SquareFreeForm:
     """A square-free multilinear form, stored as subset -> coefficient.
 
@@ -62,7 +70,7 @@ class SquareFreeForm:
         self.k = k
         clean: dict[Key, Scalar] = {}
         for raw_key, raw_val in (coeffs or {}).items():
-            key = tuple(raw_key)
+            key = tuple(map(_index, raw_key))
             if len(key) != k:
                 raise ValueError(f"monomial {key} does not have degree {k}")
             if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
@@ -165,7 +173,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(images)
+        imgs = tuple(map(_index, images))
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         self.images = imgs

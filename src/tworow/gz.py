@@ -28,9 +28,9 @@ h_u itself: ``gz_harmonic`` takes one such term per k-subset and never
 expands the products of differences.  ``gz_coefficient`` sums the terms
 for one monomial of a lifted vector.
 
-Vectors are kept unnormalized with integer coefficients and exact integer
-squared norms; the expected closed forms for those norms live in
-``closed_harmonic_norm_sq``.  Only ``full_gz_basis`` caches; single vectors
+Vectors are kept unnormalized with integer coefficients; their squared
+norms are the closed products ``closed_harmonic_norm_sq`` and, lifted,
+``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single vectors
 are recomputed on every call, and ``iter_basis`` yields them one at a time,
 so a streamed export such as ``tworow basis`` holds one vector in memory.
 """
@@ -43,13 +43,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .forms import Key, Scalar, SquareFreeForm, inner, psi
+from .forms import Key, Scalar, SquareFreeForm, psi
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
 @dataclass(frozen=True, eq=False)
 class GzVector:
-    """A basis vector: tableau label, exact form, exact squared norm."""
+    """A basis vector: tableau label, exact form, closed squared norm."""
 
     tableau: TwoRowTableau
     form: SquareFreeForm
@@ -66,7 +66,7 @@ def gz_harmonic(u: TwoRowTableau) -> GzVector:
         if term:
             coeffs[sub] = term
     form = SquareFreeForm._trusted(u.n, len(ps), coeffs)
-    return GzVector(u, form, inner(form, form))
+    return GzVector(u, form, closed_harmonic_norm_sq(u))
 
 
 def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
@@ -76,9 +76,13 @@ def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
         raise ValueError(f"degree {m} is below the tableau's second row {k}")
     if 2 * m > u.n:
         raise ValueError(f"degree {m} exceeds half of {u.n} variables")
-    base = gz_harmonic(u)
-    form = psi(base.form, m - k)
-    return GzVector(u, form, inner(form, form))
+    return _lift(u, m)
+
+
+def _lift(u: TwoRowTableau, m: int) -> GzVector:
+    """psi(h_u, m - k) with its closed norm, for a checked degree m."""
+    form = psi(gz_harmonic(u).form, m - len(u.second_row))
+    return GzVector(u, form, closed_norm_sq_in_H(u, m))
 
 
 def gz_coefficient(u: TwoRowTableau, key: Key) -> int:
@@ -148,8 +152,7 @@ def iter_basis(n: int, m: int):
         raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")
     for k in range(m + 1):
         for u in enumerate_tableaux(TwoRowDiagram(n, k)):
-            form = psi(gz_harmonic(u).form, m - k)
-            yield GzVector(u, form, inner(form, form))
+            yield _lift(u, m)
 
 
 @lru_cache(maxsize=None)
@@ -181,14 +184,8 @@ def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
 
 def _swap_levels(u: TwoRowTableau, i: int) -> TwoRowTableau:
     """The tableau with entries i and i + 1 exchanged (rows differ)."""
-    ps = set(u.second_row)
-    if i in ps:
-        ps.remove(i)
-        ps.add(i + 1)
-    elif i + 1 in ps:
-        ps.remove(i + 1)
-        ps.add(i)
-    return TwoRowTableau(u.n, tuple(sorted(ps)))
+    swap = {i: i + 1, i + 1: i}
+    return TwoRowTableau(u.n, tuple(sorted(swap.get(p, p) for p in u.second_row)))
 
 
 def orthogonal_form_matrix(i: int, d: TwoRowDiagram) -> list[list[Fraction]]:

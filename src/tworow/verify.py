@@ -9,6 +9,8 @@ it is checked against live here, private to this module:
 
 - ``_expanded_harmonic``: the harmonic vector expanded product by product;
 - ``_is_yjm_eigenform``: every level's transposition sum applied to a form;
+- ``forms.inner``: a vector's squared norm as the sum of its squared
+  coefficients, against which every closed norm a vector carries is checked;
 - ``_projection_table``: spectral tables read off the cached full basis;
 - ``_transposition_matrix_in_basis``: adjacent-transposition matrices by
   projecting each permuted basis vector back onto the basis;
@@ -36,8 +38,6 @@ from .forms import (
     psi,
 )
 from .gz import (
-    closed_harmonic_norm_sq,
-    closed_norm_sq_in_H,
     full_gz_basis,
     gz_harmonic,
     gz_in_H,
@@ -206,14 +206,14 @@ def check_basis(n_max: int = 8) -> list[CheckResult]:
                     eig_fail.append(f"harmonic {u.second_row} at n={n} differs from its expansion")
                 if not _is_yjm_eigenform(u, harmonic.form):
                     eig_fail.append(f"harmonic {u.second_row} at n={n}")
-                if harmonic.norm_sq != closed_harmonic_norm_sq(u):
+                if harmonic.norm_sq != inner(harmonic.form, harmonic.form):
                     norm_fail.append(f"harmonic norm {u.second_row} at n={n}")
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
             for vec in basis:
                 if not _is_yjm_eigenform(vec.tableau, vec.form):
                     eig_fail.append(f"lifted {vec.tableau.second_row} at n={n} m={m}")
-                if vec.norm_sq != closed_norm_sq_in_H(vec.tableau, m):
+                if vec.norm_sq != inner(vec.form, vec.form):
                     norm_fail.append(
                         f"lifted norm {vec.tableau.second_row} at n={n} m={m}"
                     )
@@ -253,11 +253,12 @@ def check_psi(n_max: int = 8) -> list[CheckResult]:
         for d in enumerate_diagrams(n):
             k = d.k
             for u in enumerate_tableaux(d):
-                base = gz_harmonic(u)
+                base = gz_harmonic(u).form
+                base_sq = inner(base, base)
                 for m in range(k, n // 2 + 1):
                     cases += 1
-                    lifted = psi(base.form, m - k)
-                    expect = comb(n - 2 * k, m - k) * base.norm_sq
+                    lifted = psi(base, m - k)
+                    expect = comb(n - 2 * k, m - k) * base_sq
                     if inner(lifted, lifted) != expect:
                         failures.append(f"n={n}, u={u.second_row}, m={m}")
     return [
@@ -379,11 +380,12 @@ def check_good(n_max: int = 12) -> list[CheckResult]:
     for n in range(0, n_max + 1):
         for k in range(n // 2 + 1):
             u = good_tableau(n, k)
-            if gz_harmonic(u).norm_sq != 2**k:
+            harmonic = gz_harmonic(u).form
+            if inner(harmonic, harmonic) != 2**k:
                 norm_fail.append(f"harmonic n={n} k={k}")
             for m in range(k, n // 2 + 1):
-                vec = gz_in_H(u, m)
-                if vec.norm_sq != 2**k * comb(n - 2 * k, m - k):
+                lifted = gz_in_H(u, m).form
+                if inner(lifted, lifted) != 2**k * comb(n - 2 * k, m - k):
                     norm_fail.append(f"lifted n={n} k={k} m={m}")
                 for bit in (0, 1):
                     if 2 * (m + bit) > n + 1:

@@ -304,6 +304,16 @@ def test_verify_scoped(capsys):
     assert lines[-1].endswith("0 failures")
 
 
+@pytest.fixture
+def fresh_basis_cache():
+    """Empty the cached full bases before and after a test that corrupts
+    how they are built, so no other test reads the corrupted vectors."""
+    gz.full_gz_basis.cache_clear()
+    yield
+    gz.full_gz_basis.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_basis_cache")
 def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
     rook = gz._rook_term
     monkeypatch.setattr(gz, "_rook_term", lambda ps, sub: abs(rook(ps, sub)))
@@ -312,6 +322,17 @@ def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
     assert "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion" in out
     assert "FAIL spectral: raised " in out
     assert out.endswith(" failures\n") and not out.endswith(" 0 failures\n")
+
+
+@pytest.mark.usefixtures("fresh_basis_cache")
+def test_verify_fails_on_a_wrong_closed_norm(capsys, monkeypatch):
+    closed = gz.closed_harmonic_norm_sq
+    monkeypatch.setattr(gz, "closed_harmonic_norm_sq", lambda u: closed(u) + 1)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz")
+    assert (code, err) == (1, "")
+    assert "FAIL basis-norms: harmonic norm () at n=1; " in out
+    assert "PASS psi-isometry: " in out
+    assert "PASS good-tableau-norms: " in out
 
 
 def test_verify_fails_on_a_swapped_central_kernel(capsys, monkeypatch):
@@ -415,22 +436,29 @@ def test_python_dash_m_package(tmp_path):
 def test_cli_loads_every_traced_layer(tmp_path):
     """The benchmark's traced runs look up each layer of ``LAYERS`` in
     ``perfbench/spans.py`` as a loaded ``tworow.<layer>`` module; importing
-    the CLI must load them all."""
+    the CLI must load them all.  A traced name the module lacks silently
+    reads 0 calls, so the only one allowed is the transposition-matrix
+    oracle, which now lives in ``verify``."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     probe = (
         "import json, sys\n"
         "import tworow.cli\n"
-        "from spans import LAYERS\n"
-        "print(json.dumps([[l, f'tworow.{l}' in sys.modules] for l in LAYERS]))\n"
+        "from spans import LAYERS, TOTALS, TRACED\n"
+        "loaded = [[l, f'tworow.{l}' in sys.modules] for l in LAYERS]\n"
+        "missing = [f'{l}.{f}' for l, fs in {**TRACED, **TOTALS}.items() for f in fs\n"
+        "           if not hasattr(sys.modules[f'tworow.{l}'], f)]\n"
+        "print(json.dumps([loaded, missing]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=tmp_path
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    loaded = dict(json.loads(proc.stdout))
+    loaded, missing = json.loads(proc.stdout)
+    loaded = dict(loaded)
     assert len(loaded) == 8
     assert all(loaded.values()), loaded
+    assert missing == ["gz.transposition_matrix_in_basis"]
 
 
 def test_installed_entry_point():

@@ -101,6 +101,16 @@ def test_construction_rejects_bad_keys():
         SquareFreeForm(3, 4)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "2"])
+def test_only_ints_are_indices(bad):
+    with pytest.raises(TypeError):
+        SquareFreeForm(3, 1, {(bad,): 1})
+    with pytest.raises(TypeError):
+        SquareFreeForm.monomial(3, (1, bad))
+    with pytest.raises(TypeError):
+        Permutation([bad, 1])
+
+
 @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", Decimal("0.5")])
 def test_only_exact_rationals_are_scalars(bad):
     with pytest.raises(TypeError):

@@ -316,6 +316,18 @@ def test_iter_basis_matches_cached():
         assert x.norm_sq == y.norm_sq
 
 
+def test_vector_builders_take_no_inner_product(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("a basis vector took an inner product")
+
+    monkeypatch.setattr("tworow.forms.inner", refuse)
+    monkeypatch.setattr("tworow.gz.inner", refuse, raising=False)
+    u = TwoRowTableau(8, (2, 5))
+    assert gz_harmonic(u).norm_sq == closed_harmonic_norm_sq(u)
+    assert gz_in_H(u, 3).norm_sq == closed_norm_sq_in_H(u, 3)
+    assert len(list(iter_basis(8, 4))) == comb(8, 4)
+
+
 def _all_int(form):
     return all(type(c) is int for c in form.coeffs.values())
 
