@@ -28,6 +28,15 @@ h_u itself: ``gz_harmonic`` takes one such term per k-subset and never
 expands the products of differences.  ``gz_coefficient`` sums the terms
 for one monomial of a lifted vector.
 
+So the lifted vector sums h_u over the k-subsets of each m-subset, and that
+index structure depends only on (n, m, k), not on u.  ``_lift_table``
+lays it out once per shape: the position of each k-subset in lexicographic
+order, and for each m-subset a gather of the positions of its k-subsets.
+``_lift`` spreads h_u into a dense list over the k-subsets and sums one
+gather per m-subset, so a lifted vector costs C(n, m) * C(m, k) additions
+and builds no index tuples; ``iter_basis`` shares one table across every
+tableau of a shape.
+
 Vectors are kept unnormalized with integer coefficients; their squared
 norms are the closed products ``closed_harmonic_norm_sq`` and, lifted,
 ``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single vectors
@@ -42,8 +51,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
-from .forms import Key, Scalar, SquareFreeForm, psi
+from .forms import Key, Scalar, SquareFreeForm
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -70,18 +80,49 @@ def gz_harmonic(u: TwoRowTableau) -> GzVector:
 
 
 def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
-    """The vector for u inside the degree-m module, via the psi lift."""
+    """The vector for u inside the degree-m module: psi(h_u, m - k)."""
     k = len(u.second_row)
     if not k <= m:
         raise ValueError(f"degree {m} is below the tableau's second row {k}")
     if 2 * m > u.n:
         raise ValueError(f"degree {m} exceeds half of {u.n} variables")
-    return _lift(u, m)
+    return _lift(u, m, _lift_table(u.n, m, k))
 
 
-def _lift(u: TwoRowTableau, m: int) -> GzVector:
-    """psi(h_u, m - k) with its closed norm, for a checked degree m."""
-    form = psi(gz_harmonic(u).form, m - len(u.second_row))
+LiftTable = tuple[dict[Key, int], list[tuple[Key, itemgetter]]]
+
+
+def _lift_table(n: int, m: int, k: int) -> LiftTable | None:
+    """The index structure of the lift from degree k to degree m in n
+    variables: the position of each k-subset of 1..n in lexicographic
+    order, and for each m-subset I, in lexicographic order, a getter of the
+    positions of the k-subsets of I.  Each getter also reads one slot past
+    the k-subsets, which ``_lift`` keeps at 0, so it returns a tuple even
+    when I has a single k-subset (k = 0).  At k = m the lift is the
+    identity and the table is None."""
+    if k == m:
+        return None
+    position = {sub: i for i, sub in enumerate(combinations(range(1, n + 1), k))}
+    pad = len(position)
+    rows = [
+        (key, itemgetter(pad, *(position[sub] for sub in combinations(key, k))))
+        for key in combinations(range(1, n + 1), m)
+    ]
+    return position, rows
+
+
+def _lift(u: TwoRowTableau, m: int, table: LiftTable | None) -> GzVector:
+    """psi(h_u, m - k) with its closed norm, for a checked degree m and the
+    ``_lift_table`` of (n, m, k): each coefficient sums h_u over the
+    k-subsets of its m-subset."""
+    form = gz_harmonic(u).form
+    if table is not None:
+        position, rows = table
+        dense = [0] * (len(position) + 1)
+        for key, val in form.coeffs.items():
+            dense[position[key]] = val
+        coeffs = {key: sum(gather(dense)) for key, gather in rows}
+        form = SquareFreeForm._trusted(u.n, m, coeffs)
     return GzVector(u, form, closed_norm_sq_in_H(u, m))
 
 
@@ -144,15 +185,17 @@ def iter_basis(n: int, m: int):
 
     Vectors are ordered by second-row length k, then lexicographically by
     second-row entries; their count telescopes to C(n, m).  Each is the psi
-    lift of the closed harmonic vector, built when it is requested and not
-    cached, so a consumer that writes each vector before asking for the next
-    holds one at a time.
+    lift of the closed harmonic vector, summed through one ``_lift_table``
+    per k that every tableau of that shape shares.  Vectors are built when
+    requested and not cached, so a consumer that writes each vector before
+    asking for the next holds one at a time, plus the current table.
     """
     if not 0 <= 2 * m <= n:
         raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")
     for k in range(m + 1):
+        table = _lift_table(n, m, k)
         for u in enumerate_tableaux(TwoRowDiagram(n, k)):
-            yield _lift(u, m)
+            yield _lift(u, m, table)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Any, Iterable, TextIO
 
-from .forms import SquareFreeForm
+from .forms import SquareFreeForm, _index
 from .gz import GzVector
 from .markov import SpectralTable, TransitionKernel
 from .ygraph import TwoRowTableau
@@ -44,13 +44,15 @@ def form_to_dict(f: SquareFreeForm) -> dict[str, Any]:
 
 
 def form_from_dict(obj: dict[str, Any]) -> SquareFreeForm:
+    """The form of ``form_to_dict``; ``n``, ``k`` and every index must be a
+    JSON integer, so ``2.7``, ``"3"`` or ``true`` raise ``TypeError``."""
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for term in obj["terms"]:
-        key = tuple(int(v) for v in term["vars"])
+        key = tuple(map(_index, term["vars"]))
         if key in coeffs:
             raise ValueError(f"duplicate monomial {key}")
         coeffs[key] = fraction_from_dict(term)
-    return SquareFreeForm(int(obj["n"]), int(obj["k"]), coeffs)
+    return SquareFreeForm(_index(obj["n"]), _index(obj["k"]), coeffs)
 
 
 def gz_vector_to_dict(vec: GzVector) -> dict[str, Any]:
@@ -117,10 +119,12 @@ def table_to_dict(table: SpectralTable) -> dict[str, Any]:
 
 
 def table_from_dict(obj: dict[str, Any]) -> SpectralTable:
-    level = int(obj["level"])
+    """The table of ``table_to_dict``; ``level`` and every second-row entry
+    must be a JSON integer, as in ``form_from_dict``."""
+    level = _index(obj["level"])
     probs: dict[TwoRowTableau, Fraction] = {}
     for entry in obj["entries"]:
-        u = TwoRowTableau(level, tuple(int(v) for v in entry["second_row"]))
+        u = TwoRowTableau(level, tuple(map(_index, entry["second_row"])))
         if u in probs:
             raise ValueError(f"duplicate tableau {u.second_row}")
         probs[u] = fraction_from_dict(entry)

@@ -11,6 +11,8 @@ it is checked against live here, private to this module:
 - ``_is_yjm_eigenform``: every level's transposition sum applied to a form;
 - ``forms.inner``: a vector's squared norm as the sum of its squared
   coefficients, against which every closed norm a vector carries is checked;
+- ``forms.psi``: the lift term by term, one index tuple per l-subset of a
+  monomial's complement, against which every lifted basis vector is checked;
 - ``_projection_table``: spectral tables read off the cached full basis;
 - ``_transposition_matrix_in_basis``: adjacent-transposition matrices by
   projecting each permuted basis vector back onto the basis;
@@ -246,10 +248,16 @@ def check_basis(n_max: int = 8) -> list[CheckResult]:
 
 
 def check_psi(n_max: int = 8) -> list[CheckResult]:
-    """The averaging map scales squared norms by C(n - 2k, m - k)."""
+    """The averaging map scales squared norms by C(n - 2k, m - k), and
+    every lifted vector of the cached full basis is psi of its harmonic."""
     failures: list[str] = []
     cases = 0
     for n in range(0, n_max + 1):
+        basis = {
+            (m, vec.tableau.second_row): vec.form
+            for m in range(n // 2 + 1)
+            for vec in full_gz_basis(n, m)
+        }
         for d in enumerate_diagrams(n):
             k = d.k
             for u in enumerate_tableaux(d):
@@ -261,6 +269,10 @@ def check_psi(n_max: int = 8) -> list[CheckResult]:
                     expect = comb(n - 2 * k, m - k) * base_sq
                     if inner(lifted, lifted) != expect:
                         failures.append(f"n={n}, u={u.second_row}, m={m}")
+                    if basis.get((m, u.second_row)) != lifted:
+                        failures.append(
+                            f"basis vector n={n}, u={u.second_row}, m={m} is not psi"
+                        )
     return [
         _result(
             "psi-isometry",

@@ -76,6 +76,8 @@ GOLDEN_BASES = [
     (5, 2, "0bab43249c5725d2ef73e5db4ddbde387738522dd80e076404ba59a4088a9b41"),
     (8, 4, "00a097e278266fa1e32cd2979d7c3667ae0bc36ce0af9430849c2b4ea425da1e"),
     (10, 5, "1885a25862090c50573378cd73aa1218085f6fd04f0f2613d58dba20535855d0"),
+    (14, 4, "ae2da6f254d5ddab0fc461c03ff95a0276ee9b35bebea6e95ac663ee0cee89d3"),
+    (16, 3, "1e0ce12a83d383357df6e5cd839cba192af12c9084f328d61e46bf03f61b41a1"),
 ]
 
 
@@ -333,6 +335,24 @@ def test_verify_fails_on_a_wrong_closed_norm(capsys, monkeypatch):
     assert "FAIL basis-norms: harmonic norm () at n=1; " in out
     assert "PASS psi-isometry: " in out
     assert "PASS good-tableau-norms: " in out
+
+
+@pytest.mark.usefixtures("fresh_basis_cache")
+def test_verify_fails_on_a_corrupted_lift(capsys, monkeypatch):
+    lift = gz._lift
+
+    def dropped(u, m, table):
+        vec = lift(u, m, table)
+        if len(u.second_row) == m:
+            return vec
+        coeffs = dict(vec.form.coeffs)
+        del coeffs[next(iter(coeffs))]
+        return gz.GzVector(u, gz.SquareFreeForm(u.n, m, coeffs), vec.norm_sq)
+
+    monkeypatch.setattr(gz, "_lift", dropped)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz")
+    assert (code, err) == (1, "")
+    assert "FAIL psi-isometry: basis vector n=2, u=(), m=1 is not psi; " in out
 
 
 def test_verify_fails_on_a_swapped_central_kernel(capsys, monkeypatch):

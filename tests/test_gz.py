@@ -164,6 +164,35 @@ def test_lift_norm_matches_inner_product(u, data):
     assert vec.norm_sq == closed_harmonic_norm_sq(u) * comb(u.n - 2 * k, m - k)
 
 
+def test_iter_basis_is_psi_of_the_harmonic():
+    for n in range(11):
+        for m in range(n // 2 + 1):
+            for vec in iter_basis(n, m):
+                u = vec.tableau
+                lifted = psi(gz_harmonic(u).form, m - len(u.second_row))
+                assert vec.form == lifted, (n, m, u.second_row)
+
+
+def test_gz_in_H_is_the_iter_basis_vector():
+    for n in range(11):
+        for m in range(n // 2 + 1):
+            for vec in iter_basis(n, m):
+                single = gz_in_H(vec.tableau, m)
+                assert (single.tableau, single.norm_sq) == (vec.tableau, vec.norm_sq)
+                assert single.form == vec.form, (n, m, vec.tableau.second_row)
+
+
+def test_lift_takes_no_psi(monkeypatch):
+    def refuse(f, l):
+        raise AssertionError("a basis vector was lifted with psi")
+
+    monkeypatch.setattr("tworow.forms.psi", refuse)
+    monkeypatch.setattr("tworow.gz.psi", refuse, raising=False)
+    assert len(list(iter_basis(10, 5))) == comb(10, 5)
+    u = TwoRowTableau(10, (2, 5))
+    assert gz_in_H(u, 4).norm_sq == closed_norm_sq_in_H(u, 4)
+
+
 # closed rook-count coefficients
 
 

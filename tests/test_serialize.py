@@ -97,6 +97,49 @@ def test_form_rejects_duplicate_terms():
         form_from_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n", 3.9),
+        ("n", "3"),
+        ("k", True),
+        ("k", 1.0),
+        ("vars", [2.7]),
+        ("vars", ["3"]),
+        ("vars", [False]),
+    ],
+)
+def test_form_takes_only_integer_indices(field, value):
+    obj = {"n": 3, "k": 1, "terms": [{"vars": [2], "num": "1", "den": "1"}]}
+    if field == "vars":
+        obj["terms"][0]["vars"] = value
+    else:
+        obj[field] = value
+    with pytest.raises(TypeError):
+        form_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("level", 2.5),
+        ("level", 2.0),
+        ("level", "2"),
+        ("second_row", [2.0]),
+        ("second_row", ["2"]),
+        ("second_row", [True]),
+    ],
+)
+def test_table_takes_only_integer_indices(field, value):
+    obj = {"level": 2, "entries": [{"second_row": [2], "num": "1", "den": "1"}]}
+    if field == "second_row":
+        obj["entries"][0]["second_row"] = value
+    else:
+        obj[field] = value
+    with pytest.raises(TypeError):
+        table_from_dict(obj)
+
+
 def test_gz_vector_dict():
     vec = gz_harmonic(TwoRowTableau(2, (2,)))
     assert gz_vector_to_dict(vec) == {
