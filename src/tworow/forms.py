@@ -281,10 +281,10 @@ def is_harmonic(f: SquareFreeForm) -> bool:
 def pseudo_monomial(n: int, pairs: Iterable[tuple[int, int]]) -> SquareFreeForm:
     """The product prod_t (x_{i_t} - x_{j_t}) over pairs with distinct indices.
 
-    All 2k indices must be pairwise distinct, which makes the product
-    square-free and harmonic.
+    All 2k indices must be pairwise distinct ``int`` values, which makes
+    the product square-free and harmonic.
     """
-    pair_list = [(int(i), int(j)) for i, j in pairs]
+    pair_list = [(_index(i), _index(j)) for i, j in pairs]
     flat = [idx for pair in pair_list for idx in pair]
     if len(set(flat)) != len(flat):
         raise ValueError(f"indices must be pairwise distinct: {pair_list}")

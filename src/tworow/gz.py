@@ -53,7 +53,7 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .forms import Key, Scalar, SquareFreeForm
+from .forms import Key, Scalar, SquareFreeForm, _index
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -128,9 +128,11 @@ def _lift(u: TwoRowTableau, m: int, table: LiftTable | None) -> GzVector:
 
 def gz_coefficient(u: TwoRowTableau, key: Key) -> int:
     """The coefficient of x_key in psi(h_u, m - k), m = len(key), by the
-    closed rook-count sum in the module docstring."""
+    closed rook-count sum in the module docstring.  Every index must be an
+    ``int``, as in ``forms._index``."""
     n, ps = u.n, u.second_row
     k = len(ps)
+    key = tuple(map(_index, key))
     if list(key) != sorted(set(key)) or not all(1 <= i <= n for i in key):
         raise ValueError(f"key must increase within 1..{n}, got {key}")
     if len(key) < k:

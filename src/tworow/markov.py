@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .forms import _scalar
+from .forms import _index, _scalar
 from .gz import closed_norm_sq_in_H, gz_coefficient
 from .ygraph import (
     TwoRowDiagram,
@@ -35,14 +35,15 @@ from .ygraph import (
 
 @dataclass(frozen=True)
 class BitPrefix:
-    """A direction sequence: bits with at most t/2 ones in every prefix."""
+    """A direction sequence: ``int`` bits 0 or 1, with at most t/2 ones in
+    every prefix; a ``bool`` or ``float`` bit raises ``TypeError``."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
         ones = 0
         for t, b in enumerate(self.bits, start=1):
-            if b not in (0, 1):
+            if _index(b) not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
             ones += b
             if 2 * ones > t:

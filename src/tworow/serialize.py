@@ -9,6 +9,7 @@ sorted, entries are sorted, lines end with a single newline.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Iterable, TextIO
 
@@ -18,28 +19,29 @@ from .markov import SpectralTable, TransitionKernel
 from .ygraph import TwoRowTableau
 
 
-def fraction_to_dict(x: Fraction) -> dict[str, str]:
+def fraction_to_dict(x: Fraction | int) -> dict[str, str]:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _wire_int(text: object) -> int:
+    """The integer spelled by a ``str`` of ASCII digits with at most one
+    leading ``-``; any other ``str`` raises ``ValueError``, the rest ``TypeError``."""
+    if not isinstance(text, str):
+        raise TypeError(f"num and den must be strings, got {type(text).__name__}: {text!r}")
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"num and den must be decimal integers, got {text!r}")
+    return int(text)
+
+
 def fraction_from_dict(obj: dict[str, Any]) -> Fraction:
-    num = int(obj["num"])
-    den = int(obj["den"])
+    num, den = _wire_int(obj["num"]), _wire_int(obj["den"])
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     return Fraction(num, den)
 
 
 def form_to_dict(f: SquareFreeForm) -> dict[str, Any]:
-    terms = []
-    for key, val in f.terms():
-        terms.append(
-            {
-                "vars": list(key),
-                "num": str(val.numerator),
-                "den": str(val.denominator),
-            }
-        )
+    terms = [{"vars": list(key), **fraction_to_dict(val)} for key, val in f.terms()]
     return {"n": f.n, "k": f.k, "terms": terms}
 
 
@@ -106,15 +108,9 @@ def _json_ints(values: Iterable[int], indent: int) -> str:
 
 
 def table_to_dict(table: SpectralTable) -> dict[str, Any]:
-    entries = []
-    for u, p in table.items():
-        entries.append(
-            {
-                "second_row": list(u.second_row),
-                "num": str(p.numerator),
-                "den": str(p.denominator),
-            }
-        )
+    entries = [
+        {"second_row": list(u.second_row), **fraction_to_dict(p)} for u, p in table.items()
+    ]
     return {"level": table.level, "entries": entries}
 
 

@@ -375,6 +375,26 @@ def test_verify_fails_on_a_corrupted_transposition_matrix(capsys, monkeypatch):
     assert "PASS basis-eigen: " in out
 
 
+def test_run_scope_runs_the_current_suites(monkeypatch):
+    """The suite table is read at call time, so a function put in place of
+    a ``check_*`` (as a tracing wrapper is) is the one that runs."""
+    failed = verify.CheckResult("psi-isometry", False, "patched")
+    bounds = []
+    monkeypatch.setattr(verify, "check_psi", lambda n_max: bounds.append(n_max) or [failed])
+    assert failed in verify.run_scope("gz")
+    assert bounds == [8]
+
+
+def test_scoped_reports_make_up_the_default_report(capsys):
+    def check_lines(*argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        return out.splitlines()[:-1]
+
+    scoped = [line for scope in ("gz", "markov", "central") for line in check_lines("--scope", scope)]
+    assert scoped == check_lines()
+
+
 def test_verify_central_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "central", "--n-max", "6")
     assert code == 0
@@ -429,10 +449,13 @@ def test_thread_cap_env(capsys, monkeypatch):
 
 
 def test_console_script_roundtrip():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "tworow.cli", "measure", "--xi", "01"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -304,6 +304,12 @@ def test_pseudo_monomial_expansion():
         pseudo_monomial(3, [(1, 4)])
 
 
+@pytest.mark.parametrize("pairs", [[(1.9, 2)], [("1", 3)], [(1, 2.0)], [(True, 3)]])
+def test_pseudo_monomial_takes_only_integer_indices(pairs):
+    with pytest.raises(TypeError):
+        pseudo_monomial(3, pairs)
+
+
 def test_pseudo_monomial_empty_product():
     f = pseudo_monomial(3, [])
     assert f == SquareFreeForm(3, 0, {(): 1})

@@ -235,6 +235,12 @@ def test_gz_coefficient_validation():
             gz_coefficient(u, key)
 
 
+@pytest.mark.parametrize("key", [(1.0, 2.0), (1, 2.0), ("1", 2), (True, 2)])
+def test_gz_coefficient_takes_only_integer_indices(key):
+    with pytest.raises(TypeError):
+        gz_coefficient(TwoRowTableau(4, (2,)), key)
+
+
 def test_closed_norms_are_int():
     u = TwoRowTableau(6, (3, 5))
     assert type(closed_harmonic_norm_sq(u)) is int

@@ -76,6 +76,12 @@ def test_prefix_validation():
         BitPrefix.from_string("0x1")
 
 
+@pytest.mark.parametrize("bits", [(0, 1.0, 0, True), (0, True), (0, 1.0), (0.0,), ("0",)])
+def test_prefix_takes_only_integer_bits(bits):
+    with pytest.raises(TypeError):
+        BitPrefix(bits)
+
+
 def test_prefix_roundtrip_and_counts():
     p = BitPrefix.from_string("00101")
     assert str(p) == "00101"

@@ -51,6 +51,34 @@ def test_fraction_rejects_bad_denominator():
         fraction_from_dict({"num": "1", "den": "-2"})
 
 
+@pytest.mark.parametrize("value", [2.7, 3, True, None, ["3"]])
+def test_fraction_takes_only_strings(value):
+    for obj in ({"num": value, "den": "1"}, {"num": "1", "den": value}):
+        with pytest.raises(TypeError):
+            fraction_from_dict(obj)
+
+
+@pytest.mark.parametrize("text", [" 3", "3 ", "+3", "1_0", "--3", "-", "", "\u0663", "3.0", "0x3"])
+def test_fraction_takes_only_decimal_integers(text):
+    for obj in ({"num": text, "den": "1"}, {"num": "1", "den": text}):
+        with pytest.raises(ValueError):
+            fraction_from_dict(obj)
+
+
+def test_fraction_reads_signed_decimals():
+    assert fraction_from_dict({"num": "-12", "den": "18"}) == Fraction(-2, 3)
+    assert fraction_from_dict({"num": "-0", "den": "007"}) == 0
+
+
+def test_form_and_table_read_fractions_strictly():
+    form = {"n": 3, "k": 1, "terms": [{"vars": [2], "num": 2.7, "den": "1"}]}
+    with pytest.raises(TypeError):
+        form_from_dict(form)
+    table = {"level": 2, "entries": [{"second_row": [], "num": True, "den": 2.9}]}
+    with pytest.raises(TypeError):
+        table_from_dict(table)
+
+
 @st.composite
 def forms(draw):
     n = draw(st.integers(min_value=1, max_value=6))
