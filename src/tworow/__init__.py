@@ -7,124 +7,11 @@ measures of vectors induced along a direction sequence, which turn out to
 be Markov chains on the two-row branching graph with an explicit kernel.
 Everything is exact: coefficients are ``int`` where integral and
 ``Fraction`` where a division happens; nothing is floating point.
+
+Import from the layer that defines a name: ``tworow.ygraph`` (shapes and
+tableaux), ``tworow.forms``, ``tworow.gz``, ``tworow.markov`` and
+``tworow.serialize``; ``tworow.verify`` and ``tworow.cli`` hold the
+self-checks and the command line.
 """
 
-from .forms import (
-    Permutation,
-    SquareFreeForm,
-    act,
-    decompose_step,
-    divergence,
-    harmonic_preimage,
-    inner,
-    is_harmonic,
-    pseudo_monomial,
-    psi,
-)
-from .gz import (
-    GzVector,
-    closed_harmonic_norm_sq,
-    closed_norm_sq_in_H,
-    full_gz_basis,
-    gz_coefficient,
-    gz_harmonic,
-    gz_in_H,
-    iter_basis,
-    orthogonal_form_matrix,
-    yjm_apply,
-)
-from .markov import (
-    BitPrefix,
-    KernelEntry,
-    MarkovReport,
-    MarkovViolation,
-    SpectralTable,
-    TransitionKernel,
-    bernoulli,
-    central_alpha_transition,
-    central_kernel,
-    central_shape_weight,
-    central_table,
-    good_tableau_ratio,
-    induced_transition,
-    is_markov,
-    kernel_from_prefix,
-    kernel_matches,
-    path_product_table,
-    sample_path,
-    sample_paths,
-    sample_tableau,
-    spectral_measure,
-    transition_counts,
-    within_three_sigma,
-)
-from .ygraph import (
-    Cell,
-    TwoRowDiagram,
-    TwoRowTableau,
-    cotransition,
-    dim,
-    enumerate_all_tableaux,
-    enumerate_diagrams,
-    enumerate_tableaux,
-    good_tableau,
-    hook_length,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BitPrefix",
-    "Cell",
-    "GzVector",
-    "KernelEntry",
-    "MarkovReport",
-    "MarkovViolation",
-    "Permutation",
-    "SpectralTable",
-    "SquareFreeForm",
-    "TransitionKernel",
-    "TwoRowDiagram",
-    "TwoRowTableau",
-    "act",
-    "bernoulli",
-    "central_alpha_transition",
-    "central_kernel",
-    "central_shape_weight",
-    "central_table",
-    "closed_harmonic_norm_sq",
-    "closed_norm_sq_in_H",
-    "cotransition",
-    "decompose_step",
-    "dim",
-    "divergence",
-    "enumerate_all_tableaux",
-    "enumerate_diagrams",
-    "enumerate_tableaux",
-    "full_gz_basis",
-    "good_tableau",
-    "good_tableau_ratio",
-    "gz_coefficient",
-    "gz_harmonic",
-    "gz_in_H",
-    "harmonic_preimage",
-    "hook_length",
-    "induced_transition",
-    "inner",
-    "is_harmonic",
-    "is_markov",
-    "iter_basis",
-    "kernel_from_prefix",
-    "kernel_matches",
-    "orthogonal_form_matrix",
-    "path_product_table",
-    "pseudo_monomial",
-    "psi",
-    "sample_path",
-    "sample_paths",
-    "sample_tableau",
-    "spectral_measure",
-    "transition_counts",
-    "within_three_sigma",
-    "yjm_apply",
-]

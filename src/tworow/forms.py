@@ -55,13 +55,16 @@ class SquareFreeForm:
     Keys are strictly increasing tuples of variable indices in 1..n, all of
     the same length k.  Zero coefficients are dropped on construction, so two
     forms are equal exactly when they have identical coefficient maps.  The
-    constructor validates every key and stores integral values as ``int``;
+    constructor takes ``n``, ``k`` and indices as ``int`` only, validates
+    every key and stores integral values as ``int``;
     the package's own operations build results through ``_trusted``.
     """
 
     __slots__ = ("n", "k", "coeffs")
 
     def __init__(self, n: int, k: int, coeffs: Mapping[Iterable[int], Scalar] | None = None):
+        _index(n)
+        _index(k)
         if n < 0:
             raise ValueError(f"variable count must be nonnegative, got {n}")
         if not 0 <= k <= n:
@@ -95,11 +98,6 @@ class SquareFreeForm:
     @classmethod
     def zero(cls, n: int, k: int) -> SquareFreeForm:
         return cls(n, k)
-
-    @classmethod
-    def monomial(cls, n: int, indices: Iterable[int], coeff: Scalar = 1) -> SquareFreeForm:
-        key = tuple(sorted(indices))
-        return cls(n, len(key), {key: coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -179,27 +177,11 @@ class Permutation:
         self.images = imgs
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(range(1, n + 1))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> Permutation:
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValueError(f"need distinct i, j in 1..{n}, got {i}, {j}")
         imgs = list(range(1, n + 1))
         imgs[i - 1], imgs[j - 1] = j, i
-        return cls(imgs)
-
-    @classmethod
-    def cycle(cls, n: int, points: Iterable[int]) -> Permutation:
-        pts = list(points)
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"cycle points must be distinct: {pts}")
-        if any(not 1 <= p <= n for p in pts):
-            raise ValueError(f"cycle points must lie in 1..{n}: {pts}")
-        imgs = list(range(1, n + 1))
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            imgs[a - 1] = b
         return cls(imgs)
 
     @property
@@ -210,18 +192,6 @@ class Permutation:
         if not 1 <= i <= self.n:
             raise ValueError(f"point must lie in 1..{self.n}, got {i}")
         return self.images[i - 1]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        """Composition: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return Permutation(self.images[j - 1] for j in other.images)
-
-    def inverse(self) -> Permutation:
-        imgs = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            imgs[j - 1] = i
-        return Permutation(imgs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):

@@ -405,14 +405,6 @@ def _threshold_table(depth: int) -> list[list[int | None]]:
     return [[None] * (n // 2 + 1) for n in range(1, depth)]
 
 
-def bernoulli(rng: random.Random, p: Fraction) -> bool:
-    """One exact-threshold coin flip from 64 fresh bits: true with
-    probability within 2^-64 of p, and exactly 0 or 1 at the endpoints."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return rng.getrandbits(64) < _up_threshold(p)
-
-
 def _as_rng(rng: random.Random | int) -> random.Random:
     if isinstance(rng, random.Random):
         return rng

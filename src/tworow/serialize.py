@@ -1,5 +1,6 @@
 """Wire formats: JSON for forms, basis vectors and tables, CSV for kernels,
-traces and sample summaries.
+traces and sample summaries.  The package writes these formats and reads
+none of them back.
 
 All rationals travel as decimal strings in lowest terms with positive
 denominators, and every writer is deterministic byte for byte: keys are
@@ -9,52 +10,21 @@ sorted, entries are sorted, lines end with a single newline.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any, Iterable, TextIO
 
-from .forms import SquareFreeForm, _index
+from .forms import SquareFreeForm
 from .gz import GzVector
 from .markov import SpectralTable, TransitionKernel
-from .ygraph import TwoRowTableau
 
 
 def fraction_to_dict(x: Fraction | int) -> dict[str, str]:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _wire_int(text: object) -> int:
-    """The integer spelled by a ``str`` of ASCII digits with at most one
-    leading ``-``; any other ``str`` raises ``ValueError``, the rest ``TypeError``."""
-    if not isinstance(text, str):
-        raise TypeError(f"num and den must be strings, got {type(text).__name__}: {text!r}")
-    if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"num and den must be decimal integers, got {text!r}")
-    return int(text)
-
-
-def fraction_from_dict(obj: dict[str, Any]) -> Fraction:
-    num, den = _wire_int(obj["num"]), _wire_int(obj["den"])
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
-    return Fraction(num, den)
-
-
 def form_to_dict(f: SquareFreeForm) -> dict[str, Any]:
     terms = [{"vars": list(key), **fraction_to_dict(val)} for key, val in f.terms()]
     return {"n": f.n, "k": f.k, "terms": terms}
-
-
-def form_from_dict(obj: dict[str, Any]) -> SquareFreeForm:
-    """The form of ``form_to_dict``; ``n``, ``k`` and every index must be a
-    JSON integer, so ``2.7``, ``"3"`` or ``true`` raise ``TypeError``."""
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for term in obj["terms"]:
-        key = tuple(map(_index, term["vars"]))
-        if key in coeffs:
-            raise ValueError(f"duplicate monomial {key}")
-        coeffs[key] = fraction_from_dict(term)
-    return SquareFreeForm(_index(obj["n"]), _index(obj["k"]), coeffs)
 
 
 def gz_vector_to_dict(vec: GzVector) -> dict[str, Any]:
@@ -112,19 +82,6 @@ def table_to_dict(table: SpectralTable) -> dict[str, Any]:
         {"second_row": list(u.second_row), **fraction_to_dict(p)} for u, p in table.items()
     ]
     return {"level": table.level, "entries": entries}
-
-
-def table_from_dict(obj: dict[str, Any]) -> SpectralTable:
-    """The table of ``table_to_dict``; ``level`` and every second-row entry
-    must be a JSON integer, as in ``form_from_dict``."""
-    level = _index(obj["level"])
-    probs: dict[TwoRowTableau, Fraction] = {}
-    for entry in obj["entries"]:
-        u = TwoRowTableau(level, tuple(map(_index, entry["second_row"])))
-        if u in probs:
-            raise ValueError(f"duplicate tableau {u.second_row}")
-        probs[u] = fraction_from_dict(entry)
-    return SpectralTable(level, probs)
 
 
 KERNEL_HEADER = "n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den"

@@ -404,9 +404,10 @@ def check_good(n_max: int) -> list[CheckResult]:
     ]
 
 
-def check_central(mass_max: int, ratio_max: int) -> list[CheckResult]:
-    """Total mass, kernel against weight ratios, and the Markov property of
-    the two-frequency central measure."""
+def check_central(mass_max: int, ratio_max: int, markov_max: int) -> list[CheckResult]:
+    """The two-frequency central measure: total mass at levels up to
+    ``mass_max``, the kernel against weight ratios up to ``ratio_max``, and
+    the Markov property of consecutive tables up to level ``markov_max``."""
     mass_fail: list[str] = []
     ratio_fail: list[str] = []
     markov_fail: list[str] = []
@@ -419,7 +420,7 @@ def check_central(mass_max: int, ratio_max: int) -> list[CheckResult]:
         for k in range(n // 2 + 1):
             if central_alpha_transition(n, k) != _central_transition_oracle(n, k):
                 ratio_fail.append(f"n={n} k={k}")
-    for n in range(1, min(mass_max, 9)):
+    for n in range(1, markov_max):
         if not is_markov(central_table(n), central_table(n + 1)).ok:
             markov_fail.append(f"n={n}")
     return [
@@ -613,7 +614,7 @@ def run_scope(scope: str, n_max: int | None = None) -> list[CheckResult]:
                (check_dimensions, 10)),
         "markov": ((check_decompose, 7), (check_spectral, 8), (check_parity, 8),
                    (check_markov_detector,)),
-        "central": ((check_central, 12, 10),),
+        "central": ((check_central, 12, 10, 9),),
     }
     if scope not in ("all", *suites):
         raise ValueError(f"unknown scope {scope!r}")

@@ -9,19 +9,23 @@ strictly increasing tuple of those entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+from .forms import _index
 
 
 @dataclass(frozen=True, order=True)
 class TwoRowDiagram:
-    """Shape (n - k, k): n cells in total, k of them in the second row."""
+    """Shape (n - k, k): n cells in total, k of them in the second row;
+    ``n`` and ``k`` are ``int`` and not ``bool``, else ``TypeError``."""
 
     n: int
     k: int
 
     def __post_init__(self) -> None:
+        _index(self.n)
+        _index(self.k)
         if self.n < 0:
             raise ValueError(f"cell count must be nonnegative, got n={self.n}")
         if not 0 <= 2 * self.k <= self.n:
@@ -30,9 +34,6 @@ class TwoRowDiagram:
     @property
     def rows(self) -> tuple[int, int]:
         return (self.n - self.k, self.k)
-
-    def contains(self, other: TwoRowDiagram) -> bool:
-        return self.n - self.k >= other.n - other.k and self.k >= other.k
 
     def cells(self) -> list[Cell]:
         first = [Cell(1, c) for c in range(1, self.n - self.k + 1)]
@@ -93,14 +94,19 @@ class TwoRowTableau:
     ``second_row`` lists the entries placed in the second row, in increasing
     order.  Standardness forces the j-th of them (1-based) to be at least 2j:
     entry p sits at the end of the second row only after p - 1 entries filled
-    both rows above and left of it.
+    both rows above and left of it.  ``n`` and the entries are ``int`` and
+    not ``bool``, else ``TypeError``.
     """
 
     n: int
     second_row: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _index(self.n)
         ps = self.second_row
+        for p in ps:
+            if type(p) is not int:
+                _index(p)
         if any(ps[j] <= ps[j - 1] for j in range(1, len(ps))):
             raise ValueError(f"second row entries must increase: {ps}")
         if ps and (ps[0] < 1 or ps[-1] > self.n):
@@ -116,11 +122,6 @@ class TwoRowTableau:
     @property
     def shape(self) -> TwoRowDiagram:
         return TwoRowDiagram(self.n, len(self.second_row))
-
-    def row_of(self, entry: int) -> int:
-        if not 1 <= entry <= self.n:
-            raise ValueError(f"entry must lie in 1..{self.n}, got {entry}")
-        return 2 if entry in self.second_row else 1
 
     def cell_of(self, entry: int) -> Cell:
         if not 1 <= entry <= self.n:
@@ -172,13 +173,3 @@ def good_tableau(n: int, k: int) -> TwoRowTableau:
     """The tableau of shape (n - k, k) with second row 2, 4, ..., 2k."""
     return TwoRowTableau(n, tuple(2 * j for j in range(1, k + 1)))
 
-
-def cotransition(small: TwoRowDiagram, big: TwoRowDiagram) -> Fraction:
-    """Relative dimension dim(small) / dim(big) for one added cell.
-
-    This is the probability of reaching ``small`` when walking down from a
-    uniformly random standard tableau of shape ``big``.
-    """
-    if big.n != small.n + 1 or not big.contains(small):
-        raise ValueError(f"{big} does not cover {small}")
-    return Fraction(dim(small), dim(big))

@@ -9,7 +9,7 @@ evaluated in integer arithmetic.
 import random
 import time
 
-from tworow import (
+from tworow.markov import (
     BitPrefix,
     central_kernel,
     central_table,
@@ -65,7 +65,7 @@ def test_criterion_05_distinguished_tableau_constants():
 
 
 def test_criterion_06_central_mass_and_closed_kernel():
-    results = _all_ok(check_central(12, 10))
+    results = _all_ok(check_central(12, 10, 9))
     kernel_detail = next(r.detail for r in results if r.name == "central-kernel")
     assert "(n - 2k + 2)/(2(n - 2k + 1))" in kernel_detail
     assert "no parity restriction" in kernel_detail

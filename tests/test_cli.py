@@ -306,6 +306,16 @@ def test_verify_scoped(capsys):
     assert lines[-1].endswith("0 failures")
 
 
+# sha256 of the default verify report, every suite at its table ceiling.
+VERIFY_DIGEST = "7603c09f04c1472c26ef871b3aeb672c6ed3c27d42a986199dc5e26a1b7a15a2"
+
+
+def test_verify_golden_bytes(capsys):
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
+
+
 @pytest.fixture
 def fresh_basis_cache():
     """Empty the cached full bases before and after a test that corrupts
@@ -383,6 +393,23 @@ def test_run_scope_runs_the_current_suites(monkeypatch):
     monkeypatch.setattr(verify, "check_psi", lambda n_max: bounds.append(n_max) or [failed])
     assert failed in verify.run_scope("gz")
     assert bounds == [8]
+
+
+def test_central_ceilings_are_independent(monkeypatch):
+    """The central-markov pairs stop at their own bound, not at the mass
+    bound, and ``--n-max`` lowers all three bounds alike."""
+    pairs = []
+    real = verify.is_markov
+    monkeypatch.setattr(
+        verify, "is_markov", lambda a, b: pairs.append((a.level, b.level)) or real(a, b)
+    )
+    assert all(result.ok for result in verify.check_central(3, 0, 6))
+    assert pairs == [(n, n + 1) for n in range(1, 6)]
+    bounds = []
+    monkeypatch.setattr(verify, "check_central", lambda *b: bounds.append(b) or [])
+    verify.run_scope("central")
+    verify.run_scope("central", 6)
+    assert bounds == [(12, 10, 9), (6, 6, 6)]
 
 
 def test_scoped_reports_make_up_the_default_report(capsys):

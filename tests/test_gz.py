@@ -5,34 +5,37 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from tworow import (
-    BitPrefix,
+from tworow.forms import (
     Permutation,
     SquareFreeForm,
-    TwoRowDiagram,
-    TwoRowTableau,
     act,
-    closed_harmonic_norm_sq,
-    closed_norm_sq_in_H,
-    dim,
-    enumerate_diagrams,
-    enumerate_tableaux,
-    full_gz_basis,
-    good_tableau,
-    gz_coefficient,
-    gz_harmonic,
-    gz_in_H,
     harmonic_preimage,
     inner,
     is_harmonic,
-    iter_basis,
-    orthogonal_form_matrix,
     pseudo_monomial,
     psi,
-    spectral_measure,
+)
+from tworow.gz import (
+    closed_harmonic_norm_sq,
+    closed_norm_sq_in_H,
+    full_gz_basis,
+    gz_coefficient,
+    gz_harmonic,
+    gz_in_H,
+    iter_basis,
+    orthogonal_form_matrix,
     yjm_apply,
 )
 from tworow.linalg import _PRIME, _rank, divergence_matrix, harmonic_dim
+from tworow.markov import BitPrefix, spectral_measure
+from tworow.ygraph import (
+    TwoRowDiagram,
+    TwoRowTableau,
+    dim,
+    enumerate_diagrams,
+    enumerate_tableaux,
+    good_tableau,
+)
 from tworow.verify import (
     _expanded_harmonic,
     _is_yjm_eigenform,
@@ -41,7 +44,8 @@ from tworow.verify import (
 
 
 def mono(n, *indices):
-    return SquareFreeForm.monomial(n, indices)
+    key = tuple(sorted(indices))
+    return SquareFreeForm(n, len(key), {key: 1})
 
 
 @st.composite

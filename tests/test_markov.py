@@ -5,22 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tworow import (
+from tworow.gz import full_gz_basis
+from tworow.markov import (
     BitPrefix,
     KernelEntry,
     SpectralTable,
     TransitionKernel,
-    TwoRowDiagram,
-    TwoRowTableau,
-    bernoulli,
+    _up_threshold,
     central_alpha_transition,
     central_kernel,
     central_shape_weight,
     central_table,
-    dim,
-    enumerate_all_tableaux,
-    enumerate_diagrams,
-    full_gz_basis,
     good_tableau_ratio,
     induced_transition,
     is_markov,
@@ -34,7 +29,13 @@ from tworow import (
     transition_counts,
     within_three_sigma,
 )
-from tworow.markov import _up_threshold
+from tworow.ygraph import (
+    TwoRowDiagram,
+    TwoRowTableau,
+    dim,
+    enumerate_all_tableaux,
+    enumerate_diagrams,
+)
 from tworow.verify import (
     _central_transition_oracle,
     _negative_control_tables,
@@ -510,14 +511,6 @@ def test_spectral_table_is_not_central():
 
 
 # sampling
-
-
-def test_bernoulli_endpoints_are_exact():
-    rng = random.Random(123)
-    assert not any(bernoulli(rng, Fraction(0)) for _ in range(200))
-    assert all(bernoulli(rng, Fraction(1)) for _ in range(200))
-    with pytest.raises(ValueError):
-        bernoulli(rng, Fraction(3, 2))
 
 
 @st.composite

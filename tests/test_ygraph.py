@@ -4,11 +4,10 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from tworow import (
+from tworow.ygraph import (
     Cell,
     TwoRowDiagram,
     TwoRowTableau,
-    cotransition,
     dim,
     enumerate_all_tableaux,
     enumerate_diagrams,
@@ -161,6 +160,20 @@ def test_tableau_validation_passes_tight_cases():
     TwoRowTableau(1, ())
 
 
+@pytest.mark.parametrize("bad", [2.0, 4.5, True, Fraction(2), "2"])
+def test_only_ints_are_sizes_and_entries(bad):
+    with pytest.raises(TypeError):
+        TwoRowDiagram(bad, 1)
+    with pytest.raises(TypeError):
+        TwoRowDiagram(4, bad)
+    with pytest.raises(TypeError):
+        TwoRowTableau(bad, ())
+    with pytest.raises(TypeError):
+        TwoRowTableau(4, (bad,))
+    with pytest.raises(TypeError):
+        TwoRowTableau(4, (2, bad))
+
+
 @given(tableaux())
 def test_entry_cells_partition(u):
     """Entries 1..n land in distinct in-shape cells with matching row data."""
@@ -171,7 +184,7 @@ def test_entry_cells_partition(u):
         assert cell not in seen
         seen.add(cell)
         assert cell in in_shape
-        assert u.row_of(entry) == cell.row
+        assert (entry in u.second_row) == (cell.row == 2)
         assert u.content(entry) == cell.content
     assert seen == in_shape
 
@@ -181,7 +194,7 @@ def test_first_entries_content(u):
     if u.n >= 1:
         assert u.content(1) == 0
     if u.n >= 2:
-        assert u.content(2) == (1 if u.row_of(2) == 1 else -1)
+        assert u.content(2) == (-1 if 2 in u.second_row else 1)
 
 
 @given(tableaux(max_n=9), st.integers(min_value=0, max_value=1))
@@ -207,29 +220,16 @@ def test_restrict_at_level_zero_raises():
         TwoRowTableau(0, ()).restricted()
 
 
-def test_cotransition_rows_sum_to_one():
-    for n in range(2, 10):
+def test_dim_branching_rule():
+    """dim(big) is the sum of dim(small) over the shapes one cell smaller."""
+    for n in range(1, 12):
         for big in enumerate_diagrams(n):
             total = sum(
-                cotransition(small, big)
+                dim(small)
                 for small in enumerate_diagrams(n - 1)
                 if all(small.rows[i] <= big.rows[i] for i in range(2))
             )
-            assert total == 1
-
-
-def test_cotransition_known_value():
-    # dim(2,1)/dim(3,1) = 2/3 for dropping the first-row corner
-    big = TwoRowDiagram(4, 1)
-    assert cotransition(TwoRowDiagram(3, 1), big) == Fraction(2, 3)
-    assert cotransition(TwoRowDiagram(3, 0), big) == Fraction(1, 3)
-
-
-def test_cotransition_rejects_non_cover():
-    with pytest.raises(ValueError):
-        cotransition(TwoRowDiagram(3, 0), TwoRowDiagram(5, 1))
-    with pytest.raises(ValueError):
-        cotransition(TwoRowDiagram(4, 2), TwoRowDiagram(5, 1))
+            assert total == dim(big)
 
 
 def test_good_tableau():
