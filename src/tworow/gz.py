@@ -46,7 +46,6 @@ so a streamed export such as ``tworow basis`` holds one vector in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -57,18 +56,25 @@ from .forms import Key, Scalar, SquareFreeForm, _index
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
-@dataclass(frozen=True, eq=False)
 class GzVector:
-    """A basis vector: tableau label, exact form, closed squared norm."""
+    """A basis vector: tableau label, exact form, closed squared norm.
+    Vectors compare by identity; compare their fields to compare values."""
 
-    tableau: TwoRowTableau
-    form: SquareFreeForm
-    norm_sq: int
+    __slots__ = ("tableau", "form", "norm_sq")
+
+    def __init__(self, tableau: TwoRowTableau, form: SquareFreeForm, norm_sq: int):
+        self.tableau = tableau
+        self.form = form
+        self.norm_sq = norm_sq
+
+    def __repr__(self) -> str:
+        return f"GzVector(tableau={self.tableau!r}, form={self.form!r}, norm_sq={self.norm_sq!r})"
 
 
 def gz_harmonic(u: TwoRowTableau) -> GzVector:
     """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized: the
-    coefficient of x_S is the rook term of S (``_rook_term``)."""
+    coefficient of x_S is the rook term of S (``_rook_term``).  The form's
+    keys are filled in lexicographic order."""
     ps = u.second_row
     coeffs: dict[Key, int] = {}
     for sub in combinations(range(1, u.n + 1), len(ps)):
@@ -114,7 +120,8 @@ def _lift_table(n: int, m: int, k: int) -> LiftTable | None:
 def _lift(u: TwoRowTableau, m: int, table: LiftTable | None) -> GzVector:
     """psi(h_u, m - k) with its closed norm, for a checked degree m and the
     ``_lift_table`` of (n, m, k): each coefficient sums h_u over the
-    k-subsets of its m-subset."""
+    k-subsets of its m-subset.  The form's keys are filled in lexicographic
+    order, which ``serialize.write_basis`` relies on."""
     form = gz_harmonic(u).form
     if table is not None:
         position, rows = table

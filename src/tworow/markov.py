@@ -17,10 +17,9 @@ samplers for both walks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .forms import _index, _scalar
 from .gz import closed_norm_sq_in_H, gz_coefficient
@@ -33,16 +32,15 @@ from .ygraph import (
 )
 
 
-@dataclass(frozen=True)
 class BitPrefix:
     """A direction sequence: ``int`` bits 0 or 1, with at most t/2 ones in
     every prefix; a ``bool`` or ``float`` bit raises ``TypeError``."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bits: tuple[int, ...]):
         ones = 0
-        for t, b in enumerate(self.bits, start=1):
+        for t, b in enumerate(bits, start=1):
             if _index(b) not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
             ones += b
@@ -50,6 +48,18 @@ class BitPrefix:
                 raise ValueError(
                     f"prefix of length {t} has {ones} ones, more than half"
                 )
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __repr__(self) -> str:
+        return f"BitPrefix(bits={self.bits!r})"
 
     @classmethod
     def from_string(cls, s: str) -> BitPrefix:
@@ -129,25 +139,37 @@ class SpectralTable:
         return f"SpectralTable(level={self.level}, {{{entries}}})"
 
 
-@dataclass(frozen=True)
 class KernelEntry:
-    """One transition row: direction bit (None when level-homogeneous) and
+    """One transition row: direction bit (None when level-homogeneous, else
+    an ``int`` 0 or 1, a ``bool`` or ``float`` raising ``TypeError``) and
     exact stay/up probabilities, each an ``int`` or a ``Fraction``."""
 
-    bit: int | None
-    p_stay: Fraction
-    p_up: Fraction
+    __slots__ = ("bit", "p_stay", "p_up")
 
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1, None):
-            raise ValueError(f"bit must be 0, 1 or None, got {self.bit!r}")
-        _scalar(self.p_stay)
-        _scalar(self.p_up)
-        if self.p_stay < 0 or self.p_up < 0 or self.p_stay + self.p_up != 1:
+    def __init__(self, bit: int | None, p_stay: Fraction, p_up: Fraction):
+        if bit is not None and _index(bit) not in (0, 1):
+            raise ValueError(f"bit must be 0, 1 or None, got {bit!r}")
+        _scalar(p_stay)
+        _scalar(p_up)
+        if p_stay < 0 or p_up < 0 or p_stay + p_up != 1:
             raise ValueError(
                 f"probabilities must be nonnegative and sum to 1, "
-                f"got {self.p_stay}, {self.p_up}"
+                f"got {p_stay}, {p_up}"
             )
+        self.bit = bit
+        self.p_stay = p_stay
+        self.p_up = p_up
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bit, self.p_stay, self.p_up) == (other.bit, other.p_stay, other.p_up)
+
+    def __hash__(self) -> int:
+        return hash((self.bit, self.p_stay, self.p_up))
+
+    def __repr__(self) -> str:
+        return f"KernelEntry(bit={self.bit!r}, p_stay={self.p_stay!r}, p_up={self.p_up!r})"
 
 
 def _missing_row(n: int, k: int) -> ValueError:
@@ -267,8 +289,7 @@ def path_product_table(prefix: BitPrefix, level: int | None = None) -> SpectralT
     return SpectralTable(level, probs)
 
 
-@dataclass(frozen=True)
-class MarkovViolation:
+class MarkovViolation(NamedTuple):
     """Two same-shape tableaux whose conditional step weights differ."""
 
     first: TwoRowTableau
@@ -278,8 +299,7 @@ class MarkovViolation:
     second_ratio: Fraction
 
 
-@dataclass(frozen=True)
-class MarkovReport:
+class MarkovReport(NamedTuple):
     ok: bool
     violations: tuple[MarkovViolation, ...]
 

@@ -37,7 +37,10 @@ def gz_vector_to_dict(vec: GzVector) -> dict[str, Any]:
 
 def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> None:
     """Write ``json_text({"n": n, "m": m, "vectors": [gz_vector_to_dict(v)
-    for v in vectors]})`` to handle, one vector at a time, byte for byte."""
+    for v in vectors]})`` to handle, one vector at a time, byte for byte.
+    Each vector's ``form.coeffs`` must hold its keys in lexicographic
+    order, as ``iter_basis`` builds them; the terms are written in that
+    order and not sorted again."""
     # A term's text after its numerator depends only on its monomial, and a
     # degree-m basis has only C(n, m) monomials, so each is laid out once.
     tails: dict[tuple[int, ...], str] = {}
@@ -45,7 +48,7 @@ def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> 
     sep = "\n"
     for vec in vectors:
         terms = []
-        for key, val in vec.form.terms():
+        for key, val in vec.form.coeffs.items():
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = f'",\n          "vars": {_json_ints(key, 12)}\n        }}'

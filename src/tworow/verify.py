@@ -26,10 +26,10 @@ it is checked against live here, private to this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 from .forms import (
     Permutation,
@@ -74,8 +74,7 @@ from .ygraph import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

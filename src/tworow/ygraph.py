@@ -4,32 +4,46 @@ Level n of the two-row branching graph holds the shapes (n - k, k) for
 0 <= k <= n // 2.  A standard tableau of such a shape is determined by the
 set of entries sitting in its second row, so tableaux are stored as the
 strictly increasing tuple of those entries.
+
+Shapes, cells and tableaux are ``__slots__`` value classes: equal exactly
+when they are of the same class with equal fields, hashed by the tuple of
+their fields, and immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .forms import _index
 
 
-@dataclass(frozen=True, order=True)
 class TwoRowDiagram:
     """Shape (n - k, k): n cells in total, k of them in the second row;
     ``n`` and ``k`` are ``int`` and not ``bool``, else ``TypeError``."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self) -> None:
-        _index(self.n)
-        _index(self.k)
-        if self.n < 0:
-            raise ValueError(f"cell count must be nonnegative, got n={self.n}")
-        if not 0 <= 2 * self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n/2, got n={self.n}, k={self.k}")
+    def __init__(self, n: int, k: int):
+        _index(n)
+        _index(k)
+        if n < 0:
+            raise ValueError(f"cell count must be nonnegative, got n={n}")
+        if not 0 <= 2 * k <= n:
+            raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+        self.n = n
+        self.k = k
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k))
+
+    def __repr__(self) -> str:
+        return f"TwoRowDiagram(n={self.n!r}, k={self.k!r})"
 
     @property
     def rows(self) -> tuple[int, int]:
@@ -41,18 +55,32 @@ class TwoRowDiagram:
         return first + second
 
 
-@dataclass(frozen=True, order=True)
 class Cell:
-    """A box of a diagram, with 1-based row and column."""
+    """A box of a diagram, with 1-based row and column, each an ``int``
+    and not a ``bool``, else ``TypeError``."""
 
-    row: int
-    col: int
+    __slots__ = ("row", "col")
 
-    def __post_init__(self) -> None:
-        if self.row not in (1, 2):
-            raise ValueError(f"row must be 1 or 2, got {self.row}")
-        if self.col < 1:
-            raise ValueError(f"column must be >= 1, got {self.col}")
+    def __init__(self, row: int, col: int):
+        _index(row)
+        _index(col)
+        if row not in (1, 2):
+            raise ValueError(f"row must be 1 or 2, got {row}")
+        if col < 1:
+            raise ValueError(f"column must be >= 1, got {col}")
+        self.row = row
+        self.col = col
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.row == other.row and self.col == other.col
+
+    def __hash__(self) -> int:
+        return hash((self.row, self.col))
+
+    def __repr__(self) -> str:
+        return f"Cell(row={self.row!r}, col={self.col!r})"
 
     @property
     def content(self) -> int:
@@ -87,7 +115,6 @@ def hook_length(d: TwoRowDiagram, cell: Cell) -> int:
     return b - cell.col + 1
 
 
-@dataclass(frozen=True, order=True)
 class TwoRowTableau:
     """A standard tableau with at most two rows.
 
@@ -98,26 +125,38 @@ class TwoRowTableau:
     not ``bool``, else ``TypeError``.
     """
 
-    n: int
-    second_row: tuple[int, ...]
+    __slots__ = ("n", "second_row")
 
-    def __post_init__(self) -> None:
-        _index(self.n)
-        ps = self.second_row
+    def __init__(self, n: int, second_row: tuple[int, ...]):
+        _index(n)
+        ps = second_row
         for p in ps:
             if type(p) is not int:
                 _index(p)
         if any(ps[j] <= ps[j - 1] for j in range(1, len(ps))):
             raise ValueError(f"second row entries must increase: {ps}")
-        if ps and (ps[0] < 1 or ps[-1] > self.n):
-            raise ValueError(f"entries must lie in 1..{self.n}: {ps}")
-        if 2 * len(ps) > self.n:
-            raise ValueError(f"second row too long for {self.n} cells: {ps}")
+        if ps and (ps[0] < 1 or ps[-1] > n):
+            raise ValueError(f"entries must lie in 1..{n}: {ps}")
+        if 2 * len(ps) > n:
+            raise ValueError(f"second row too long for {n} cells: {ps}")
         for j, p in enumerate(ps, start=1):
             if p < 2 * j:
                 raise ValueError(
                     f"entry {p} in second-row position {j} violates standardness"
                 )
+        self.n = n
+        self.second_row = second_row
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.second_row == other.second_row
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.second_row))
+
+    def __repr__(self) -> str:
+        return f"TwoRowTableau(n={self.n!r}, second_row={self.second_row!r})"
 
     @property
     def shape(self) -> TwoRowDiagram:

@@ -503,6 +503,25 @@ def test_python_dash_m_package(tmp_path):
     assert proc.stdout.strip().endswith("0 failures")
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect(tmp_path):
+    """Every call starts a fresh interpreter, so importing the CLI must not
+    pull in ``dataclasses`` and the ``inspect``/``ast``/``dis`` it loads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "import tworow.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 def test_cli_loads_every_traced_layer(tmp_path):
     """The benchmark's traced runs look up each layer of ``LAYERS`` in
     ``perfbench/spans.py`` as a loaded ``tworow.<layer>`` module; importing

@@ -345,6 +345,16 @@ def test_basis_pairwise_orthogonal():
                 assert inner(basis[a].form, basis[b].form) == expect
 
 
+def test_basis_keys_are_lexicographic():
+    """``serialize.write_basis`` writes each vector's terms in the order of
+    its coefficient map, so every basis vector must hold its keys sorted."""
+    for n in range(11):
+        for m in range(n // 2 + 1):
+            for vec in iter_basis(n, m):
+                keys = list(vec.form.coeffs)
+                assert keys == sorted(keys), (n, m, vec.tableau)
+
+
 def test_iter_basis_matches_cached():
     lazy = list(iter_basis(5, 2))
     eager = full_gz_basis(5, 2)

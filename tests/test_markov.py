@@ -206,6 +206,15 @@ def test_kernel_entry_validation():
         KernelEntry(None, Fraction(3, 2), Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("bad", [1.0, 0.0, True, False, Fraction(1), "1"])
+def test_kernel_entry_bit_is_an_int_or_none(bad):
+    """A float, ``bool`` or ``Fraction`` bit would reach the kernel CSV as
+    ``1.0`` or ``True``; the bit is None or an ``int``, as in ``forms._index``."""
+    with pytest.raises(TypeError):
+        KernelEntry(bad, Fraction(1, 2), Fraction(1, 2))
+    assert KernelEntry(None, Fraction(1, 2), Fraction(1, 2)).bit is None
+
+
 @pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")])
 def test_kernel_entry_takes_only_exact_rationals(bad):
     with pytest.raises(TypeError):

@@ -1,0 +1,144 @@
+"""Value semantics of the small value classes and records.
+
+The reprs and error messages below are the ones these types printed when
+they were dataclasses; the ``__slots__`` classes keep them byte for byte.
+"""
+
+from collections import namedtuple
+from fractions import Fraction
+
+import pytest
+
+from tworow.gz import gz_harmonic, gz_in_H
+from tworow.markov import BitPrefix, KernelEntry, MarkovReport, MarkovViolation
+from tworow.verify import CheckResult
+from tworow.ygraph import Cell, TwoRowDiagram, TwoRowTableau
+
+# (class, field values, another value of the same class, repr)
+VALUES = [
+    (TwoRowDiagram, (4, 1), (4, 2), "TwoRowDiagram(n=4, k=1)"),
+    (Cell, (2, 3), (1, 3), "Cell(row=2, col=3)"),
+    (TwoRowTableau, (5, (2, 4)), (5, (2, 5)), "TwoRowTableau(n=5, second_row=(2, 4))"),
+    (TwoRowTableau, (0, ()), (1, ()), "TwoRowTableau(n=0, second_row=())"),
+    (BitPrefix, ((0, 1, 0),), ((0, 0, 1),), "BitPrefix(bits=(0, 1, 0))"),
+    (
+        KernelEntry,
+        (0, Fraction(2, 3), Fraction(1, 3)),
+        (1, Fraction(2, 3), Fraction(1, 3)),
+        "KernelEntry(bit=0, p_stay=Fraction(2, 3), p_up=Fraction(1, 3))",
+    ),
+    (KernelEntry, (None, 1, 0), (None, 0, 1), "KernelEntry(bit=None, p_stay=1, p_up=0)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", VALUES)
+def test_values_compare_and_hash_by_fields(cls, fields, other, text):
+    a, b = cls(*fields), cls(*fields)
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields)
+    assert cls(*other) != a
+    assert len({a, b, cls(*other)}) == 2
+    assert repr(a) == text
+
+
+@pytest.mark.parametrize("cls, fields, other, text", VALUES)
+def test_values_never_equal_another_class(cls, fields, other, text):
+    """Not even a named tuple with the same class name, fields and repr."""
+    a = cls(*fields)
+    names = cls.__slots__
+    lookalike = namedtuple(cls.__name__, names)(*fields)
+    assert repr(lookalike) == repr(a)
+    assert a != lookalike and lookalike != a
+    assert a.__eq__(lookalike) is NotImplemented
+    assert a != fields and a != tuple(getattr(a, f) for f in names)
+
+
+def test_gz_vectors_compare_by_identity():
+    u = TwoRowTableau(2, (2,))
+    v, w = gz_harmonic(u), gz_harmonic(u)
+    assert v == v and v != w
+    assert len({v, w}) == 2
+    assert repr(v) == (
+        "GzVector(tableau=TwoRowTableau(n=2, second_row=(2,)), "
+        "form=SquareFreeForm(2, 1, (1)*x1 + (-1)*x2), norm_sq=2)"
+    )
+    assert repr(gz_in_H(TwoRowTableau(4, (2,)), 2)) == (
+        "GzVector(tableau=TwoRowTableau(n=4, second_row=(2,)), form=SquareFreeForm(4, 2, "
+        "(1)*x1*x3 + (1)*x1*x4 + (-1)*x2*x3 + (-1)*x2*x4), norm_sq=4)"
+    )
+
+
+def test_records_compare_hash_and_print_by_fields():
+    first, second = TwoRowTableau(3, (2,)), TwoRowTableau(3, (3,))
+    violation = MarkovViolation(first, second, True, Fraction(1, 2), Fraction(1, 10))
+    records = [
+        (
+            violation,
+            MarkovViolation(first, second, True, Fraction(1, 2), Fraction(1, 10)),
+            "MarkovViolation(first=TwoRowTableau(n=3, second_row=(2,)), "
+            "second=TwoRowTableau(n=3, second_row=(3,)), up=True, "
+            "first_ratio=Fraction(1, 2), second_ratio=Fraction(1, 10))",
+        ),
+        (MarkovReport(True, ()), MarkovReport(True, ()), "MarkovReport(ok=True, violations=())"),
+        (
+            CheckResult("gz", True, "ok"),
+            CheckResult("gz", True, "ok"),
+            "CheckResult(name='gz', ok=True, detail='ok')",
+        ),
+    ]
+    for a, b, text in records:
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == text
+    assert MarkovReport(False, (violation,)) != MarkovReport(True, ())
+    assert CheckResult("gz", False, "ok") != CheckResult("gz", True, "ok")
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: TwoRowDiagram(3, 2), ValueError, "need 0 <= k <= n/2, got n=3, k=2"),
+        (lambda: TwoRowDiagram(-1, 0), ValueError, "cell count must be nonnegative, got n=-1"),
+        (lambda: TwoRowDiagram(4.0, 1), TypeError, "indices must be int, got float: 4.0"),
+        (lambda: TwoRowDiagram(True, 0), TypeError, "indices must be int, got bool: True"),
+        (lambda: Cell(3, 1), ValueError, "row must be 1 or 2, got 3"),
+        (lambda: Cell(1, 0), ValueError, "column must be >= 1, got 0"),
+        (lambda: TwoRowTableau(4, (3, 2)), ValueError, "second row entries must increase: (3, 2)"),
+        (
+            lambda: TwoRowTableau(4, (1,)),
+            ValueError,
+            "entry 1 in second-row position 1 violates standardness",
+        ),
+        (lambda: TwoRowTableau(3, (2, 3)), ValueError, "second row too long for 3 cells: (2, 3)"),
+        (lambda: TwoRowTableau(4, (2, 5)), ValueError, "entries must lie in 1..4: (2, 5)"),
+        (lambda: TwoRowTableau(4, (2.0,)), TypeError, "indices must be int, got float: 2.0"),
+        (lambda: TwoRowTableau(True, ()), TypeError, "indices must be int, got bool: True"),
+        (lambda: BitPrefix((1,)), ValueError, "prefix of length 1 has 1 ones, more than half"),
+        (lambda: BitPrefix((0, 2)), ValueError, "bits must be 0 or 1, got 2"),
+        (lambda: BitPrefix((0, True)), TypeError, "indices must be int, got bool: True"),
+        (lambda: BitPrefix((0, 1.0)), TypeError, "indices must be int, got float: 1.0"),
+        (
+            lambda: KernelEntry(2, Fraction(1, 2), Fraction(1, 2)),
+            ValueError,
+            "bit must be 0, 1 or None, got 2",
+        ),
+        (
+            lambda: KernelEntry(0, 0.5, 0.5),
+            TypeError,
+            "scalars must be int or Fraction, got float: 0.5",
+        ),
+        (
+            lambda: KernelEntry(0, Fraction(1, 2), Fraction(1, 3)),
+            ValueError,
+            "probabilities must be nonnegative and sum to 1, got 1/2, 1/3",
+        ),
+        (
+            lambda: KernelEntry(0, -1, 2),
+            ValueError,
+            "probabilities must be nonnegative and sum to 1, got -1, 2",
+        ),
+    ],
+)
+def test_bad_values_raise_the_recorded_errors(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message

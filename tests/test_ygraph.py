@@ -172,6 +172,10 @@ def test_only_ints_are_sizes_and_entries(bad):
         TwoRowTableau(4, (bad,))
     with pytest.raises(TypeError):
         TwoRowTableau(4, (2, bad))
+    with pytest.raises(TypeError):
+        Cell(bad, 1)
+    with pytest.raises(TypeError):
+        Cell(1, bad)
 
 
 @given(tableaux())
