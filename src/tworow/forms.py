@@ -7,8 +7,9 @@ is orthonormal for the coefficientwise inner product and the action is
 unitary.
 
 Integral coefficients are kept as ``int`` and the rest as ``Fraction``.
-Products of differences, their psi-images and their permuted images are
-integral, so only the operations that divide produce fractions.
+Products of differences, their psi-images, their permuted images and the
+scaled split of ``decompose_step`` are integral; ``harmonic_preimage`` is
+the only operation that divides, so it alone can produce fractions.
 
 The harmonic forms are the ones killed by the divergence operator, which
 sends the coefficient at a (k-1)-subset J to the sum of coefficients over
@@ -303,10 +304,16 @@ def decompose_step(
 
     ``f`` must equal psi applied to the harmonic form ``f0``, lifting degree
     k to degree m.  Viewing f inside x_1 .. x_{n+1}, multiplied by x_{n+1}
-    when bit is 1, the result is the unique decomposition f_stay + f_up with
+    when bit is 1, there is a unique decomposition f_stay + f_up with
     f_stay a psi-image of f0 (same k) and f_up a psi-image of a harmonic
     degree-(k+1) form, both in degree m + bit.  Requires 2(m + bit) <= n + 1
     so that the target degree is still at most half the variable count.
+
+    The pieces are returned scaled by d = n - 2k + 1, as the pair
+    (d * f_stay, d * f_up), so they sum to d times the embedded f and are
+    integral whenever f and f0 are.  With base the embedded f and tail its
+    one-variable correction, they are a * (base + tail) and
+    b * base - a * tail for integers a + b = d.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -324,30 +331,29 @@ def decompose_step(
     if psi(f0, m - k) != f:
         raise ValueError("f is not the psi-image of f0")
 
-    denom = n - 2 * k + 1
     if bit == 0:
         base = f.embedded(n + 1)
         if m > k:
             tail = psi(f0, m - k - 1).embedded(n + 1).times_var(n + 1)
         else:
             tail = SquareFreeForm.zero(n + 1, m)
-        stay = Fraction(n - m - k + 1, denom) * (base + tail)
-        up = Fraction(m - k, denom) * base - Fraction(n - m - k + 1, denom) * tail
+        a, b = n - m - k + 1, m - k
     else:
         base = f.embedded(n + 1).times_var(n + 1)
         tail = psi(f0, m - k + 1).embedded(n + 1)
-        stay = Fraction(m - k + 1, denom) * (base + tail)
-        up = Fraction(n - m - k, denom) * base - Fraction(m - k + 1, denom) * tail
-    return stay, up
+        a, b = m - k + 1, n - m - k
+    return a * (base + tail), b * base - a * tail
 
 
 def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     """Recover the harmonic f0 with psi(f0, m - k) == f, or raise.
 
     On the psi-image of the degree-k harmonic subspace, following psi with
-    its adjoint multiplies by C(n - 2k, m - k), so the preimage is the
-    adjoint image divided by that constant.  The candidate is then checked,
-    so forms outside the image are rejected rather than mangled.
+    its adjoint multiplies by C = C(n - 2k, m - k), so the preimage is the
+    adjoint image g divided by that constant.  The candidate is checked
+    before the division, as g harmonic with psi(g, m - k) == C * f, so
+    forms outside the image are rejected rather than mangled and integral
+    forms are checked in integers.
     """
     n, m = f.n, f.k
     if not 0 <= k <= m:
@@ -361,7 +367,8 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     for key, val in f.coeffs.items():
         for sub in combinations(key, k):
             out[sub] = out.get(sub, 0) + val
-    f0 = SquareFreeForm._trusted(n, k, {key: Fraction(val, scale) for key, val in out.items()})
-    if not is_harmonic(f0) or psi(f0, m - k) != f:
+    g = SquareFreeForm._trusted(n, k, out)
+    if not is_harmonic(g) or psi(g, m - k) != scale * f:
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
-    return f0
+    coeffs = {key: Fraction(val, scale) for key, val in g.coeffs.items()}
+    return SquareFreeForm._trusted(n, k, coeffs)

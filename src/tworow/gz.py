@@ -46,6 +46,7 @@ so a streamed export such as ``tworow basis`` holds one vector in memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -218,19 +219,37 @@ def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
     """Apply the sum of transpositions (i l) over i < l to f.
 
     Each transposition moves a monomial only when exactly one of i and l
-    occurs in it, by exchanging that index for the other one.
+    occurs in it, by exchanging that index for the other one.  The key is
+    split at l's place, found by bisection, and each moved key is sliced
+    together around it; the transpositions that fix the monomial add it
+    once, times their count.
     """
     if not 1 <= l <= f.n:
         raise ValueError(f"index must lie in 1..{f.n}, got {l}")
     out: dict[Key, Scalar] = {}
     for key, val in f.coeffs.items():
-        has_l = l in key
-        for i in range(1, l):
-            if (i in key) == has_l:
-                key_i = key
-            else:
-                key_i = tuple(sorted(l if j == i else i if j == l else j for j in key))
-            out[key_i] = out.get(key_i, 0) + val
+        at = bisect_left(key, l)  # entries of key below l
+        low = key[:at]
+        if at < len(key) and key[at] == l:
+            # x_l moves to each x_i, i < l not in key; the other i fix it.
+            fixed = at
+            high = key[at + 1:]
+            q = 0
+            for i in range(1, l):
+                if q < at and low[q] == i:
+                    q += 1
+                    continue
+                moved = low[:q] + (i,) + low[q:] + high
+                out[moved] = out.get(moved, 0) + val
+        else:
+            # Each x_i with i < l in key moves to x_l; the other i fix it.
+            fixed = l - 1 - at
+            high = (l,) + key[at:]
+            for q in range(at):
+                moved = low[:q] + low[q + 1:] + high
+                out[moved] = out.get(moved, 0) + val
+        if fixed:
+            out[key] = out.get(key, 0) + fixed * val
     return SquareFreeForm._trusted(f.n, f.k, out)
 
 

@@ -2,9 +2,10 @@
 
 The divergence from degree k down to degree k - 1 is an integer matrix with
 a 0/1 entry for each containment J subset I.  Its kernel dimension is found
-by Gaussian elimination modulo a large prime; a full-rank certificate mod p
-lifts to the integers, and in the (never yet observed) deficient case the
-computation falls back to exact rational elimination.
+by Gaussian elimination modulo a large prime, on sparse rows that keep only
+their nonzero entries; a full-rank certificate mod p lifts to the integers,
+and in the (never yet observed) deficient case the computation falls back
+to exact rational elimination on the same sparse rows.
 """
 
 from __future__ import annotations
@@ -17,28 +18,36 @@ _PRIME = (1 << 61) - 1
 
 def _rank(rows: list[list[int]], p: int | None = None) -> int:
     """Rank by Gaussian elimination over GF(p), or over the rationals when
-    p is None."""
-    if p is None:
-        work = [[Fraction(v) for v in row] for row in rows]
-    else:
-        work = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank]
-        inv = 1 / lead[col] if p is None else pow(lead[col], p - 2, p)
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                row = [v - factor * lv for v, lv in zip(work[r], lead)]
-                work[r] = row if p is None else [v % p for v in row]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    p is None.
+
+    Rows are eliminated as sparse maps column -> nonzero value.  Each row
+    is reduced by the pivot rows of its leading columns until it is zero
+    or leads in a column without a pivot, where it becomes that column's
+    pivot row, scaled to lead with 1; the rank is the number of pivots.
+    """
+    pivots: dict[int, dict[int, int | Fraction]] = {}
+    for dense in rows:
+        if p is None:
+            row = {c: Fraction(v) for c, v in enumerate(dense) if v}
+        else:
+            row = {c: v % p for c, v in enumerate(dense) if v % p}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = 1 / row[col] if p is None else pow(row[col], p - 2, p)
+                pivots[col] = {c: v * inv if p is None else v * inv % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                val = row.get(c, 0) - factor * v
+                if p is not None:
+                    val %= p
+                if val:
+                    row[c] = val
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def divergence_matrix(n: int, k: int) -> list[list[int]]:

@@ -34,11 +34,13 @@ from .ygraph import (
 
 class BitPrefix:
     """A direction sequence: ``int`` bits 0 or 1, with at most t/2 ones in
-    every prefix; a ``bool`` or ``float`` bit raises ``TypeError``."""
+    every prefix; a ``bool`` or ``float`` bit raises ``TypeError``.  Any
+    sequence of bits is stored as a tuple."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits: tuple[int, ...]):
+        bits = tuple(bits)
         ones = 0
         for t, b in enumerate(bits, start=1):
             if _index(b) not in (0, 1):

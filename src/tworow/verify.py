@@ -138,7 +138,7 @@ def _transposition_matrix_in_basis(
     for vec in basis:
         image = act(sigma, vec.form)
         row = [Fraction(inner(image, w.form), w.norm_sq) for w in basis]
-        recon = sum((c * w.form for c, w in zip(row, basis)), SquareFreeForm.zero(d.n, m))
+        recon = sum((c * w.form for c, w in zip(row, basis) if c), SquareFreeForm.zero(d.n, m))
         if recon != image:
             raise ValueError("image does not lie in the span of the shape's basis")
         matrix.append(row)
@@ -283,19 +283,22 @@ def check_decompose(n_max: int) -> list[CheckResult]:
                     if 2 * (m + bit) > n + 1:
                         continue
                     cases += 1
+                    # Both pieces come scaled by d, so sums compare with d
+                    # times the whole and squared norms with d^2 times it.
                     stay, up = decompose_step(f, f0, bit)
+                    d = n - 2 * k + 1
                     whole = f.embedded(n + 1)
                     if bit:
                         whole = whole.times_var(n + 1)
-                    if stay + up != whole:
+                    if stay + up != d * whole:
                         failures.append(f"sum n={n} u={u.second_row} m={m} b={bit}")
                         continue
                     if inner(stay, up) != 0:
                         failures.append(f"orth n={n} u={u.second_row} m={m} b={bit}")
                     p_stay, p_up = induced_transition(n, k, m, bit)
-                    if inner(stay, stay) != p_stay * norm_f:
+                    if inner(stay, stay) != d * d * p_stay * norm_f:
                         failures.append(f"stay-norm n={n} u={u.second_row} m={m} b={bit}")
-                    if inner(up, up) != p_up * norm_f:
+                    if inner(up, up) != d * d * p_up * norm_f:
                         failures.append(f"up-norm n={n} u={u.second_row} m={m} b={bit}")
                     try:
                         if not stay.is_zero():
@@ -540,11 +543,18 @@ def check_dimensions(n_max: int) -> list[CheckResult]:
 
 
 def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(a)
-    return [
-        [sum((a[r][t] * b[t][c] for t in range(size)), Fraction(0)) for c in range(size)]
-        for r in range(size)
-    ]
+    """The product of square matrices, multiplying only nonzero entries: a
+    row of an adjacent-transposition matrix has at most two."""
+    b_rows = [[(c, w) for c, w in enumerate(row) if w] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b)
+        for t, v in enumerate(row):
+            if v:
+                for c, w in b_rows[t]:
+                    acc[c] += v * w
+        out.append(acc)
+    return out
 
 
 def _identity(size: int) -> list[list[Fraction]]:

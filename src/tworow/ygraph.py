@@ -119,17 +119,18 @@ class TwoRowTableau:
     """A standard tableau with at most two rows.
 
     ``second_row`` lists the entries placed in the second row, in increasing
-    order.  Standardness forces the j-th of them (1-based) to be at least 2j:
-    entry p sits at the end of the second row only after p - 1 entries filled
-    both rows above and left of it.  ``n`` and the entries are ``int`` and
-    not ``bool``, else ``TypeError``.
+    order; any sequence is stored as a tuple.  Standardness forces the j-th
+    of them (1-based) to be at least 2j: entry p sits at the end of the
+    second row only after p - 1 entries filled both rows above and left of
+    it.  ``n`` and the entries are ``int`` and not ``bool``, else
+    ``TypeError``.
     """
 
     __slots__ = ("n", "second_row")
 
     def __init__(self, n: int, second_row: tuple[int, ...]):
         _index(n)
-        ps = second_row
+        ps = tuple(second_row)
         for p in ps:
             if type(p) is not int:
                 _index(p)
@@ -145,7 +146,7 @@ class TwoRowTableau:
                     f"entry {p} in second-row position {j} violates standardness"
                 )
         self.n = n
-        self.second_row = second_row
+        self.second_row = ps
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -9,6 +9,7 @@ import pytest
 
 from tworow import cli, gz, verify
 from tworow.cli import main
+from tworow.forms import Permutation, SquareFreeForm, act
 
 
 def run_cli(capsys, *argv):
@@ -383,6 +384,41 @@ def test_verify_fails_on_a_corrupted_transposition_matrix(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert "FAIL matrices-agree: n=3 k=1 i=2; " in out
     assert "PASS basis-eigen: " in out
+
+
+def test_verify_fails_on_a_swapped_induced_kernel(capsys, monkeypatch):
+    closed = verify.induced_transition
+    monkeypatch.setattr(verify, "induced_transition", lambda *args: closed(*args)[::-1])
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "FAIL decompose-step: stay-norm n=1 u=() m=0 b=0; up-norm n=1 u=() m=0 b=0; " in out
+    assert "PASS spectral-markov: " in out
+
+
+def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
+    rank = verify.harmonic_dim
+    monkeypatch.setattr(verify, "harmonic_dim", lambda n, k: rank(n, k) + 1)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "FAIL harmonic-dimension: n=0 k=0: rank gives 2; " in out
+    assert "PASS matrices-relations: " in out
+
+
+def _yjm_without_fixed_terms(l, f):
+    """The transposition sum at level l without the terms that (i l) fixes."""
+    out = SquareFreeForm.zero(f.n, f.k)
+    for i in range(1, l):
+        moved = {key: val for key, val in f.coeffs.items() if (i in key) != (l in key)}
+        out = out + act(Permutation.transposition(f.n, i, l), SquareFreeForm(f.n, f.k, moved))
+    return out
+
+
+def test_verify_fails_on_a_transposition_sum_without_fixed_terms(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "yjm_apply", _yjm_without_fixed_terms)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "FAIL basis-eigen: harmonic () at n=2; " in out
+    assert "PASS basis-norms: " in out
 
 
 def test_run_scope_runs_the_current_suites(monkeypatch):

@@ -18,7 +18,9 @@ from tworow.forms import (
     pseudo_monomial,
     psi,
 )
+from tworow.gz import gz_harmonic
 from tworow.markov import induced_transition
+from tworow.ygraph import enumerate_all_tableaux
 
 
 def mono(n, *indices):
@@ -356,27 +358,31 @@ def test_decompose_lift_of_constant():
     one2 = SquareFreeForm(2, 0, {(): 1})
     f = psi(one2, 1)
     stay, up = decompose_step(f, one2, 0)
-    third = Fraction(1, 3)
-    assert stay == 2 * third * (mono(3, 1) + mono(3, 2) + mono(3, 3))
-    assert up == third * (mono(3, 1) + mono(3, 2) - 2 * mono(3, 3))
-    assert inner(stay, stay) == Fraction(4, 3)
-    assert inner(up, up) == Fraction(2, 3)
+    d = 3  # n - 2k + 1 at n = 2, k = 0
+    assert stay + up == d * f.embedded(3)
+    assert stay == 2 * (mono(3, 1) + mono(3, 2) + mono(3, 3))
+    assert up == mono(3, 1) + mono(3, 2) - 2 * mono(3, 3)
+    assert inner(stay, stay) == 12
+    assert inner(up, up) == 6
     assert inner(stay, up) == 0
 
 
 def test_decompose_saturated_harmonic():
     f = mono(2, 1) - mono(2, 2)
     stay, up = decompose_step(f, f, 0)
-    assert stay == f.embedded(3)
+    d = 1  # n - 2k + 1 at n = 2, k = 1
+    assert stay + up == d * f.embedded(3)
+    assert stay == d * f.embedded(3)
     assert up.is_zero()
 
 
 def test_decompose_with_new_variable():
     one1 = SquareFreeForm(1, 0, {(): 1})
     stay, up = decompose_step(one1, one1, 1)
-    half = Fraction(1, 2)
-    assert stay == half * (mono(2, 1) + mono(2, 2))
-    assert up == half * (mono(2, 2) - mono(2, 1))
+    d = 2  # n - 2k + 1 at n = 1, k = 0
+    assert stay + up == d * mono(2, 2)
+    assert stay == mono(2, 1) + mono(2, 2)
+    assert up == mono(2, 2) - mono(2, 1)
 
 
 def test_decompose_validation():
@@ -409,16 +415,18 @@ def test_decompose_invariants(data):
     f = psi(f0, m - k)
     stay, up = decompose_step(f, f0, bit)
 
+    # both pieces come scaled by d
+    d = n - 2 * k + 1
     total = f.embedded(n + 1)
     if bit == 1:
         total = total.times_var(n + 1)
-    assert stay + up == total
+    assert stay + up == d * total
     assert inner(stay, up) == 0
 
     weight = inner(total, total)
     p_stay, p_up = induced_transition(n, k, m, bit)
-    assert inner(stay, stay) == p_stay * weight
-    assert inner(up, up) == p_up * weight
+    assert inner(stay, stay) == d * d * p_stay * weight
+    assert inner(up, up) == d * d * p_up * weight
 
     # the pieces live where they claim to live
     if not stay.is_zero():
@@ -428,6 +436,20 @@ def test_decompose_invariants(data):
         back_up = harmonic_preimage(up, k + 1)
         assert is_harmonic(back_up)
         assert psi(back_up, m + bit - k - 1) == up
+
+
+def test_decompose_of_integral_forms_is_integral():
+    for n in range(1, 8):
+        for u in enumerate_all_tableaux(n):
+            f0 = gz_harmonic(u).form
+            k = f0.k
+            for m in range(k, n // 2 + 1):
+                f = psi(f0, m - k)
+                for bit in (0, 1):
+                    if 2 * (m + bit) > n + 1:
+                        continue
+                    for piece in decompose_step(f, f0, bit):
+                        assert all(type(val) is int for val in piece.coeffs.values())
 
 
 # recovering the harmonic seed

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -39,6 +40,7 @@ from tworow.ygraph import (
 from tworow.verify import (
     _expanded_harmonic,
     _is_yjm_eigenform,
+    _mat_mul as _sparse_mat_mul,
     _transposition_matrix_in_basis,
 )
 
@@ -265,13 +267,27 @@ def test_yjm_known_values():
     assert yjm_apply(2, mono(3, 1) + mono(3, 2)) == mono(3, 1) + mono(3, 2)
 
 
+def _transposition_sum(l, f):
+    """The sum of act((i l), f) over i < l."""
+    out = SquareFreeForm.zero(f.n, f.k)
+    for i in range(1, l):
+        out = out + act(Permutation.transposition(f.n, i, l), f)
+    return out
+
+
 @given(forms())
 def test_yjm_equals_sum_of_transpositions(f):
     for l in range(1, f.n + 1):
-        expect = SquareFreeForm.zero(f.n, f.k)
-        for i in range(1, l):
-            expect = expect + act(Permutation.transposition(f.n, i, l), f)
-        assert yjm_apply(l, f) == expect
+        assert yjm_apply(l, f) == _transposition_sum(l, f)
+
+
+def test_yjm_equals_sum_of_transpositions_on_every_monomial():
+    for n in range(1, 9):
+        for k in range(min(n, 4) + 1):
+            for key in combinations(range(1, n + 1), k):
+                f = SquareFreeForm(n, k, {key: 3})
+                for l in range(1, n + 1):
+                    assert yjm_apply(l, f) == _transposition_sum(l, f)
 
 
 def test_yjm_index_validation():
@@ -427,6 +443,53 @@ def test_rank_over_both_fields():
             assert _rank(rows) == _rank(rows, _PRIME) == len(rows)
 
 
+def _dense_rank(rows, p=None):
+    """Rank by column-by-column elimination on dense rows."""
+    work = [[Fraction(v) if p is None else v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        lead = work[rank]
+        inv = 1 / lead[col] if p is None else pow(lead[col], p - 2, p)
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] * inv
+            work[r] = [v - factor * lv if p is None else (v - factor * lv) % p
+                       for v, lv in zip(work[r], lead)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, sparse or not; some rows combine others."""
+    ncols = draw(st.integers(1, 6))
+    entries = st.integers(-3, 3) | st.just(0)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@given(integer_matrices())
+def test_sparse_rank_matches_dense_elimination(rows):
+    for p in (None, 7, _PRIME):
+        assert _rank(rows, p) == _dense_rank(rows, p)
+
+
+def test_sparse_rank_on_full_deficient_and_mod_7_deficient_matrices():
+    full = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+    deficient = full + [[1, 0, 0, 1]]  # rows 1 - 2 + 3
+    mod_7 = [[1, 2], [3, 13]]  # determinant 7
+    for rows, ranks in ((full, (3, 3, 3)), (deficient, (3, 3, 3)), (mod_7, (2, 1, 2))):
+        for p, rank in zip((None, 7, _PRIME), ranks):
+            assert _rank(rows, p) == _dense_rank(rows, p) == rank
+
+
 def test_harmonic_dim_validation():
     assert harmonic_dim(3, 0) == 1
     with pytest.raises(ValueError):
@@ -483,6 +546,24 @@ def _identity(size):
     return [
         [Fraction(1) if r == c else Fraction(0) for c in range(size)] for r in range(size)
     ]
+
+
+def test_sparse_mat_mul_matches_dense():
+    """On random fraction matrices with about half of the entries zero."""
+    rng = random.Random(0)
+
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def matrix(size):
+        return [[entry() for _ in range(size)] for _ in range(size)]
+
+    for size in range(1, 7):
+        for _ in range(20):
+            a, b = matrix(size), matrix(size)
+            assert _sparse_mat_mul(a, b) == _mat_mul(a, b)
 
 
 def test_matrices_are_involutions():

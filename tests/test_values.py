@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from tworow.gz import gz_harmonic, gz_in_H
-from tworow.markov import BitPrefix, KernelEntry, MarkovReport, MarkovViolation
+from tworow.markov import BitPrefix, KernelEntry, MarkovReport, MarkovViolation, SpectralTable
 from tworow.verify import CheckResult
 from tworow.ygraph import Cell, TwoRowDiagram, TwoRowTableau
 
@@ -51,6 +51,19 @@ def test_values_never_equal_another_class(cls, fields, other, text):
     assert a != lookalike and lookalike != a
     assert a.__eq__(lookalike) is NotImplemented
     assert a != fields and a != tuple(getattr(a, f) for f in names)
+
+
+def test_list_fields_are_stored_as_tuples():
+    pairs = [
+        (TwoRowTableau(4, [2, 4]), TwoRowTableau(4, (2, 4))),
+        (BitPrefix([0, 1, 0, 1]), BitPrefix((0, 1, 0, 1))),
+    ]
+    for from_list, from_tuple in pairs:
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert repr(from_list) == repr(from_tuple)
+    table = SpectralTable(4, {TwoRowTableau(4, [2, 4]): 1})
+    assert table.prob(TwoRowTableau(4, (2, 4))) == 1
 
 
 def test_gz_vectors_compare_by_identity():
