@@ -34,6 +34,7 @@ from .serialize import (
     summary_to_csv,
     table_to_dict,
     trace_rows,
+    trace_table,
     write_basis,
 )
 from .verify import run_scope
@@ -136,8 +137,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         with _output(args.out) as handle:
             handle.write(TRACE_HEADER + "\n")
+            table = trace_table(depth)
             for ks in sample_paths(kernel, depth, args.count, args.seed):
-                handle.write(trace_rows(ks))
+                handle.write(trace_rows(ks, table))
     return 0
 
 

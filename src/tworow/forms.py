@@ -42,6 +42,10 @@ def _scalar(x: object) -> Scalar:
     return x
 
 
+def _int_if_integral(x: Fraction) -> Scalar:
+    return x.numerator if x.denominator == 1 else x
+
+
 def _index(x: object) -> int:
     """``x`` if it is an ``int`` and not a ``bool``; anything else, floats
     with integral values included, raises ``TypeError``."""
@@ -83,7 +87,7 @@ class SquareFreeForm:
                 raise ValueError(f"monomial indices must lie in 1..{n}: {key}")
             val = Fraction(_scalar(raw_val))
             if val:
-                clean[key] = val.numerator if val.denominator == 1 else val
+                clean[key] = _int_if_integral(val)
         self.coeffs = clean
 
     @classmethod
@@ -370,5 +374,5 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     g = SquareFreeForm._trusted(n, k, out)
     if not is_harmonic(g) or psi(g, m - k) != scale * f:
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
-    coeffs = {key: Fraction(val, scale) for key, val in g.coeffs.items()}
+    coeffs = {key: _int_if_integral(Fraction(val, scale)) for key, val in g.coeffs.items()}
     return SquareFreeForm._trusted(n, k, coeffs)

@@ -153,7 +153,10 @@ class KernelEntry:
             raise ValueError(f"bit must be 0, 1 or None, got {bit!r}")
         _scalar(p_stay)
         _scalar(p_up)
-        if p_stay < 0 or p_up < 0 or p_stay + p_up != 1:
+        # Both are in lowest terms, so they sum to 1 exactly when they share
+        # a denominator that their numerators add up to.
+        stay, up, den = p_stay.numerator, p_up.numerator, p_stay.denominator
+        if stay < 0 or up < 0 or p_up.denominator != den or stay + up != den:
             raise ValueError(
                 f"probabilities must be nonnegative and sum to 1, "
                 f"got {p_stay}, {p_up}"
@@ -493,33 +496,40 @@ def sample_tableau(kernel: TransitionKernel, depth: int, rng: random.Random | in
 def transition_counts(
     kernel: TransitionKernel, depth: int, paths: int, seed: int
 ) -> dict[tuple[int, int], tuple[int, int]]:
-    """Visit and up counts per (level, k) over ``paths`` sampled walks."""
+    """Visit and up counts per (level, k) over ``paths`` sampled walks, in
+    order of level, then k, for the states some walk visits.
+
+    The walks count only their up steps.  Visits follow by conservation:
+    every path starts at (1, 0), and a path at (n + 1, k) either stayed at
+    (n, k) or went up from (n, k - 1)."""
     _check_walks(kernel, depth, paths)
     table = _threshold_table(depth)
-    visits = [[0] * len(row) for row in table]
     ups = [[0] * len(row) for row in table]
-    levels = list(zip(range(1, depth), table, visits, ups))
+    levels = list(zip(range(1, depth), table, ups))
     getrandbits = random.Random(seed).getrandbits
     try:
         for _ in range(paths):
             k = 0
-            for n, limits, seen, went_up in levels:
+            for n, limits, went_up in levels:
                 limit = limits[k]
                 if limit is None:
                     limit = limits[k] = _up_threshold(kernel.transition(n, k).p_up)
-                seen[k] += 1
                 if getrandbits(64) < limit:
                     went_up[k] += 1
                     k += 1
     except IndexError:
         # An up step past n/2 leaves the kernel's states.
         raise _missing_row(n, k) from None
-    return {
-        (n, k): (v, u)
-        for n, _, seen, went_up in levels
-        for k, (v, u) in enumerate(zip(seen, went_up))
-        if v
-    }
+    counts = {}
+    visits = [paths]
+    for n, went_up in enumerate(ups, start=1):
+        for k, (v, u) in enumerate(zip(visits, went_up)):
+            if v:
+                counts[(n, k)] = (v, u)
+        visits = [v - u for v, u in zip(visits, went_up)] + [0]
+        for k, u in enumerate(went_up, start=1):
+            visits[k] += u
+    return counts
 
 
 def within_three_sigma(visits: int, ups: int, p: Fraction) -> bool:

@@ -119,16 +119,29 @@ def kernel_to_rows(kernel: TransitionKernel) -> list[dict[str, Any]]:
 TRACE_HEADER = "step,k,j"
 
 
-def trace_rows(ks: list[int]) -> str:
+def trace_table(depth: int) -> list[dict[int, str]]:
+    """Every CSV row a path of up to ``depth`` levels can hold, laid out
+    once: ``table[step - 1][k]`` is ``f"{step},{k},{step - 2 * k}\n"`` for
+    0 <= 2k <= step; the j column is the walk coordinate level - 2k."""
+    return [
+        {k: f"{step},{k},{step - 2 * k}\n" for k in range(step // 2 + 1)}
+        for step in range(1, depth + 1)
+    ]
+
+
+def trace_rows(ks: list[int], table: list[dict[int, str]]) -> str:
     """One path's CSV rows, each ending in a newline: the path is its list
-    of second-row lengths at levels 1, 2, ...; the j column is the walk
-    coordinate level - 2k.  Steps restart at 1 for every path."""
-    return "".join(f"{step},{k},{step - 2 * k}\n" for step, k in enumerate(ks, start=1))
+    of second-row lengths at levels 1, 2, ..., as ``sample_path`` returns
+    it, and ``table`` is a ``trace_table`` at least as deep.  Steps
+    restart at 1 for every path; a k outside 0 <= 2k <= step raises
+    ``KeyError``."""
+    return "".join(map(dict.__getitem__, table, ks))
 
 
 def trace_to_csv(paths: list[list[int]]) -> str:
     """The header line, then every path's ``trace_rows``."""
-    return TRACE_HEADER + "\n" + "".join(trace_rows(ks) for ks in paths)
+    table = trace_table(max(map(len, paths), default=0))
+    return TRACE_HEADER + "\n" + "".join(trace_rows(ks, table) for ks in paths)
 
 
 SUMMARY_HEADER = "n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok"

@@ -409,10 +409,19 @@ def test_integral_inputs_keep_int_coefficients():
     assert _all_int(pseudo_monomial(6, [(1, 2), (5, 3)]))
 
 
+def test_harmonic_preimage_keeps_integral_coefficients_int():
+    h = gz_harmonic(TwoRowTableau(6, (2, 4))).form
+    f0 = harmonic_preimage(psi(h, 1), 2)
+    assert f0 == h and f0.coeffs
+    assert all(type(c) is int for c in f0.coeffs.values())
+
+
 def test_divisions_give_fractions():
     u = TwoRowTableau(6, (3, 5))
-    f0 = harmonic_preimage(psi(gz_harmonic(u).form, 1), 2)
-    assert f0.coeffs and all(type(c) is Fraction for c in f0.coeffs.values())
+    third = gz_harmonic(u).form * Fraction(1, 3)
+    f0 = harmonic_preimage(psi(third, 1), 2)
+    assert f0 == third and f0.coeffs
+    assert all(type(c) is Fraction for c in f0.coeffs.values())
     table = spectral_measure(BitPrefix.from_string("010101"))
     assert all(type(p) is Fraction for _, p in table.items())
     matrix = _transposition_matrix_in_basis(2, TwoRowDiagram(5, 2))

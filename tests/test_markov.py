@@ -575,6 +575,8 @@ def _counts_of(walks):
         (central_kernel(20), 7),
         (kernel_from_prefix(BitPrefix.alternating(16)), 16),
         (kernel_from_prefix(BitPrefix.from_string("0010110100110011")), 16),
+        (central_kernel(64), 64),
+        (kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4)), 64),
     ],
 )
 def test_samplers_equal_fraction_reference(kernel, depth):
@@ -583,6 +585,20 @@ def test_samplers_equal_fraction_reference(kernel, depth):
     assert list(counts.items()) == list(_counts_of(walks).items())
     assert list(sample_paths(kernel, depth, 300, 41)) == walks
     assert sample_path(kernel, depth, 41) == walks[0]
+
+
+def test_deep_induced_kernel_has_zero_up_rows():
+    # Rows with k = m and bit 0 never go up; the depth-64 case above walks them.
+    prefix = BitPrefix.from_string("0010110100110011" * 4)
+    kernel = kernel_from_prefix(prefix)
+    zero_up = [
+        (n, k)
+        for (n, k), entry in kernel.entries.items()
+        if entry.bit == 0 and k == prefix.ones(n) and entry.p_up == 0
+    ]
+    assert len(zero_up) == 31
+    visits = transition_counts(kernel, 64, 300, seed=41)
+    assert all(visits[key][0] > 0 and visits[key][1] == 0 for key in zero_up)
 
 
 def _gap_kernels():

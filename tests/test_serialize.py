@@ -9,7 +9,13 @@ from hypothesis import given, strategies as st
 
 from tworow.forms import SquareFreeForm
 from tworow.gz import GzVector, gz_harmonic, iter_basis
-from tworow.markov import BitPrefix, central_kernel, kernel_from_prefix, spectral_measure
+from tworow.markov import (
+    BitPrefix,
+    central_kernel,
+    kernel_from_prefix,
+    sample_path,
+    spectral_measure,
+)
 from tworow.serialize import (
     KERNEL_HEADER,
     SUMMARY_HEADER,
@@ -22,6 +28,8 @@ from tworow.serialize import (
     kernel_to_rows,
     summary_to_csv,
     table_to_dict,
+    trace_rows,
+    trace_table,
     trace_to_csv,
     write_basis,
 )
@@ -224,6 +232,31 @@ def test_trace_csv():
         "2,1,0\n"
         "3,1,1\n"
     )
+
+
+def test_trace_table_holds_every_row_to_the_depth_bound():
+    table = trace_table(64)
+    assert [len(row) for row in table] == [step // 2 + 1 for step in range(1, 65)]
+    for step in range(1, 65):
+        for k in range(step // 2 + 1):
+            assert table[step - 1][k] == f"{step},{k},{step - 2 * k}\n"
+    assert trace_table(0) == []
+
+
+def test_trace_csv_of_ragged_paths_equals_formatted_rows():
+    paths = [[0], [0, 1, 1], sample_path(central_kernel(64), 64, 5)]
+    formatted = "".join(
+        f"{step},{k},{step - 2 * k}\n"
+        for ks in paths
+        for step, k in enumerate(ks, start=1)
+    )
+    assert trace_to_csv(paths) == TRACE_HEADER + "\n" + formatted
+    assert trace_to_csv([]) == TRACE_HEADER + "\n"
+    deep = trace_table(64)
+    assert "".join(trace_rows(ks, deep) for ks in paths) == formatted
+    for outside in ([0, -1], [0, 2], [1]):
+        with pytest.raises(KeyError):
+            trace_to_csv([outside])
 
 
 def test_summary_csv():

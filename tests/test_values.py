@@ -8,6 +8,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tworow.gz import gz_harmonic, gz_in_H
 from tworow.markov import BitPrefix, KernelEntry, MarkovReport, MarkovViolation, SpectralTable
@@ -155,3 +156,36 @@ def test_bad_values_raise_the_recorded_errors(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert str(info.value) == message
+
+
+_probabilities = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.booleans(),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(_probabilities, _probabilities),
+        _probabilities.map(lambda p: (p, 1 - p)),
+    )
+)
+@example((1, 0))
+@example((True, 0))
+@example((Fraction(1, 2), Fraction(1, 2)))
+@example((Fraction(1, 2), Fraction(2, 3)))
+@example((Fraction(1, 4), Fraction(3, 5)))
+@example((2, -1))
+@example((Fraction(3, 2), Fraction(-1, 2)))
+def test_kernel_entry_accepts_exactly_nonnegative_pairs_summing_to_one(pair):
+    p_stay, p_up = pair
+    if p_stay >= 0 and p_up >= 0 and p_stay + p_up == 1:
+        entry = KernelEntry(None, p_stay, p_up)
+        assert (entry.p_stay, entry.p_up) == (p_stay, p_up)
+    else:
+        with pytest.raises(ValueError) as info:
+            KernelEntry(None, p_stay, p_up)
+        assert str(info.value) == (
+            f"probabilities must be nonnegative and sum to 1, got {p_stay}, {p_up}"
+        )
