@@ -35,7 +35,9 @@ order, and for each m-subset a gather of the positions of its k-subsets.
 ``_lift`` spreads h_u into a dense list over the k-subsets and sums one
 gather per m-subset, so a lifted vector costs C(n, m) * C(m, k) additions
 and builds no index tuples; ``iter_basis`` shares one table across every
-tableau of a shape.
+tableau of a shape.  The level operators X_l = sum_{i<l} (i l) take the same
+form: ``yjm_rows`` gives, for each k-subset, its count of fixing
+transpositions and a gather of the monomials the others carry onto it.
 
 Vectors are kept unnormalized with integer coefficients; their squared
 norms are the closed products ``closed_harmonic_norm_sq`` and, lifted,
@@ -53,7 +55,7 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .forms import Key, Scalar, SquareFreeForm, _index
+from .forms import Key, SquareFreeForm, _index
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -112,7 +114,7 @@ def _lift_table(n: int, m: int, k: int) -> LiftTable | None:
     position = {sub: i for i, sub in enumerate(combinations(range(1, n + 1), k))}
     pad = len(position)
     rows = [
-        (key, itemgetter(pad, *(position[sub] for sub in combinations(key, k))))
+        (key, itemgetter(pad, *map(position.__getitem__, combinations(key, k))))
         for key in combinations(range(1, n + 1), m)
     ]
     return position, rows
@@ -215,41 +217,60 @@ def full_gz_basis(n: int, m: int) -> tuple[GzVector, ...]:
     return tuple(iter_basis(n, m))
 
 
-def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
-    """Apply the sum of transpositions (i l) over i < l to f.
+YjmRows = list[tuple[Key, int, itemgetter]]
 
-    Each transposition moves a monomial only when exactly one of i and l
-    occurs in it, by exchanging that index for the other one.  The key is
-    split at l's place, found by bisection, and each moved key is sliced
-    together around it; the transpositions that fix the monomial add it
-    once, times their count.
+
+def yjm_rows(n: int, k: int, l: int) -> YjmRows:
+    """The sum of transpositions (i l) over i < l on degree-k forms in n
+    variables, as one gather row per k-subset T of 1..n, in lexicographic
+    order: T, the number of those transpositions that fix x_T, and a getter
+    of the positions of the monomials the others carry onto x_T.
+
+    A transposition moves x_T only when exactly one of i and l lies in T.
+    If l is in T, the sources are T - l + i for each i < l not in T;
+    otherwise they are T - i + l for each i < l in T.  Positions index a
+    dense list of coefficients in the same order, and each getter also reads
+    the slot one past the k-subsets, which callers keep at 0, so it returns
+    a tuple even with no source (as in ``_lift_table``).
     """
-    if not 1 <= l <= f.n:
-        raise ValueError(f"index must lie in 1..{f.n}, got {l}")
-    out: dict[Key, Scalar] = {}
-    for key, val in f.coeffs.items():
+    subsets = list(combinations(range(1, n + 1), k))
+    position = {sub: i for i, sub in enumerate(subsets)}
+    pad = len(subsets)
+    rows = []
+    for key in subsets:
         at = bisect_left(key, l)  # entries of key below l
         low = key[:at]
-        if at < len(key) and key[at] == l:
-            # x_l moves to each x_i, i < l not in key; the other i fix it.
+        if at < k and key[at] == l:
             fixed = at
             high = key[at + 1:]
+            sources = []
             q = 0
             for i in range(1, l):
                 if q < at and low[q] == i:
                     q += 1
-                    continue
-                moved = low[:q] + (i,) + low[q:] + high
-                out[moved] = out.get(moved, 0) + val
+                else:
+                    sources.append(position[low[:q] + (i,) + low[q:] + high])
         else:
-            # Each x_i with i < l in key moves to x_l; the other i fix it.
             fixed = l - 1 - at
             high = (l,) + key[at:]
-            for q in range(at):
-                moved = low[:q] + low[q + 1:] + high
-                out[moved] = out.get(moved, 0) + val
-        if fixed:
-            out[key] = out.get(key, 0) + fixed * val
+            sources = [position[low[:q] + low[q + 1:] + high] for q in range(at)]
+        rows.append((key, fixed, itemgetter(pad, *sources or (pad,))))
+    return rows
+
+
+def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
+    """Apply the sum of transpositions (i l) over i < l to f, through the
+    gather rows of ``yjm_rows``: each coefficient of the image sums the
+    coefficients of its sources and adds its own times the fixed count."""
+    if not 1 <= l <= f.n:
+        raise ValueError(f"index must lie in 1..{f.n}, got {l}")
+    rows = yjm_rows(f.n, f.k, l)
+    dense = [f.coeffs.get(key, 0) for key, _, _ in rows]
+    dense.append(0)
+    out = {
+        key: sum(gather(dense)) + fixed * val
+        for (key, fixed, gather), val in zip(rows, dense)
+    }
     return SquareFreeForm._trusted(f.n, f.k, out)
 
 

@@ -9,7 +9,9 @@ it is checked against live here, private to this module:
 
 - ``_expanded_harmonic``: the harmonic vector as the sum of its products
   of differences, each one a ``forms.pseudo_monomial``;
-- ``_is_yjm_eigenform``: every level's transposition sum applied to a form;
+- ``_is_yjm_eigenform``: every level's transposition sum applied to a form
+  through the gather rows of ``gz.yjm_rows``, shared by the forms of one
+  ``check_basis`` call and dropped with it;
 - ``forms.inner``: a vector's squared norm as the sum of its squared
   coefficients, against which every closed norm a vector carries is checked;
 - ``forms.psi``: the lift term by term, one index tuple per l-subset of a
@@ -42,11 +44,12 @@ from .forms import (
     psi,
 )
 from .gz import (
+    YjmRows,
     full_gz_basis,
     gz_harmonic,
     gz_in_H,
     orthogonal_form_matrix,
-    yjm_apply,
+    yjm_rows,
 )
 from .linalg import harmonic_dim
 from .markov import (
@@ -101,9 +104,26 @@ def _expanded_harmonic(u: TwoRowTableau) -> SquareFreeForm:
     return total
 
 
-def _is_yjm_eigenform(u: TwoRowTableau, form: SquareFreeForm) -> bool:
-    """Whether every level l's operator scales ``form`` by u's content at l."""
-    return all(yjm_apply(l, form) == u.content(l) * form for l in range(1, u.n + 1))
+def _is_yjm_eigenform(
+    u: TwoRowTableau, form: SquareFreeForm, tables: dict[tuple[int, int], list[YjmRows]]
+) -> bool:
+    """Whether every level l's transposition sum scales ``form`` by u's
+    content at l: for each k-subset T, the sources that ``gz.yjm_rows``
+    gathers onto x_T sum to (content - fixed count) times the coefficient
+    of x_T.  ``tables`` holds each (n, k)'s rows for all levels, built on
+    first use, so the forms of one check share them."""
+    n, k = form.n, form.k
+    levels = tables.get((n, k))
+    if levels is None:
+        levels = tables[n, k] = [yjm_rows(n, k, l) for l in range(1, n + 1)]
+    dense = [form.coeffs.get(key, 0) for key in combinations(range(1, n + 1), k)]
+    dense.append(0)
+    for l, rows in enumerate(levels, start=1):
+        c = u.content(l)
+        for (_, fixed, gather), val in zip(rows, dense):
+            if sum(gather(dense)) != (c - fixed) * val:
+                return False
+    return True
 
 
 def _projection_table(prefix: BitPrefix, level: int) -> SpectralTable:
@@ -189,20 +209,21 @@ def check_basis(n_max: int) -> list[CheckResult]:
     orth_fail: list[str] = []
     norm_fail: list[str] = []
     vectors = 0
+    tables: dict[tuple[int, int], list[YjmRows]] = {}
     for n in range(1, n_max + 1):
         for u in enumerate_all_tableaux(n):
             vectors += 1
             harmonic = gz_harmonic(u)
             if harmonic.form != _expanded_harmonic(u):
                 eig_fail.append(f"harmonic {u.second_row} at n={n} differs from its expansion")
-            if not _is_yjm_eigenform(u, harmonic.form):
+            if not _is_yjm_eigenform(u, harmonic.form, tables):
                 eig_fail.append(f"harmonic {u.second_row} at n={n}")
             if harmonic.norm_sq != inner(harmonic.form, harmonic.form):
                 norm_fail.append(f"harmonic norm {u.second_row} at n={n}")
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
             for vec in basis:
-                if not _is_yjm_eigenform(vec.tableau, vec.form):
+                if not _is_yjm_eigenform(vec.tableau, vec.form, tables):
                     eig_fail.append(f"lifted {vec.tableau.second_row} at n={n} m={m}")
                 if vec.norm_sq != inner(vec.form, vec.form):
                     norm_fail.append(

@@ -9,7 +9,6 @@ import pytest
 
 from tworow import cli, gz, verify
 from tworow.cli import main
-from tworow.forms import Permutation, SquareFreeForm, act
 
 
 def run_cli(capsys, *argv):
@@ -404,17 +403,14 @@ def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
     assert "PASS matrices-relations: " in out
 
 
-def _yjm_without_fixed_terms(l, f):
-    """The transposition sum at level l without the terms that (i l) fixes."""
-    out = SquareFreeForm.zero(f.n, f.k)
-    for i in range(1, l):
-        moved = {key: val for key, val in f.coeffs.items() if (i in key) != (l in key)}
-        out = out + act(Permutation.transposition(f.n, i, l), SquareFreeForm(f.n, f.k, moved))
-    return out
+def _yjm_rows_without_fixed_terms(n, k, l):
+    """The gather rows of the transposition sum at level l, with every
+    count of the transpositions that fix a monomial set to 0."""
+    return [(key, 0, gather) for key, _, gather in gz.yjm_rows(n, k, l)]
 
 
 def test_verify_fails_on_a_transposition_sum_without_fixed_terms(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "yjm_apply", _yjm_without_fixed_terms)
+    monkeypatch.setattr(verify, "yjm_rows", _yjm_rows_without_fixed_terms)
     code, out, err = run_cli(capsys, "verify", "--scope", "gz", "--n-max", "4")
     assert (code, err) == (1, "")
     assert "FAIL basis-eigen: harmonic () at n=2; " in out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from tworow import verify
 from tworow.forms import (
     Permutation,
     SquareFreeForm,
@@ -26,6 +28,7 @@ from tworow.gz import (
     iter_basis,
     orthogonal_form_matrix,
     yjm_apply,
+    yjm_rows,
 )
 from tworow.linalg import _PRIME, _rank, divergence_matrix, harmonic_dim
 from tworow.markov import BitPrefix, spectral_measure
@@ -297,22 +300,74 @@ def test_yjm_index_validation():
         yjm_apply(0, mono(3, 1))
 
 
+def test_yjm_rows_split_every_transposition_into_fixed_or_moving():
+    """Each of the l - 1 transpositions (i l) either fixes x_T or carries
+    one distinct source x_S onto it, with S and T differing in i and l."""
+    for n in range(1, 9):
+        for k in range(n + 1):
+            subsets = list(combinations(range(1, n + 1), k))
+            pad = len(subsets)
+            for l in range(1, n + 1):
+                rows = yjm_rows(n, k, l)
+                assert [key for key, _, _ in rows] == subsets
+                for key, fixed, gather in rows:
+                    read = gather(range(pad + 1))
+                    assert pad in read
+                    sources = [s for s in read if s != pad]
+                    assert fixed + len(sources) == l - 1
+                    assert len(set(sources)) == len(sources)
+                    assert all(0 <= s < pad for s in sources)
+                    assert fixed == sum((i in key) == (l in key) for i in range(1, l))
+                    for s in sources:
+                        i, top = sorted(set(subsets[s]) ^ set(key))
+                        assert top == l and i < l
+
+
 @given(tableaux(max_n=6), st.data())
 def test_eigencheck_all_levels(u, data):
-    assert _is_yjm_eigenform(u, gz_harmonic(u).form)
+    assert _is_yjm_eigenform(u, gz_harmonic(u).form, {})
     m = data.draw(st.integers(min_value=len(u.second_row), max_value=u.n // 2))
-    assert _is_yjm_eigenform(u, gz_in_H(u, m).form)
+    assert _is_yjm_eigenform(u, gz_in_H(u, m).form, {})
 
 
 def test_corrupted_vector_fails_eigencheck():
     u = TwoRowTableau(3, (3,))
     good = gz_harmonic(u).form
-    bad = good + mono(3, 2)
-    hit = False
-    for l in range(1, 4):
-        if yjm_apply(l, bad) != u.content(l) * bad:
-            hit = True
-    assert hit
+    assert _is_yjm_eigenform(u, good, {})
+    assert not _is_yjm_eigenform(u, good + mono(3, 2), {})
+
+
+def test_eigencheck_rejects_every_basis_vector_with_a_bumped_coefficient():
+    """At m >= 1 no basis vector is a multiple of one monomial, and each
+    joint eigenspace meets the module in a line, so adding 1 to any
+    coefficient leaves it.  At m = 0 the only vector is a constant, which
+    stays an eigenvector when bumped."""
+    tables = {}
+    for n in range(2, 7):
+        for m in range(1, n // 2 + 1):
+            for vec in full_gz_basis(n, m):
+                assert _is_yjm_eigenform(vec.tableau, vec.form, tables)
+                for key in combinations(range(1, n + 1), m):
+                    bad = vec.form + SquareFreeForm(n, m, {key: 1})
+                    assert not _is_yjm_eigenform(vec.tableau, bad, tables)
+    assert sorted(tables) == [(n, m) for n in range(2, 7) for m in range(1, n // 2 + 1)]
+
+
+def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
+    """Every (n, k, l) the eigen check needs is built once in a run of
+    ``check_basis`` and built again in the next run: no rows outlive it."""
+    built = Counter()
+    real = verify.yjm_rows
+
+    def counted(n, k, l):
+        built[n, k, l] += 1
+        return real(n, k, l)
+
+    monkeypatch.setattr(verify, "yjm_rows", counted)
+    needed = {(n, k, l) for n in range(1, 6) for k in range(n // 2 + 1) for l in range(1, n + 1)}
+    for runs in (1, 2):
+        assert all(result.ok for result in verify.check_basis(5))
+        assert built == {key: runs for key in needed}
 
 
 def test_content_vectors_separate_tableaux():
@@ -436,7 +491,7 @@ def test_basis_validation():
 
 
 def test_harmonic_dims():
-    for n in range(1, 8):
+    for n in range(1, 11):
         for k in range(1, n // 2 + 1):
             assert harmonic_dim(n, k) == comb(n, k) - comb(n, k - 1)
     assert harmonic_dim(8, 4) == dim(TwoRowDiagram(8, 4))
