@@ -258,22 +258,6 @@ def yjm_rows(n: int, k: int, l: int) -> YjmRows:
     return rows
 
 
-def yjm_apply(l: int, f: SquareFreeForm) -> SquareFreeForm:
-    """Apply the sum of transpositions (i l) over i < l to f, through the
-    gather rows of ``yjm_rows``: each coefficient of the image sums the
-    coefficients of its sources and adds its own times the fixed count."""
-    if not 1 <= l <= f.n:
-        raise ValueError(f"index must lie in 1..{f.n}, got {l}")
-    rows = yjm_rows(f.n, f.k, l)
-    dense = [f.coeffs.get(key, 0) for key, _, _ in rows]
-    dense.append(0)
-    out = {
-        key: sum(gather(dense)) + fixed * val
-        for (key, fixed, gather), val in zip(rows, dense)
-    }
-    return SquareFreeForm._trusted(f.n, f.k, out)
-
-
 def _swap_levels(u: TwoRowTableau, i: int) -> TwoRowTableau:
     """The tableau with entries i and i + 1 exchanged (rows differ)."""
     swap = {i: i + 1, i + 1: i}

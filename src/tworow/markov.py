@@ -424,10 +424,18 @@ def _up_threshold(p: Fraction) -> int:
     return -((-p.numerator << 64) // p.denominator)
 
 
-def _threshold_table(depth: int) -> list[list[int | None]]:
-    """Empty up thresholds for levels 1 .. depth - 1, one list per level
-    indexed by k; a walk fills a row from the kernel on its first visit."""
-    return [[None] * (n // 2 + 1) for n in range(1, depth)]
+def _threshold_table(kernel: TransitionKernel, depth: int) -> list[list[int | None]]:
+    """Up thresholds for levels 1 .. depth - 1, one list per level indexed
+    by k = 0 .. n/2: ``_up_threshold`` of each stored row, None where the
+    kernel stores no row, so a walk that reaches one fails its compare."""
+    entries = kernel.entries
+    return [
+        [
+            None if (n, k) not in entries else _up_threshold(entries[n, k].p_up)
+            for k in range(n // 2 + 1)
+        ]
+        for n in range(1, depth)
+    ]
 
 
 def _as_rng(rng: random.Random | int) -> random.Random:
@@ -443,22 +451,18 @@ def _check_walks(kernel: TransitionKernel, depth: int, count: int) -> None:
         raise ValueError(f"path count must be nonnegative, got {count}")
 
 
-def _walk(
-    kernel: TransitionKernel, table: list[list[int | None]], rng: random.Random
-) -> list[int]:
+def _walk(table: list[list[int | None]], rng: random.Random) -> list[int]:
     getrandbits = rng.getrandbits
     ks = [0]
     k = 0
     try:
         for n, row in enumerate(table, start=1):
-            limit = row[k]
-            if limit is None:
-                limit = row[k] = _up_threshold(kernel.transition(n, k).p_up)
-            if getrandbits(64) < limit:
+            if getrandbits(64) < row[k]:
                 k += 1
             ks.append(k)
-    except IndexError:
-        # An up step past n/2 leaves the kernel's states.
+    except (IndexError, TypeError):
+        # An up step past n/2 leaves the kernel's states; None marks a
+        # state the kernel stores no row for.
         raise _missing_row(n, k) from None
     return ks
 
@@ -478,12 +482,12 @@ def sample_paths(
 ) -> Iterator[list[int]]:
     """``count`` walks drawn one after another from ``rng``, each as
     ``sample_path`` returns it.  Arguments are checked before the first
-    walk is asked for; the walks share one threshold table, whose rows
-    are filled as they are first reached."""
+    walk is asked for, and the walks share one threshold table, built
+    from the whole kernel before the first walk."""
     rng = _as_rng(rng)
     _check_walks(kernel, depth, count)
-    table = _threshold_table(depth)
-    return (_walk(kernel, table, rng) for _ in range(count))
+    table = _threshold_table(kernel, depth)
+    return (_walk(table, rng) for _ in range(count))
 
 
 def sample_tableau(kernel: TransitionKernel, depth: int, rng: random.Random | int) -> TwoRowTableau:
@@ -503,7 +507,7 @@ def transition_counts(
     every path starts at (1, 0), and a path at (n + 1, k) either stayed at
     (n, k) or went up from (n, k - 1)."""
     _check_walks(kernel, depth, paths)
-    table = _threshold_table(depth)
+    table = _threshold_table(kernel, depth)
     ups = [[0] * len(row) for row in table]
     levels = list(zip(range(1, depth), table, ups))
     getrandbits = random.Random(seed).getrandbits
@@ -511,14 +515,12 @@ def transition_counts(
         for _ in range(paths):
             k = 0
             for n, limits, went_up in levels:
-                limit = limits[k]
-                if limit is None:
-                    limit = limits[k] = _up_threshold(kernel.transition(n, k).p_up)
-                if getrandbits(64) < limit:
+                if getrandbits(64) < limits[k]:
                     went_up[k] += 1
                     k += 1
-    except IndexError:
-        # An up step past n/2 leaves the kernel's states.
+    except (IndexError, TypeError):
+        # An up step past n/2 leaves the kernel's states; None marks a
+        # state the kernel stores no row for.
         raise _missing_row(n, k) from None
     counts = {}
     visits = [paths]

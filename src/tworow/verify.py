@@ -16,13 +16,12 @@ it is checked against live here, private to this module:
   coefficients, against which every closed norm a vector carries is checked;
 - ``forms.psi``: the lift term by term, one index tuple per l-subset of a
   monomial's complement, against which every lifted basis vector is checked;
-- ``_projection_table``: spectral tables read off the cached full basis;
+- ``_projection_table``: the spectral table of any nonzero form, read off
+  the cached full basis;
 - ``_transposition_matrix_in_basis``: adjacent-transposition matrices by
   projecting each permuted basis vector back onto the basis;
 - ``_central_transition_oracle``: the central kernel as ratios of shape
   weights between consecutive levels;
-- ``_negative_control_tables``: a coherent, non-Markov pair of tables that
-  the shape-dependence test must reject;
 - ``linalg.harmonic_dim``: harmonic dimensions by exact rank.
 """
 
@@ -126,17 +125,16 @@ def _is_yjm_eigenform(
     return True
 
 
-def _projection_table(prefix: BitPrefix, level: int) -> SpectralTable:
-    """The spectral table read off the full basis: each vector's
-    coefficient on the sequence's monomial, squared, over its norm."""
-    m = prefix.ones(level)
-    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
+def _projection_table(g: SquareFreeForm) -> SpectralTable:
+    """The spectral table of a nonzero form g read off the full basis of its
+    level and degree: each vector v_u weighs <g, v_u>^2 / (|v_u|^2 |g|^2)."""
+    g_sq = inner(g, g)
     probs: dict[TwoRowTableau, Fraction] = {}
-    for vec in full_gz_basis(level, m):
-        c = vec.form.coeffs.get(key)
+    for vec in full_gz_basis(g.n, g.k):
+        c = inner(g, vec.form)
         if c:
-            probs[vec.tableau] = Fraction(c * c, vec.norm_sq)
-    return SpectralTable(level, probs)
+            probs[vec.tableau] = Fraction(c * c, vec.norm_sq * g_sq)
+    return SpectralTable(g.n, probs)
 
 
 def _transposition_matrix_in_basis(
@@ -175,31 +173,6 @@ def _central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
     else:
         up = Fraction(0)
     return stay, up
-
-
-def _negative_control_tables() -> tuple[SpectralTable, SpectralTable]:
-    """A coherent but non-Markov pair of tables, for exercising detectors.
-
-    The level-4 table refines the level-3 one exactly, yet the two level-3
-    tableaux of shape (2, 1) step up with different conditional weights.
-    """
-    t3 = SpectralTable(
-        3,
-        {
-            TwoRowTableau(3, ()): Fraction(1, 2),
-            TwoRowTableau(3, (2,)): Fraction(1, 4),
-            TwoRowTableau(3, (3,)): Fraction(1, 4),
-        },
-    )
-    t4 = SpectralTable(
-        4,
-        {
-            TwoRowTableau(4, ()): Fraction(1, 2),
-            TwoRowTableau(4, (2,)): Fraction(1, 4),
-            TwoRowTableau(4, (3, 4)): Fraction(1, 4),
-        },
-    )
-    return t3, t4
 
 
 def check_basis(n_max: int) -> list[CheckResult]:
@@ -362,7 +335,8 @@ def check_spectral(n_max: int) -> list[CheckResult]:
         for prefix in _valid_prefixes(length):
             prefixes += 1
             left = tables[prefix.bits] = spectral_measure(prefix)
-            if left != _projection_table(prefix, length):
+            key = tuple(t for t, b in enumerate(prefix.bits, start=1) if b)
+            if left != _projection_table(SquareFreeForm(length, len(key), {key: 1})):
                 table_fail.append(f"xi={prefix} (basis projection)")
                 continue
             if left != path_product_table(prefix):
@@ -491,11 +465,12 @@ def check_parity(n_max: int) -> list[CheckResult]:
                 label = "even level, central row"
             if (entry.p_stay, entry.p_up) != expect:
                 failures.append(f"{label} fails at n={n} k={k}")
+    shallow = spectral_measure(prefix, 1)
     for n in range(1, n_max):
-        shallow = spectral_measure(prefix, n)
         deeper = spectral_measure(prefix, n + 1)
         if not kernel_matches(shallow, deeper, kernel):
             failures.append(f"projection disagrees with kernel at n={n}")
+        shallow = deeper
     return [
         _result(
             "alternating-parity",
@@ -509,16 +484,19 @@ def check_parity(n_max: int) -> list[CheckResult]:
 
 def check_markov_detector() -> list[CheckResult]:
     """The shape-dependence test accepts the real chains and rejects the
-    built-in corrupted pair."""
+    table of the form x1 x2 + x1 x4 against its own restriction."""
     failures: list[str] = []
     prefix = BitPrefix.from_string("010010")
+    shallow = spectral_measure(prefix, 1)
     for n in range(1, 6):
-        if not is_markov(spectral_measure(prefix, n), spectral_measure(prefix, n + 1)).ok:
+        deeper = spectral_measure(prefix, n + 1)
+        if not is_markov(shallow, deeper).ok:
             failures.append(f"spectral pair rejected at n={n}")
+        shallow = deeper
     if not is_markov(central_table(5), central_table(6)).ok:
         failures.append("central pair rejected")
-    bad = _negative_control_tables()
-    report = is_markov(*bad)
+    bad = _projection_table(SquareFreeForm(4, 2, {(1, 2): 1, (1, 4): 1}))
+    report = is_markov(bad.restricted(), bad)
     if report.ok:
         failures.append("corrupted pair accepted")
     elif not report.violations:

@@ -558,8 +558,9 @@ def test_cli_loads_every_traced_layer(tmp_path):
     """The benchmark's traced runs look up each layer of ``LAYERS`` in
     ``perfbench/spans.py`` as a loaded ``tworow.<layer>`` module; importing
     the CLI must load them all.  A traced name the module lacks silently
-    reads 0 calls, so the only one allowed is the transposition-matrix
-    oracle, which now lives in ``verify``."""
+    reads 0 calls, so the only ones allowed, in ``TRACED`` order, are
+    ``yjm_apply``, whose work ``verify`` does through ``gz.yjm_rows``, and
+    the transposition-matrix oracle, which now lives in ``verify``."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     probe = (
@@ -579,7 +580,7 @@ def test_cli_loads_every_traced_layer(tmp_path):
     loaded = dict(loaded)
     assert len(loaded) == 8
     assert all(loaded.values()), loaded
-    assert missing == ["gz.transposition_matrix_in_basis"]
+    assert missing == ["gz.yjm_apply", "gz.transposition_matrix_in_basis"]
 
 
 def test_installed_entry_point():

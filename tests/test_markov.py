@@ -1,16 +1,19 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tworow.forms import SquareFreeForm
 from tworow.gz import full_gz_basis
 from tworow.markov import (
     BitPrefix,
     KernelEntry,
     SpectralTable,
     TransitionKernel,
+    _threshold_table,
     _up_threshold,
     central_alpha_transition,
     central_kernel,
@@ -38,7 +41,7 @@ from tworow.ygraph import (
 )
 from tworow.verify import (
     _central_transition_oracle,
-    _negative_control_tables,
+    _projection_table,
     _valid_prefixes,
 )
 
@@ -406,15 +409,42 @@ def test_measure_steps_are_markov(p):
 
 
 def test_detector_rejects_negative_control():
-    t3, t4 = _negative_control_tables()
-    report = is_markov(t3, t4)
+    """The table of x1 x2 + x1 x4 fails against its own restriction: the
+    level-3 tableaux with second rows (2,) and (3,) share a shape but
+    split their mass differently."""
+    t4 = _projection_table(SquareFreeForm(4, 2, {(1, 2): 1, (1, 4): 1}))
+    report = is_markov(t4.restricted(), t4)
     assert not report.ok
-    assert len(report.violations) >= 1
-    v = report.violations[0]
-    assert v.first.shape == v.second.shape
-    assert v.first_ratio != v.second_ratio
-    rows = {v.first.second_row, v.second.second_row}
-    assert rows == {(2,), (3,)}
+    got = [
+        (v.first.second_row, v.second.second_row, v.up, v.first_ratio, v.second_ratio)
+        for v in report.violations
+    ]
+    assert got == [
+        ((2,), (3,), False, Fraction(1, 2), Fraction(9, 10)),
+        ((2,), (3,), True, Fraction(1, 2), Fraction(1, 10)),
+    ]
+
+
+@pytest.mark.parametrize("n,rejected,steps", [(3, 0, 6), (4, 6, 27), (5, 24, 110)])
+def test_two_monomial_forms_are_markov_per_step_not_per_level(n, rejected, steps):
+    """Over every x_I + x_J with distinct m-subsets I, J and 2m <= n: the
+    table need not be Markov against its own restriction, yet multiplying
+    the form by x_{n+1}^bit always takes one step of the induced kernel,
+    as the split of each basis vector depends only on (n, k, m, bit)."""
+    rejects = 0
+    step_pairs = []
+    for m in range(n // 2 + 1):
+        for a, b in combinations(combinations(range(1, n + 1), m), 2):
+            table = _projection_table(SquareFreeForm(n, m, {a: 1, b: 1}))
+            rejects += not is_markov(table.restricted(), table).ok
+            for bit in (0, 1):
+                if 2 * (m + bit) <= n + 1:
+                    tail = (n + 1,) * bit
+                    h = SquareFreeForm(n + 1, m + bit, {a + tail: 1, b + tail: 1})
+                    step_pairs.append(is_markov(table, _projection_table(h)))
+    assert rejects == rejected
+    assert len(step_pairs) == steps
+    assert all(r.ok and r.violations == () for r in step_pairs)
 
 
 def test_detector_validates_inputs():
@@ -542,6 +572,24 @@ def test_up_threshold_endpoints():
     assert _up_threshold(Fraction(1)) == 2**64
     assert _up_threshold(Fraction(1, 2)) == 2**63
     assert _up_threshold(Fraction(1, 3)) == 2**64 // 3 + 1
+
+
+@pytest.mark.parametrize(
+    "kernel,gaps",
+    [
+        (central_kernel(64), False),
+        (kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4)), True),
+    ],
+)
+def test_threshold_table_holds_every_stored_row_and_none_elsewhere(kernel, gaps):
+    table = _threshold_table(kernel, 64)
+    assert len(table) == 63
+    for n, row in enumerate(table, start=1):
+        assert len(row) == n // 2 + 1
+        for k, limit in enumerate(row):
+            entry = kernel.entries.get((n, k))
+            assert limit == (None if entry is None else _up_threshold(entry.p_up))
+    assert any(None in row for row in table) == gaps
 
 
 def _reference_walks(kernel, depth, paths, seed):
