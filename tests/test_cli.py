@@ -263,7 +263,9 @@ def test_sample_depth_64_golden_bytes(capsys, tmp_path, flags, digest):
 
 
 # sha256 of the measure stdout as the basis-projection route wrote it:
-# sparse level 16, dense level 10 with m = 5, and alternating level 12.
+# sparse level 16, dense level 10 with m = 5, and alternating level 12; the
+# two dense level-16 rows (alternating and 0011...) as the per-tableau
+# rook-count sum wrote them.
 GOLDEN_MEASURES = [
     ("0100100000000000", "json", "198a1a2a3dff2f9dd794e386b13505a79218301f7445510cd7a1edf459797122"),
     ("0100100000000000", "csv", "3533b33a970ea85948bcee9b440787b4f76c29ee32512c0d9b7f26343e70f775"),
@@ -271,6 +273,10 @@ GOLDEN_MEASURES = [
     ("0010110101", "csv", "0150d1d9cb59a9f0fb796639c16c3c4d09d061035249190687cec08736818e1c"),
     ("010101010101", "json", "f72cfaf319d5d918eaae700a72b9963fd629d269426bc24e95a5a6c4bbf855bb"),
     ("010101010101", "csv", "86eeee88f5b14683eab23e02892e5a89316a7816f07015aa820261d0460dcd7c"),
+    ("0101010101010101", "json", "cddf67fdfeb17f5b52da23f5f264e54dbc7332220be3513470c14032e6d4b6d0"),
+    ("0101010101010101", "csv", "239a825406e290c475aa598107892a0c7a68ac4e592c7eb5c13b80bd1d02bdd0"),
+    ("0011001100110011", "json", "afb00de1a74056a0da0598b00081a354a1eb6ea3663d264242d716cc28db8e7d"),
+    ("0011001100110011", "csv", "82dc7ef4f29ed5adf0a4595384be87e9e0468c6868b61ee5a96dcd485b70d62d"),
 ]
 
 
