@@ -25,8 +25,10 @@ number of entries available below it minus those already placed, and the
 count is 0 once a factor is not positive (``_rook_term``).  At m = k the sum
 has the single term S = I, so the term of S is the coefficient of x_S in
 h_u itself: ``gz_harmonic`` takes one such term per k-subset and never
-expands the products of differences.  ``gz_coefficient`` sums the terms
-for one monomial of a lifted vector.
+expands the products of differences.  The factor of p_j depends on S only
+through the number of entries of S below p_j and whether p_j lies in S, so
+``markov.spectral_measure`` sums the terms of one monomial for every
+tableau at once, in one scan over the entries 1, .., n.
 
 So the lifted vector sums h_u over the k-subsets of each m-subset, and that
 index structure depends only on (n, m, k), not on u.  ``_lift_table``
@@ -55,7 +57,7 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .forms import Key, SquareFreeForm, _index
+from .forms import Key, SquareFreeForm
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -134,20 +136,6 @@ def _lift(u: TwoRowTableau, m: int, table: LiftTable | None) -> GzVector:
         coeffs = {key: sum(gather(dense)) for key, gather in rows}
         form = SquareFreeForm._trusted(u.n, m, coeffs)
     return GzVector(u, form, closed_norm_sq_in_H(u, m))
-
-
-def gz_coefficient(u: TwoRowTableau, key: Key) -> int:
-    """The coefficient of x_key in psi(h_u, m - k), m = len(key), by the
-    closed rook-count sum in the module docstring.  Every index must be an
-    ``int``, as in ``forms._index``."""
-    n, ps = u.n, u.second_row
-    k = len(ps)
-    key = tuple(map(_index, key))
-    if list(key) != sorted(set(key)) or not all(1 <= i <= n for i in key):
-        raise ValueError(f"key must increase within 1..{n}, got {key}")
-    if len(key) < k:
-        raise ValueError(f"degree {len(key)} is below the tableau's second row {k}")
-    return sum(_rook_term(ps, sub) for sub in combinations(key, k))
 
 
 def _rook_term(ps: tuple[int, ...], sub: Key) -> int:

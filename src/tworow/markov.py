@@ -9,6 +9,14 @@ the walk staying at second-row length k or moving up depends only on
 (n, k, m(n)) and the next direction bit, through the closed kernel in
 ``induced_transition``.
 
+Both routes to a table walk the tree of tableau prefixes once in integers
+and make one ``Fraction`` per tableau: ``spectral_measure`` carries the
+partial rook-count sums of ``gz``'s closed coefficients and the closed
+norm, and ``path_product_table`` the product of the kernel's rows.  Step
+ratios compare by cross-multiplying integers.  Tables and tableaux that
+the module builds itself skip validation (``_trusted``), but every table
+still checks that its mass is exactly 1.
+
 The same machinery covers the exchangeable central measure with two equal
 frequencies, whose kernel is level-homogeneous, and exact-arithmetic
 samplers for both walks.
@@ -18,11 +26,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, NamedTuple
 
 from .forms import _index, _scalar
-from .gz import closed_norm_sq_in_H, gz_coefficient
 from .ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
@@ -109,6 +116,21 @@ class SpectralTable:
         self.level = level
         self.probs = clean
 
+    @classmethod
+    def _trusted(cls, level: int, probs: dict[TwoRowTableau, Fraction]) -> SpectralTable:
+        """Build from positive ``Fraction`` weights on tableaux already known
+        to live at ``level``, without validating them and keeping the dict.
+        The mass must still be exactly 1: the numerators, each brought to
+        the lcm of the denominators, must sum to that lcm."""
+        common = lcm(*(p.denominator for p in probs.values()))
+        total = sum(p.numerator * (common // p.denominator) for p in probs.values())
+        if total != common:
+            raise ValueError(f"probabilities sum to {Fraction(total, common)}, not 1")
+        table = object.__new__(cls)
+        table.level = level
+        table.probs = probs
+        return table
+
     def prob(self, u: TwoRowTableau) -> Fraction:
         return self.probs.get(u, Fraction(0))
 
@@ -128,8 +150,8 @@ class SpectralTable:
         out: dict[TwoRowTableau, Fraction] = {}
         for u, p in self.probs.items():
             v = u.restricted()
-            out[v] = out.get(v, Fraction(0)) + p
-        return SpectralTable(self.level - 1, out)
+            out[v] = out.get(v, 0) + p
+        return SpectralTable._trusted(self.level - 1, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralTable):
@@ -247,51 +269,103 @@ def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> Transitio
     return TransitionKernel(depth, entries)
 
 
+def _norm_factor(p: int, j: int) -> int:
+    """The factor (p - 2j - 1)(p - 2j) that a second-row entry p with j
+    smaller entries contributes to the closed squared norm of h_u, as in
+    ``gz.closed_harmonic_norm_sq``."""
+    return (p - 2 * j - 1) * (p - 2 * j)
+
+
 def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
-    """Project the direction sequence's monomial onto the basis: the weight
-    of tableau u is the squared coefficient over the squared norm.  Each
-    coefficient comes from the closed rook-count sum, so no basis vector
-    is built."""
+    """Project the direction sequence's monomial x_I onto the basis: the
+    weight of tableau u is the squared coefficient c_u over the closed
+    squared norm of u's vector.  No basis vector is built.
+
+    c_u is the closed rook-count sum of ``gz`` over the k-subsets S of I,
+    and each of its terms factorises along the entries 1, 2, .. in order.
+    So one depth-first scan over tableau prefixes carries, for each count
+    b of S-entries placed so far, the signed sum of the partial terms, and
+    the running norm.  Entry t + 1 in the first row keeps the sums, or, if
+    it lies in I, also lets b grow: new[b] += v[b], new[b + 1] += v[b].
+    Entry t + 1 = p_{j+1} in the second row adds v[b] (b - j) to new[b],
+    and, if it lies in I, subtracts v[b] (t - j - b) from new[b + 1]; a
+    factor below 1 adds nothing.  A prefix whose sums are all zero has no
+    tableau of positive weight below it.  At a leaf with k second-row
+    entries, c_u is the sum at b = k."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):
         raise ValueError(f"level must lie in 1..{len(prefix)}, got {level}")
+    bits = prefix.bits
     m = prefix.ones(level)
-    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
+    # k <= m, as S is a k-subset of I, and b never falls, so sums past the
+    # largest k cannot reach a leaf.
+    width = min(m, level // 2) + 1
+    # The psi isometry constant of each k, as in ``gz.closed_norm_sq_in_H``.
+    lift = [comb(level - 2 * k, m - k) for k in range(width)]
     probs: dict[TwoRowTableau, Fraction] = {}
-    for k in range(m + 1):
-        for u in enumerate_tableaux(TwoRowDiagram(level, k)):
-            c = gz_coefficient(u, key)
+    stack: list[tuple[int, tuple[int, ...], list[int], int]] = [
+        (0, (), [1] + [0] * (width - 1), 1)
+    ]
+    while stack:
+        t, second, v, norm = stack.pop()
+        j = len(second)
+        if t == level:
+            c = v[j]
             if c:
-                probs[u] = Fraction(c * c, closed_norm_sq_in_H(u, m))
-    return SpectralTable(level, probs)
+                probs[TwoRowTableau._trusted(level, second)] = Fraction(
+                    c * c, norm * lift[j]
+                )
+            continue
+        in_i = bits[t]
+        stay = [x + y for x, y in zip(v, [0, *v])] if in_i else v
+        if any(stay):
+            stack.append((t + 1, second, stay, norm))
+        if 2 * (j + 1) > t + 1 or j + 1 >= width:
+            continue
+        up = [0] * width
+        for b in range(j + 1, width):
+            up[b] = v[b] * (b - j)
+        if in_i:
+            for b in range(min(t - j, width - 1)):
+                up[b + 1] -= v[b] * (t - j - b)
+        if any(up):
+            stack.append((t + 1, second + (t + 1,), up, norm * _norm_factor(t + 1, j)))
+    return SpectralTable._trusted(level, probs)
 
 
 def path_product_table(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
     """The same table from the closed kernel: each tableau's weight is the
     product of stay/up probabilities along its path.  Only paths through
     stored rows and nonzero steps are walked; every other tableau has
-    weight 0."""
+    weight 0.  Each path carries an integer numerator and denominator, and
+    each leaf makes one ``Fraction``."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):
         raise ValueError(f"level must lie in 1..{len(prefix)}, got {level}")
-    rows = kernel_from_prefix(prefix, level).entries
+    # A row's two probabilities share their denominator (``KernelEntry``).
+    rows = {
+        key: (entry.p_stay.numerator, entry.p_up.numerator, entry.p_stay.denominator)
+        for key, entry in kernel_from_prefix(prefix, level).entries.items()
+    }
     probs: dict[TwoRowTableau, Fraction] = {}
-    stack: list[tuple[int, int, tuple[int, ...], Fraction]] = [(1, 0, (), Fraction(1))]
+    stack: list[tuple[int, int, tuple[int, ...], int, int]] = [(1, 0, (), 1, 1)]
     while stack:
-        t, k, second, p = stack.pop()
+        t, k, second, num, den = stack.pop()
         if t == level:
-            probs[TwoRowTableau(level, second)] = p
+            probs[TwoRowTableau._trusted(level, second)] = Fraction(num, den)
             continue
-        entry = rows.get((t, k))
-        if entry is None:
+        row = rows.get((t, k))
+        if row is None:
             continue
-        if entry.p_stay:
-            stack.append((t + 1, k, second, p * entry.p_stay))
-        if entry.p_up:
-            stack.append((t + 1, k + 1, second + (t + 1,), p * entry.p_up))
-    return SpectralTable(level, probs)
+        stay, up, d = row
+        den *= d
+        if stay:
+            stack.append((t + 1, k, second, num * stay, den))
+        if up:
+            stack.append((t + 1, k + 1, second + (t + 1,), num * up, den))
+    return SpectralTable._trusted(level, probs)
 
 
 class MarkovViolation(NamedTuple):
@@ -309,10 +383,17 @@ class MarkovReport(NamedTuple):
     violations: tuple[MarkovViolation, ...]
 
 
-def _step_ratio(table: SpectralTable, deeper: SpectralTable, u: TwoRowTableau, up: bool) -> Fraction:
+def _step_ratio(
+    table: SpectralTable, deeper: SpectralTable, u: TwoRowTableau, up: bool
+) -> tuple[int, int]:
+    """deeper.prob(u.extended(up)) / table.prob(u) for u in the support of
+    ``table``, as an unreduced numerator and a positive denominator; an up
+    step past n/2 has ratio 0.  Two ratios compare by cross-multiplying."""
     if up and 2 * (len(u.second_row) + 1) > u.n + 1:
-        return Fraction(0)
-    return deeper.prob(u.extended(up)) / table.prob(u)
+        return 0, 1
+    p = table.probs[u]
+    q = deeper.probs.get(u.extended(up), 0)
+    return q.numerator * p.denominator, q.denominator * p.numerator
 
 
 def is_markov(table: SpectralTable, deeper: SpectralTable) -> MarkovReport:
@@ -334,12 +415,14 @@ def is_markov(table: SpectralTable, deeper: SpectralTable) -> MarkovReport:
     for _, group in sorted(by_shape.items()):
         lead = group[0]
         for up in (False, True):
-            lead_ratio = _step_ratio(table, deeper, lead, up)
+            lead_num, lead_den = _step_ratio(table, deeper, lead, up)
             for u in group[1:]:
-                ratio = _step_ratio(table, deeper, u, up)
-                if ratio != lead_ratio:
+                num, den = _step_ratio(table, deeper, u, up)
+                if num * lead_den != lead_num * den:
                     violations.append(
-                        MarkovViolation(lead, u, up, lead_ratio, ratio)
+                        MarkovViolation(
+                            lead, u, up, Fraction(lead_num, lead_den), Fraction(num, den)
+                        )
                     )
     return MarkovReport(not violations, tuple(violations))
 
@@ -348,12 +431,12 @@ def kernel_matches(
     table: SpectralTable, deeper: SpectralTable, kernel: TransitionKernel
 ) -> bool:
     """Check that the observed step ratios equal the kernel's rows exactly."""
-    for u, p in table.items():
+    for u in table.support():
         entry = kernel.transition(table.level, len(u.second_row))
-        if _step_ratio(table, deeper, u, False) != entry.p_stay:
-            return False
-        if _step_ratio(table, deeper, u, True) != entry.p_up:
-            return False
+        for up, want in ((False, entry.p_stay), (True, entry.p_up)):
+            num, den = _step_ratio(table, deeper, u, up)
+            if num * want.denominator != want.numerator * den:
+                return False
     return True
 
 
@@ -394,7 +477,7 @@ def central_table(level: int) -> SpectralTable:
         w = central_shape_weight(d)
         for u in enumerate_tableaux(d):
             probs[u] = w
-    return SpectralTable(level, probs)
+    return SpectralTable._trusted(level, probs)
 
 
 def central_alpha_transition(n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -472,9 +555,24 @@ def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) 
 
     ``rng`` is a Random instance or an integer seed.  Each step consumes
     exactly 64 bits, so traces are reproducible byte for byte under a
-    fixed seed.
+    fixed seed.  The walk is the first of ``sample_paths`` with the same
+    arguments, but only the rows it visits get an up threshold.
     """
-    return next(sample_paths(kernel, depth, 1, rng))
+    rng = _as_rng(rng)
+    _check_walks(kernel, depth, 1)
+    getrandbits = rng.getrandbits
+    entries = kernel.entries
+    ks = [0]
+    k = 0
+    for n in range(1, depth):
+        r = getrandbits(64)
+        entry = entries.get((n, k))
+        if entry is None:
+            raise _missing_row(n, k)
+        if r < _up_threshold(entry.p_up):
+            k += 1
+        ks.append(k)
+    return ks
 
 
 def sample_paths(

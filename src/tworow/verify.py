@@ -134,7 +134,7 @@ def _projection_table(g: SquareFreeForm) -> SpectralTable:
         c = inner(g, vec.form)
         if c:
             probs[vec.tableau] = Fraction(c * c, vec.norm_sq * g_sq)
-    return SpectralTable(g.n, probs)
+    return SpectralTable._trusted(g.n, probs)
 
 
 def _transposition_matrix_in_basis(

@@ -148,6 +148,16 @@ class TwoRowTableau:
         self.n = n
         self.second_row = ps
 
+    @classmethod
+    def _trusted(cls, n: int, second_row: tuple[int, ...]) -> TwoRowTableau:
+        """Build from a tuple already known to be a standard second row for
+        n cells, without validation; the package's own enumerations and
+        steps build their tableaux through this."""
+        u = object.__new__(cls)
+        u.n = n
+        u.second_row = second_row
+        return u
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -182,14 +192,18 @@ class TwoRowTableau:
         if self.n == 0:
             raise ValueError("cannot restrict the empty tableau")
         if self.second_row and self.second_row[-1] == self.n:
-            return TwoRowTableau(self.n - 1, self.second_row[:-1])
-        return TwoRowTableau(self.n - 1, self.second_row)
+            return TwoRowTableau._trusted(self.n - 1, self.second_row[:-1])
+        return TwoRowTableau._trusted(self.n - 1, self.second_row)
 
     def extended(self, up: bool) -> TwoRowTableau:
-        """Append entry n + 1 to the second row (up) or the first row."""
+        """Append entry n + 1 to the second row (up) or the first row; an up
+        step that would make the second row longer than the first raises."""
         if up:
-            return TwoRowTableau(self.n + 1, self.second_row + (self.n + 1,))
-        return TwoRowTableau(self.n + 1, self.second_row)
+            ps = self.second_row + (self.n + 1,)
+            if 2 * len(ps) > self.n + 1:
+                raise ValueError(f"second row too long for {self.n + 1} cells: {ps}")
+            return TwoRowTableau._trusted(self.n + 1, ps)
+        return TwoRowTableau._trusted(self.n + 1, self.second_row)
 
 
 def enumerate_tableaux(d: TwoRowDiagram) -> list[TwoRowTableau]:
@@ -197,7 +211,7 @@ def enumerate_tableaux(d: TwoRowDiagram) -> list[TwoRowTableau]:
     out = []
     for ps in combinations(range(1, d.n + 1), d.k):
         if all(p >= 2 * j for j, p in enumerate(ps, start=1)):
-            out.append(TwoRowTableau(d.n, ps))
+            out.append(TwoRowTableau._trusted(d.n, ps))
     return out
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tworow import cli, gz, verify
+from tworow import cli, gz, markov, verify
 from tworow.cli import main
 
 
@@ -340,6 +340,16 @@ def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
     assert "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion" in out
     assert "FAIL spectral: raised " in out
     assert out.endswith(" failures\n") and not out.endswith(" 0 failures\n")
+
+
+def test_verify_fails_on_a_corrupted_scan_norm(capsys, monkeypatch):
+    norm = markov._norm_factor
+    monkeypatch.setattr(markov, "_norm_factor", lambda p, j: norm(p, j) + 1)
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "PASS decompose-step: " in out
+    assert "FAIL spectral: raised probabilities sum to 5/6, not 1" in out
+    assert out.endswith("4 checks, 3 failures\n")
 
 
 @pytest.mark.usefixtures("fresh_basis_cache")

@@ -22,7 +22,6 @@ from tworow.gz import (
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
     full_gz_basis,
-    gz_coefficient,
     gz_harmonic,
     gz_in_H,
     iter_basis,
@@ -211,42 +210,6 @@ def test_gz_harmonic_equals_expansion():
         for d in enumerate_diagrams(n):
             for u in enumerate_tableaux(d):
                 assert gz_harmonic(u).form == _expanded_harmonic(u), u
-
-
-def test_gz_coefficient_equals_expansion():
-    """Every coefficient of every lifted vector with n <= 8, and the zeros
-    off its support, against the psi lift of the index-tuple expansion."""
-    for n in range(0, 9):
-        for d in enumerate_diagrams(n):
-            for u in enumerate_tableaux(d):
-                expanded = _expanded_harmonic(u)
-                for m in range(d.k, n // 2 + 1):
-                    coeffs = psi(expanded, m - d.k).coeffs
-                    for key in combinations(range(1, n + 1), m):
-                        assert gz_coefficient(u, key) == coeffs.get(key, 0), (u, key)
-
-
-def test_gz_coefficient_known_values():
-    # h_(3,4) at n = 4 is (x1 - x3)(x2 - x4) + (x2 - x3)(x1 - x4)
-    u = TwoRowTableau(4, (3, 4))
-    assert gz_coefficient(u, (1, 2)) == 2
-    assert gz_coefficient(u, (3, 4)) == 2
-    assert gz_coefficient(u, (1, 3)) == -1
-    assert gz_coefficient(TwoRowTableau(3, ()), ()) == 1
-    assert gz_coefficient(TwoRowTableau(5, (2,)), (1, 2)) == 0
-
-
-def test_gz_coefficient_validation():
-    u = TwoRowTableau(4, (2, 4))
-    for key in [(1,), (2, 1), (1, 1), (0, 2), (1, 5)]:
-        with pytest.raises(ValueError):
-            gz_coefficient(u, key)
-
-
-@pytest.mark.parametrize("key", [(1.0, 2.0), (1, 2.0), ("1", 2), (True, 2)])
-def test_gz_coefficient_takes_only_integer_indices(key):
-    with pytest.raises(TypeError):
-        gz_coefficient(TwoRowTableau(4, (2,)), key)
 
 
 def test_closed_norms_are_int():

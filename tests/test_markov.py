@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tworow.forms import SquareFreeForm
-from tworow.gz import full_gz_basis
+from tworow import markov
+from tworow.forms import SquareFreeForm, psi
+from tworow.gz import _rook_term, closed_norm_sq_in_H, full_gz_basis
 from tworow.markov import (
     BitPrefix,
     KernelEntry,
@@ -38,9 +39,11 @@ from tworow.ygraph import (
     dim,
     enumerate_all_tableaux,
     enumerate_diagrams,
+    enumerate_tableaux,
 )
 from tworow.verify import (
     _central_transition_oracle,
+    _expanded_harmonic,
     _projection_table,
     _valid_prefixes,
 )
@@ -263,6 +266,20 @@ def test_table_takes_only_exact_rationals(bad):
     assert SpectralTable(1, {u: True}).prob(u) == SpectralTable(1, {u: 1}).prob(u) == 1
 
 
+def test_trusted_table_checks_its_mass():
+    half = Fraction(1, 2)
+    table = SpectralTable._trusted(2, {TwoRowTableau(2, ()): half, TwoRowTableau(2, (2,)): half})
+    assert table == SpectralTable(2, table.probs)
+    with pytest.raises(ValueError, match=r"probabilities sum to 1/2, not 1"):
+        SpectralTable._trusted(2, {TwoRowTableau(2, ()): half})
+    with pytest.raises(ValueError, match=r"probabilities sum to 7/6, not 1"):
+        SpectralTable._trusted(
+            2, {TwoRowTableau(2, ()): half, TwoRowTableau(2, (2,)): Fraction(2, 3)}
+        )
+    with pytest.raises(ValueError, match=r"probabilities sum to 0, not 1"):
+        SpectralTable._trusted(2, {})
+
+
 def test_table_drops_zero_entries():
     t = SpectralTable(
         2, {TwoRowTableau(2, ()): Fraction(1), TwoRowTableau(2, (2,)): Fraction(0)}
@@ -358,6 +375,70 @@ def _enumerated_path_products(prefix):
 def test_measure_equals_basis_projection():
     for prefix in _all_prefixes(9):
         assert spectral_measure(prefix) == _basis_projection(prefix), str(prefix)
+
+
+def gz_coefficient(u, key):
+    """The coefficient of x_key in psi(h_u, m - k), m = len(key), as one
+    closed rook-count sum per tableau: the reference for the prefix scan
+    of ``spectral_measure``."""
+    ps = u.second_row
+    return sum(_rook_term(ps, sub) for sub in combinations(key, len(ps)))
+
+
+def test_gz_coefficient_equals_expansion():
+    """Every coefficient of every lifted vector with n <= 8, and the zeros
+    off its support, against the psi lift of the index-tuple expansion."""
+    for n in range(0, 9):
+        for d in enumerate_diagrams(n):
+            for u in enumerate_tableaux(d):
+                expanded = _expanded_harmonic(u)
+                for m in range(d.k, n // 2 + 1):
+                    coeffs = psi(expanded, m - d.k).coeffs
+                    for key in combinations(range(1, n + 1), m):
+                        assert gz_coefficient(u, key) == coeffs.get(key, 0), (u, key)
+
+
+def test_gz_coefficient_known_values():
+    # h_(3,4) at n = 4 is (x1 - x3)(x2 - x4) + (x2 - x3)(x1 - x4)
+    u = TwoRowTableau(4, (3, 4))
+    assert gz_coefficient(u, (1, 2)) == 2
+    assert gz_coefficient(u, (3, 4)) == 2
+    assert gz_coefficient(u, (1, 3)) == -1
+    assert gz_coefficient(TwoRowTableau(3, ()), ()) == 1
+    assert gz_coefficient(TwoRowTableau(5, (2,)), (1, 2)) == 0
+
+
+def _rook_sum_table(prefix):
+    """The spectral table with one rook sum per tableau: c_u^2 over the
+    closed squared norm of u's vector."""
+    level = len(prefix)
+    key = tuple(t for t in range(1, level + 1) if prefix.bits[t - 1])
+    m = len(key)
+    probs = {}
+    for k in range(m + 1):
+        for u in enumerate_tableaux(TwoRowDiagram(level, k)):
+            c = gz_coefficient(u, key)
+            if c:
+                probs[u] = Fraction(c * c, closed_norm_sq_in_H(u, m))
+    return SpectralTable(level, probs)
+
+
+def _seeded_prefix(length, seed):
+    """A direction sequence drawn bit by bit, a one wherever the ballot
+    condition allows it and a fair coin says so."""
+    rng = random.Random(seed)
+    bits = []
+    for t in range(1, length + 1):
+        bits.append(rng.randrange(2) if 2 * (sum(bits) + 1) <= t else 0)
+    return BitPrefix(tuple(bits))
+
+
+def test_measure_equals_rook_sums():
+    """The prefix scan against one rook sum per tableau: every valid
+    sequence up to level 10, and seeded ones at levels 11 to 16."""
+    deep = [_seeded_prefix(length, seed) for length in range(11, 17) for seed in (0, 1)]
+    for prefix in _all_prefixes(10) + deep:
+        assert spectral_measure(prefix) == _rook_sum_table(prefix), str(prefix)
 
 
 def test_path_products_equal_enumeration():
@@ -730,6 +811,37 @@ def test_sample_path_is_seed_deterministic():
     b = sample_path(kern, 12, random.Random(99))
     c = sample_path(kern, 12, 99)
     assert a == b == c
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [central_kernel(64), kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4))],
+)
+def test_sample_path_is_the_first_stream_walk_and_thresholds_only_its_rows(
+    kernel, monkeypatch
+):
+    computed = []
+
+    def counted(p):
+        computed.append(p)
+        return _up_threshold(p)
+
+    monkeypatch.setattr(markov, "_up_threshold", counted)
+    for seed in range(5):
+        computed.clear()
+        walk = sample_path(kernel, 64, seed)
+        assert len(computed) <= 63
+        rng = random.Random(seed)
+        assert sample_path(kernel, 64, rng) == walk
+        assert rng.getstate() == _drawn(63, seed).getstate()
+        assert next(sample_paths(kernel, 64, 1, seed)) == walk
+
+
+def _drawn(steps, seed):
+    rng = random.Random(seed)
+    for _ in range(steps):
+        rng.getrandbits(64)
+    return rng
 
 
 def test_sample_path_steps_are_valid():

@@ -243,3 +243,14 @@ def test_good_tableau():
     assert good_tableau(5, 0).second_row == ()
     with pytest.raises(ValueError):
         good_tableau(3, 2)
+
+
+def test_trusted_tableau_equals_and_hashes_like_checked():
+    """Every enumerated second row passes the checked constructor, and the
+    trusted tableau is indistinguishable from the checked one."""
+    for n in range(0, 9):
+        for u in enumerate_all_tableaux(n):
+            checked = TwoRowTableau(n, u.second_row)
+            t = TwoRowTableau._trusted(n, u.second_row)
+            assert t == checked and hash(t) == hash(checked) and repr(t) == repr(checked)
+    assert TwoRowTableau._trusted(4, (2,)) != TwoRowTableau(4, (2, 4))
