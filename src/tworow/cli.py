@@ -41,7 +41,7 @@ from .verify import run_scope
 
 MAX_BASIS_LEVEL = 16
 # C(14, 4).  The slowest export it admits, n = 12, m = 6, writes 102 MB of
-# JSON in about 1.4 s on a 2-vCPU VM; C(14, 7) would be about 1.4 GB.
+# JSON in 1.4-1.65 s on a 2-vCPU VM; C(14, 7) would be about 1.4 GB.
 MAX_BASIS_VECTORS = 1001
 MAX_SAMPLE_DEPTH = 64
 

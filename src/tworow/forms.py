@@ -91,13 +91,17 @@ class SquareFreeForm:
         self.coeffs = clean
 
     @classmethod
-    def _trusted(cls, n: int, k: int, coeffs: Mapping[Key, Scalar]) -> SquareFreeForm:
+    def _trusted(
+        cls, n: int, k: int, coeffs: Mapping[Key, Scalar], nonzero: bool = False
+    ) -> SquareFreeForm:
         """Build from keys already known to be sorted k-subsets of 1..n,
-        without validation; only zero coefficients are dropped."""
+        without validation; only zero coefficients are dropped.  A caller
+        whose fresh dict holds no zero passes ``nonzero`` and the form keeps
+        that dict."""
         form = object.__new__(cls)
         form.n = n
         form.k = k
-        form.coeffs = {key: val for key, val in coeffs.items() if val}
+        form.coeffs = coeffs if nonzero else {key: val for key, val in coeffs.items() if val}
         return form
 
     @classmethod
@@ -374,5 +378,8 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     g = SquareFreeForm._trusted(n, k, out)
     if not is_harmonic(g) or psi(g, m - k) != scale * f:
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
-    coeffs = {key: _int_if_integral(Fraction(val, scale)) for key, val in g.coeffs.items()}
+    coeffs = {
+        key: Fraction(val, scale) if val % scale else val // scale
+        for key, val in g.coeffs.items()
+    }
     return SquareFreeForm._trusted(n, k, coeffs)

@@ -333,8 +333,8 @@ def fresh_basis_cache():
 
 @pytest.mark.usefixtures("fresh_basis_cache")
 def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
-    rook = gz._rook_term
-    monkeypatch.setattr(gz, "_rook_term", lambda ps, sub: abs(rook(ps, sub)))
+    factors = gz._rook_factors
+    monkeypatch.setattr(gz, "_rook_factors", lambda p, j, k: [abs(f) for f in factors(p, j, k)])
     code, out, err = run_cli(capsys, "verify", "--n-max", "4")
     assert (code, err) == (1, "")
     assert "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion" in out

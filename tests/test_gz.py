@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from tworow import verify
+from tworow import gz, verify
 from tworow.forms import (
     Permutation,
     SquareFreeForm,
@@ -337,6 +337,37 @@ def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
     for runs in (1, 2):
         assert all(result.ok for result in verify.check_basis(5))
         assert built == {key: runs for key in needed}
+
+
+def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
+    """An ``iter_basis`` call builds each (p, j) column that a tableau of a
+    shape holds once for that shape, and the next call builds it again; a
+    lone ``gz_harmonic`` builds only its own k columns.  No column outlives
+    its call: ``full_gz_basis`` stays the module's only cache."""
+    built = Counter()
+    real = gz._rook_factors
+
+    def counted(p, j, k):
+        built[p, j, k] += 1
+        return real(p, j, k)
+
+    monkeypatch.setattr(gz, "_rook_factors", counted)
+    n, m = 10, 5
+    held = {
+        (p, j, k)
+        for k in range(m + 1)
+        for u in enumerate_tableaux(TwoRowDiagram(n, k))
+        for j, p in enumerate(u.second_row)
+    }
+    for runs in (1, 2):
+        assert len(list(iter_basis(n, m))) == comb(n, m)
+        assert built == {key: runs for key in held}
+    built.clear()
+    gz_harmonic(TwoRowTableau(12, (2, 5, 9)))
+    assert built == {(2, 0, 3): 1, (5, 1, 3): 1, (9, 2, 3): 1}
+    assert [name for name, fn in vars(gz).items() if hasattr(fn, "cache_info")] == [
+        "full_gz_basis"
+    ]
 
 
 def test_content_vectors_separate_tableaux():

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tworow import markov
+from tworow import gz, markov
 from tworow.forms import SquareFreeForm, psi
-from tworow.gz import _rook_term, closed_norm_sq_in_H, full_gz_basis
+from tworow.gz import closed_norm_sq_in_H, full_gz_basis, gz_harmonic
 from tworow.markov import (
     BitPrefix,
     KernelEntry,
@@ -377,6 +377,35 @@ def test_measure_equals_basis_projection():
         assert spectral_measure(prefix) == _basis_projection(prefix), str(prefix)
 
 
+def _rook_term(ps, sub):
+    """The term (-1)^|H| * R1 * R2 of the k-subset S = sub, k = len(ps), in
+    the closed sum of the ``gz`` module docstring, walking the entries of
+    ps upwards: the coefficient of x_S in the harmonic vector with second
+    row ps.  The reference for ``gz_coefficient`` and the rook columns."""
+    k = len(ps)
+    below = 0  # entries of S below the current p
+    term = 1
+    for j, p in enumerate(ps):  # j smaller p's
+        while below < k and sub[below] < p:
+            below += 1
+        if below < k and sub[below] == p:
+            # p is in H.  Of the p - 1 entries below it, the smaller p's,
+            # the entries of S - P and one free low per smaller p in H are
+            # taken; the last two number ``below`` together, as the smaller
+            # p's in H are the entries of both S and P below p.
+            factor = p - 1 - j - below
+            below += 1
+            term = -term
+        else:
+            # Each smaller p uses up one entry of S below p: itself when in
+            # H, else its matched entry of S - P.
+            factor = below - j
+        if factor <= 0:
+            return 0
+        term *= factor
+    return term
+
+
 def gz_coefficient(u, key):
     """The coefficient of x_key in psi(h_u, m - k), m = len(key), as one
     closed rook-count sum per tableau: the reference for the prefix scan
@@ -439,6 +468,29 @@ def test_measure_equals_rook_sums():
     deep = [_seeded_prefix(length, seed) for length in range(11, 17) for seed in (0, 1)]
     for prefix in _all_prefixes(10) + deep:
         assert spectral_measure(prefix) == _rook_sum_table(prefix), str(prefix)
+
+
+def _seeded_tableau(n, seed):
+    """The tableau of ``_seeded_prefix``: its ones are the second row."""
+    bits = _seeded_prefix(n, seed).bits
+    return TwoRowTableau(n, tuple(t for t, bit in enumerate(bits, start=1) if bit))
+
+
+def test_harmonic_columns_equal_rook_sums():
+    """The harmonic from its shape's shared rook columns and from its own
+    columns, against one rook term per k-subset, in lexicographic order:
+    every tableau up to level 10, and two seeded ones at each level 11 to
+    16."""
+    deep = [_seeded_tableau(n, seed) for n in range(11, 17) for seed in (0, 1)]
+    shapes = {}
+    for u in [u for n in range(11) for u in enumerate_all_tableaux(n)] + deep:
+        n, ps = u.n, u.second_row
+        if (n, len(ps)) not in shapes:
+            shapes[n, len(ps)] = gz._shape_columns(n, len(ps))
+        terms = ((sub, _rook_term(ps, sub)) for sub in combinations(range(1, n + 1), len(ps)))
+        expect = [(sub, term) for sub, term in terms if term]
+        assert list(gz_harmonic(u, shapes[n, len(ps)]).form.coeffs.items()) == expect, u
+        assert list(gz_harmonic(u).form.coeffs.items()) == expect, u
 
 
 def test_path_products_equal_enumeration():
