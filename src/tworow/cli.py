@@ -3,7 +3,8 @@ and the verification report.
 
 Every command is deterministic given its flags and seed; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, including an ``--out`` file that
+cannot be opened.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from math import comb
-from typing import Iterator, TextIO
+from typing import TextIO
 
 from .gz import iter_basis
 from .markov import (
@@ -46,15 +47,16 @@ MAX_BASIS_VECTORS = 1001
 MAX_SAMPLE_DEPTH = 64
 
 
-@contextmanager
-def _output(out: str | None) -> Iterator[TextIO]:
+def _output(out: str | None) -> AbstractContextManager[TextIO]:
     """The stream a command writes to: the current ``sys.stdout``, or the
-    file ``out`` as UTF-8 with newline translation off."""
+    file ``out`` as UTF-8 with newline translation off.  A file that cannot
+    be opened is a usage error."""
     if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+        return nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot open --out {out}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -30,28 +30,29 @@ The factor of p_j depends on S only through b, the number of entries of S
 below p_j, and whether p_j lies in S: it is one of the 2k + 2 values of
 ``_rook_factors`` indexed by the code 2b + [p_j in S].  ``_rook_columns``
 computes that code once per entry value p for every k-subset, in
-lexicographic order, and maps it to one column of factors per (p, j); the
-dense harmonic of u is the elementwise product of its k columns.  A lone
-``gz_harmonic`` builds only its own k columns, and ``iter_basis`` builds
-every column a shape uses once (``_shape_columns``) and shares them across
-its tableaux.  The same factorisation lets ``markov.spectral_measure`` sum
-the terms of one monomial for every tableau at once, in one scan over the
-entries 1, .., n.
+lexicographic order, and maps it to one column of factors for each (p, j)
+that the given tableaux hold; the dense harmonic of u is the elementwise
+product of its k columns.  The same factorisation lets
+``markov.spectral_measure`` sum the terms of one monomial for every tableau
+at once, in one scan over the entries 1, .., n.
 
 So the lifted vector sums h_u over the k-subsets of each m-subset, and that
 index structure depends only on (n, m, k), not on u.  ``_lift_table``
-lays it out once per shape as one getter of the positions of the
-k-subsets of every m-subset in turn, C(m, k) slots each.  ``_lift`` spreads
-h_u into a dense list over the k-subsets, gathers every slot at once and
-takes each coefficient as the difference of one running sum at the ends of
-its m-subset's run, so a lifted vector costs C(n, m) * C(m, k) additions
-in C-level passes and builds no index tuples.  The level operators
-X_l = sum_{i<l} (i l) take a similar form: ``yjm_rows`` gives, for each
-k-subset, its count of fixing transpositions and a gather of the monomials
-the others carry onto it.
+lays it out as one getter of the positions of the k-subsets of every
+m-subset in turn, C(m, k) slots each.  ``_vectors`` is the one vector
+builder: for the tableaux of one shape it builds the rook columns and, for
+k < m, the lift table once, then gathers every slot of each dense harmonic
+at once and takes each coefficient as the difference of one running sum
+at the ends of its m-subset's run, so a lifted vector costs
+C(n, m) * C(m, k) additions in C-level passes and builds no index tuples.
+``iter_basis`` runs it once per shape and ``gz_in_H`` on one tableau.  The
+level operators X_l = sum_{i<l} (i l) take a similar form: ``yjm_rows``
+gives, for each k-subset, its count of fixing transpositions and a gather
+of the monomials the others carry onto it.
 
 Vectors are kept unnormalized with integer coefficients; their squared
-norms are the closed products ``closed_harmonic_norm_sq`` and, lifted,
+norms are the closed products ``closed_harmonic_norm_sq``, of one
+``_norm_factor`` per entry, which the spectral scan also uses, and, lifted,
 ``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single vectors
 are recomputed on every call, and ``iter_basis`` yields them one at a time,
 so a streamed export such as ``tworow basis`` holds one vector in memory.
@@ -60,11 +61,11 @@ so a streamed export such as ``tworow basis`` holds one vector in memory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, islice, repeat
-from math import comb
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
+from math import comb, prod
 from operator import itemgetter, mul, sub
 
 from .forms import Key, SquareFreeForm
@@ -92,15 +93,11 @@ def gz_harmonic(u: TwoRowTableau, columns: RookColumns | None = None) -> GzVecto
     at S.  ``columns`` is a ``_rook_columns`` table of u's shape that holds
     every (p_j, j) of u; by default u builds only its own k columns.  The
     form's keys are filled in lexicographic order."""
-    ps = u.second_row
     if columns is None:
-        columns = _rook_columns(u.n, len(ps), {p: (j,) for j, p in enumerate(ps)})
-    subsets, factors = columns
-    dense = [1] * len(subsets)
-    for j, p in enumerate(ps):
-        dense = list(map(mul, dense, factors[p, j]))
-    coeffs = dict(compress(zip(subsets, dense), dense))
-    form = SquareFreeForm._trusted(u.n, len(ps), coeffs, nonzero=True)
+        columns = _rook_columns(u.n, len(u.second_row), (u,))
+    dense = _dense_harmonic(u, columns)
+    coeffs = dict(compress(zip(columns[0], dense), dense))
+    form = SquareFreeForm._trusted(u.n, len(u.second_row), coeffs, nonzero=True)
     return GzVector(u, form, closed_harmonic_norm_sq(u))
 
 
@@ -111,7 +108,7 @@ def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
         raise ValueError(f"degree {m} is below the tableau's second row {k}")
     if 2 * m > u.n:
         raise ValueError(f"degree {m} exceeds half of {u.n} variables")
-    return _lift(u, m, (None, _lift_table(u.n, m, k)))
+    return next(_vectors(u.n, m, k, (u,)))
 
 
 RookColumns = tuple[list[Key], dict[tuple[int, int], list[int]]]
@@ -134,76 +131,79 @@ def _rook_factors(p: int, j: int, k: int) -> list[int]:
     return factors
 
 
-def _rook_columns(n: int, k: int, entries: dict[int, Iterable[int]]) -> RookColumns:
-    """The k-subsets S of 1..n in lexicographic order, and for each entry
-    value p of ``entries`` and each count j of smaller entries listed for
-    it, the column of the rook factors of (p, j) over those S: the code
-    2b + [p in S] of each S, computed once per p, mapped through
-    ``_rook_factors``."""
+def _rook_columns(n: int, k: int, tableaux: Iterable[TwoRowTableau]) -> RookColumns:
+    """The k-subsets S of 1..n in lexicographic order, and for each (p, j)
+    that one of ``tableaux`` holds, entry value p with j smaller entries,
+    the column of its rook factors over those S: the code 2b + [p in S] of
+    each S, computed once per p, mapped through ``_rook_factors``."""
+    held = {(p, j) for u in tableaux for j, p in enumerate(u.second_row)}
     subsets = list(combinations(range(1, n + 1), k))
-    columns = {}
-    for p, js in entries.items():
-        codes = [2 * bisect_left(subset, p) + (p in subset) for subset in subsets]
-        for j in js:
-            columns[p, j] = list(map(_rook_factors(p, j, k).__getitem__, codes))
+    values = {p for p, _ in held}
+    codes = {p: [2 * bisect_left(s, p) + (p in s) for s in subsets] for p in values}
+    columns = {(p, j): list(map(_rook_factors(p, j, k).__getitem__, codes[p])) for p, j in held}
     return subsets, columns
 
 
-def _shape_columns(n: int, k: int) -> RookColumns:
-    """The rook columns of every (p_j, j) that a tableau of shape (n, k)
-    can hold: the entry p_{j+1} of such a tableau lies in
-    2j + 2..n - k + 1 + j, and each value there is taken by some tableau."""
-    return _rook_columns(
-        n, k, {p: range(max(0, p - 1 - n + k), min(k, p // 2)) for p in range(2, n + 1)}
-    )
+def _dense_harmonic(u: TwoRowTableau, columns: RookColumns) -> list[int]:
+    """The coefficients of h_u on every k-subset of ``columns``, in its
+    order, zeros included: the elementwise product of u's k columns."""
+    subsets, factors = columns
+    dense = [1] * len(subsets)
+    for j, p in enumerate(u.second_row):
+        dense = list(map(mul, dense, factors[p, j]))
+    return dense
 
 
 LiftTable = tuple[list[Key], itemgetter, int]
 
 
-def _lift_table(n: int, m: int, k: int) -> LiftTable | None:
-    """The index structure of the lift from degree k to degree m in n
+def _lift_table(n: int, m: int, k: int) -> LiftTable:
+    """The index structure of the lift from degree k < m to degree m in n
     variables: the m-subsets I of 1..n in lexicographic order, one getter
     of the positions, in the lexicographic order of the k-subsets, of the
     k-subsets of every I in turn, and their count C(m, k) per I.  Every
     lift reads at least two positions (C(n, m) >= 2 once 0 <= k < m), so
-    the getter returns a tuple.  At k = m the lift is the identity and the
-    table is None."""
-    if k == m:
-        return None
+    the getter returns a tuple."""
     position = {subset: i for i, subset in enumerate(combinations(range(1, n + 1), k))}
     keys = list(combinations(range(1, n + 1), m))
     slots = chain.from_iterable(map(combinations, keys, repeat(k)))
     return keys, itemgetter(*map(position.__getitem__, slots)), comb(m, k)
 
 
-def _lift(
-    u: TwoRowTableau, m: int, table: tuple[RookColumns | None, LiftTable | None]
-) -> GzVector:
-    """psi(h_u, m - k) with its closed norm, for a checked degree m.  The
-    table pairs the rook columns for ``gz_harmonic`` (None: u builds its
-    own) with the ``_lift_table`` of (n, m, k).  Each coefficient sums h_u
-    over the k-subsets of its m-subset: the running sum over all gathered
-    slots, read at the end of each m-subset's C(m, k) slots, differenced.
-    Only nonzero sums are kept, and the form's keys are filled in
-    lexicographic order, which ``serialize.write_basis`` relies on."""
-    columns, lift = table
-    form = gz_harmonic(u, columns).form
-    if lift is not None:
-        keys, gather, width = lift
-        dense = list(map(form.coeffs.get, combinations(range(1, u.n + 1), form.k), repeat(0)))
-        ends = list(islice(accumulate(gather(dense), initial=0), 0, None, width))
+def _vectors(
+    n: int, m: int, k: int, tableaux: Collection[TwoRowTableau]
+) -> Iterator[GzVector]:
+    """psi(h_u, m - k) with its closed norm for each u of ``tableaux``, of
+    shape (n, k), for a checked degree m, built when requested from one
+    ``_rook_columns`` table and, for k < m, one ``_lift_table``.  Each
+    coefficient sums the dense h_u over the k-subsets of its m-subset: the
+    running sum of all gathered slots at the end of the m-subset's C(m, k)
+    slots, differenced.  Nonzero sums are kept in lexicographic key order,
+    which ``serialize.write_basis`` relies on."""
+    columns = _rook_columns(n, k, tableaux)
+    if k == m:
+        for u in tableaux:
+            yield gz_harmonic(u, columns)
+        return
+    keys, gather, width = _lift_table(n, m, k)
+    for u in tableaux:
+        slots = gather(_dense_harmonic(u, columns))
+        ends = list(islice(accumulate(slots, initial=0), 0, None, width))
         sums = list(map(sub, islice(ends, 1, None), ends))
-        form = SquareFreeForm._trusted(u.n, m, dict(compress(zip(keys, sums), sums)), nonzero=True)
-    return GzVector(u, form, closed_norm_sq_in_H(u, m))
+        form = SquareFreeForm._trusted(n, m, dict(compress(zip(keys, sums), sums)), nonzero=True)
+        yield GzVector(u, form, closed_norm_sq_in_H(u, m))
+
+
+def _norm_factor(p: int, j: int) -> int:
+    """The factor (p - 2j - 1)(p - 2j) that a second-row entry p with j
+    smaller entries contributes to the closed squared norm of h_u."""
+    return (p - 2 * j - 1) * (p - 2 * j)
 
 
 def closed_harmonic_norm_sq(u: TwoRowTableau) -> int:
-    """Product formula prod_j (p_j - 2j + 1)(p_j - 2j + 2) for |h_u|^2."""
-    out = 1
-    for j, p in enumerate(u.second_row, start=1):
-        out *= (p - 2 * j + 1) * (p - 2 * j + 2)
-    return out
+    """|h_u|^2 as the product of its entries' ``_norm_factor``s,
+    prod_j (p_j - 2j + 1)(p_j - 2j + 2) over j = 1..k."""
+    return prod(map(_norm_factor, u.second_row, count()))
 
 
 def closed_norm_sq_in_H(u: TwoRowTableau, m: int) -> int:
@@ -216,19 +216,17 @@ def iter_basis(n: int, m: int):
     """Yield the Gelfand-Tsetlin basis of the degree-m module in n variables.
 
     Vectors are ordered by second-row length k, then lexicographically by
-    second-row entries; their count telescopes to C(n, m).  Each is the psi
-    lift of the closed harmonic vector, built from one ``_shape_columns``
-    and summed through one ``_lift_table`` per k, which every tableau of
-    that shape shares.  Vectors are built when requested and not cached, so
-    a consumer that writes each vector before asking for the next holds one
-    at a time, plus the current tables.
+    second-row entries; their count telescopes to C(n, m).  Each shape's
+    vectors come from one ``_vectors`` call, so its tableaux share one
+    table of rook columns and, below k = m, one lift table.  Vectors are
+    built when requested and not cached, so a consumer that writes each
+    vector before asking for the next holds one at a time, plus the
+    current tables.
     """
     if not 0 <= 2 * m <= n:
         raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")
     for k in range(m + 1):
-        table = _shape_columns(n, k), _lift_table(n, m, k)
-        for u in enumerate_tableaux(TwoRowDiagram(n, k)):
-            yield _lift(u, m, table)
+        yield from _vectors(n, m, k, enumerate_tableaux(TwoRowDiagram(n, k)))
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ from math import comb, lcm
 from typing import Iterator, NamedTuple
 
 from .forms import _index, _scalar
+from .gz import _norm_factor
 from .ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
@@ -267,13 +268,6 @@ def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> Transitio
             stay, up = induced_transition(n, k, m, bit)
             entries[(n, k)] = KernelEntry(bit, stay, up)
     return TransitionKernel(depth, entries)
-
-
-def _norm_factor(p: int, j: int) -> int:
-    """The factor (p - 2j - 1)(p - 2j) that a second-row entry p with j
-    smaller entries contributes to the closed squared norm of h_u, as in
-    ``gz.closed_harmonic_norm_sq``."""
-    return (p - 2 * j - 1) * (p - 2 * j)
 
 
 def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTable:

@@ -365,17 +365,13 @@ def test_verify_fails_on_a_wrong_closed_norm(capsys, monkeypatch):
 
 @pytest.mark.usefixtures("fresh_basis_cache")
 def test_verify_fails_on_a_corrupted_lift(capsys, monkeypatch):
-    lift = gz._lift
+    table = gz._lift_table
 
-    def dropped(u, m, table):
-        vec = lift(u, m, table)
-        if len(u.second_row) == m:
-            return vec
-        coeffs = dict(vec.form.coeffs)
-        del coeffs[next(iter(coeffs))]
-        return gz.GzVector(u, gz.SquareFreeForm(u.n, m, coeffs), vec.norm_sq)
+    def dropped(n, m, k):
+        keys, gather, width = table(n, m, k)
+        return keys, lambda dense: (0, *gather(dense)[1:]), width
 
-    monkeypatch.setattr(gz, "_lift", dropped)
+    monkeypatch.setattr(gz, "_lift_table", dropped)
     code, out, err = run_cli(capsys, "verify", "--scope", "gz")
     assert (code, err) == (1, "")
     assert "FAIL psi-isometry: basis vector n=2, u=(), m=1 is not psi; " in out
@@ -496,6 +492,27 @@ def test_usage_errors_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--n", "2", "--m", "1"],
+        ["measure", "--xi", "01"],
+        ["sample", "--central", "--depth", "4", "--count", "3"],
+        ["sample", "--central", "--depth", "4", "--count", "3", "--mode", "trace"],
+        ["verify", "--scope", "central", "--n-max", "2"],
+    ],
+)
+def test_unopenable_out_file_exits_2(capsys, tmp_path, argv):
+    """An ``--out`` path in a missing directory is a usage error: one
+    ``error:`` line on stderr, nothing on stdout, and no file made."""
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot open --out {target}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not target.parent.exists()
 
 
 def test_argparse_rejects_bad_surface(capsys):

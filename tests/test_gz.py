@@ -342,8 +342,10 @@ def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
 def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
     """An ``iter_basis`` call builds each (p, j) column that a tableau of a
     shape holds once for that shape, and the next call builds it again; a
-    lone ``gz_harmonic`` builds only its own k columns.  No column outlives
-    its call: ``full_gz_basis`` stays the module's only cache."""
+    lone ``gz_harmonic`` builds only its own k columns.  Lift tables follow
+    the same rule: one per k < m per ``iter_basis`` call, one per
+    ``gz_in_H`` call below its own k, none for ``gz_harmonic``.  No table
+    outlives its call: ``full_gz_basis`` stays the module's only cache."""
     built = Counter()
     real = gz._rook_factors
 
@@ -351,7 +353,15 @@ def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
         built[p, j, k] += 1
         return real(p, j, k)
 
+    lifts = Counter()
+    table = gz._lift_table
+
+    def counted_table(n, m, k):
+        lifts[n, m, k] += 1
+        return table(n, m, k)
+
     monkeypatch.setattr(gz, "_rook_factors", counted)
+    monkeypatch.setattr(gz, "_lift_table", counted_table)
     n, m = 10, 5
     held = {
         (p, j, k)
@@ -362,9 +372,17 @@ def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
     for runs in (1, 2):
         assert len(list(iter_basis(n, m))) == comb(n, m)
         assert built == {key: runs for key in held}
+        assert lifts == {(n, m, k): runs for k in range(m)}
     built.clear()
+    lifts.clear()
     gz_harmonic(TwoRowTableau(12, (2, 5, 9)))
     assert built == {(2, 0, 3): 1, (5, 1, 3): 1, (9, 2, 3): 1}
+    assert not lifts
+    u = TwoRowTableau(12, (2, 5, 9))
+    for runs in (1, 2):
+        gz_in_H(u, 3)
+        gz_in_H(u, 5)
+        assert lifts == {(12, 5, 3): runs}
     assert [name for name, fn in vars(gz).items() if hasattr(fn, "cache_info")] == [
         "full_gz_basis"
     ]

@@ -477,16 +477,17 @@ def _seeded_tableau(n, seed):
 
 
 def test_harmonic_columns_equal_rook_sums():
-    """The harmonic from its shape's shared rook columns and from its own
-    columns, against one rook term per k-subset, in lexicographic order:
-    every tableau up to level 10, and two seeded ones at each level 11 to
-    16."""
+    """The harmonic from the rook columns of every tableau of its shape
+    and from its own columns, against one rook term per k-subset, in
+    lexicographic order: every tableau up to level 10, and two seeded ones
+    at each level 11 to 16."""
     deep = [_seeded_tableau(n, seed) for n in range(11, 17) for seed in (0, 1)]
     shapes = {}
     for u in [u for n in range(11) for u in enumerate_all_tableaux(n)] + deep:
         n, ps = u.n, u.second_row
         if (n, len(ps)) not in shapes:
-            shapes[n, len(ps)] = gz._shape_columns(n, len(ps))
+            shape = enumerate_tableaux(TwoRowDiagram(n, len(ps)))
+            shapes[n, len(ps)] = gz._rook_columns(n, len(ps), shape)
         terms = ((sub, _rook_term(ps, sub)) for sub in combinations(range(1, n + 1), len(ps)))
         expect = [(sub, term) for sub, term in terms if term]
         assert list(gz_harmonic(u, shapes[n, len(ps)]).form.coeffs.items()) == expect, u
