@@ -4,7 +4,7 @@ and the verification report.
 Every command is deterministic given its flags and seed; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 usage error, including an ``--out`` file that
-cannot be opened.
+cannot be opened, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .verify import run_scope
 
 MAX_BASIS_LEVEL = 16
 # C(14, 4).  The slowest export it admits, n = 12, m = 6, writes 102 MB of
-# JSON in 1.4-1.65 s on a 2-vCPU VM; C(14, 7) would be about 1.4 GB.
+# JSON (README times it); C(14, 7) would be about 1.4 GB.
 MAX_BASIS_VECTORS = 1001
 MAX_SAMPLE_DEPTH = 64
 
@@ -64,19 +64,16 @@ def _emit(text: str, out: str | None) -> None:
         handle.write(text)
 
 
-def _thread_cap() -> int:
+def _thread_cap() -> None:
     """Honor the YM_THREADS cap.  The implementation is single process and
     single thread, so any positive cap is respected as written."""
-    raw = os.environ.get("YM_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("YM_THREADS", "1")
     try:
-        cap = int(raw)
+        if int(raw) >= 1:
+            return
     except ValueError:
-        raise ValueError(f"YM_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"YM_THREADS must be a positive integer, got {raw!r}")
-    return 1
+        pass
+    raise ValueError(f"YM_THREADS must be a positive integer, got {raw!r}")
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
@@ -103,8 +100,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if n > MAX_BASIS_LEVEL:
         raise ValueError(f"n must be at most {MAX_BASIS_LEVEL}, got {n}")
     table = spectral_measure(prefix, n)
-    match = table == path_product_table(prefix, n)
     kernel = kernel_from_prefix(prefix, n)
+    match = table == path_product_table(kernel)
     if args.format == "json":
         doc = {
             "xi": str(prefix),
@@ -225,10 +222,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _thread_cap()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early: send the exit flush to the null
+        # device and exit as SIGPIPE would, with nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ the walk staying at second-row length k or moving up depends only on
 Both routes to a table walk the tree of tableau prefixes once in integers
 and make one ``Fraction`` per tableau: ``spectral_measure`` carries the
 partial rook-count sums of ``gz``'s closed coefficients and the closed
-norm, and ``path_product_table`` the product of the kernel's rows.  Step
-ratios compare by cross-multiplying integers.  Tables and tableaux that
-the module builds itself skip validation (``_trusted``), but every table
-still checks that its mass is exactly 1.
+norm, and ``path_product_table`` the product of the rows of a kernel its
+caller passes in and keeps.  Step ratios compare by cross-multiplying
+integers.  Tables and tableaux that the module builds itself skip
+validation (``_trusted``), but every table still checks that its mass is
+exactly 1.
 
 The same machinery covers the exchangeable central measure with two equal
 frequencies, whose kernel is level-homogeneous, and exact-arithmetic
@@ -328,20 +329,17 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
     return SpectralTable._trusted(level, probs)
 
 
-def path_product_table(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
-    """The same table from the closed kernel: each tableau's weight is the
-    product of stay/up probabilities along its path.  Only paths through
-    stored rows and nonzero steps are walked; every other tableau has
-    weight 0.  Each path carries an integer numerator and denominator, and
-    each leaf makes one ``Fraction``."""
-    if level is None:
-        level = len(prefix)
-    if not 1 <= level <= len(prefix):
-        raise ValueError(f"level must lie in 1..{len(prefix)}, got {level}")
+def path_product_table(kernel: TransitionKernel) -> SpectralTable:
+    """The table at level ``kernel.depth`` from the kernel's rows: each
+    tableau's weight is the product of stay/up probabilities along its
+    path.  Only paths through stored rows and nonzero steps are walked;
+    every other tableau has weight 0.  Each path carries an integer
+    numerator and denominator, and each leaf makes one ``Fraction``."""
+    level = kernel.depth
     # A row's two probabilities share their denominator (``KernelEntry``).
     rows = {
         key: (entry.p_stay.numerator, entry.p_up.numerator, entry.p_stay.denominator)
-        for key, entry in kernel_from_prefix(prefix, level).entries.items()
+        for key, entry in kernel.entries.items()
     }
     probs: dict[TwoRowTableau, Fraction] = {}
     stack: list[tuple[int, int, tuple[int, ...], int, int]] = [(1, 0, (), 1, 1)]

@@ -18,15 +18,20 @@ it is checked against live here, private to this module:
   monomial's complement, against which every lifted basis vector is checked;
 - ``_projection_table``: the spectral table of any nonzero form, read off
   the cached full basis;
-- ``_transposition_matrix_in_basis``: adjacent-transposition matrices by
-  projecting each permuted basis vector back onto the basis;
+- ``_acts_by``: an adjacent-transposition matrix by its definition, each
+  vector's image under ``forms.act`` as the combination its row gives;
 - ``_central_transition_oracle``: the central kernel as ratios of shape
   weights between consecutive levels;
 - ``linalg.harmonic_dim``: harmonic dimensions by exact rank.
+
+A whole shape's vectors, at any degree, come only from the cached
+``gz.full_gz_basis`` that ``check_basis`` certifies; ``gz_harmonic`` and
+``gz_in_H`` build only the single vectors a suite tests one at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -43,6 +48,7 @@ from .forms import (
     psi,
 )
 from .gz import (
+    GzVector,
     YjmRows,
     full_gz_basis,
     gz_harmonic,
@@ -71,7 +77,6 @@ from .ygraph import (
     dim,
     enumerate_all_tableaux,
     enumerate_diagrams,
-    enumerate_tableaux,
     good_tableau,
 )
 
@@ -137,30 +142,19 @@ def _projection_table(g: SquareFreeForm) -> SpectralTable:
     return SpectralTable._trusted(g.n, probs)
 
 
-def _transposition_matrix_in_basis(
-    i: int, d: TwoRowDiagram, m: int | None = None
-) -> list[list[Fraction]]:
-    """Matrix of (i i+1) computed directly from the forms, row = source.
-
-    Each image is expanded over the shape's basis by orthogonal projection
-    and the expansion is verified exactly, so the result is trustworthy
-    independent of any closed formula.
-    """
-    if not 1 <= i <= d.n - 1:
-        raise ValueError(f"transposition index must lie in 1..{d.n - 1}, got {i}")
-    if m is None:
-        m = d.k
-    basis = [gz_in_H(u, m) for u in enumerate_tableaux(d)]
-    sigma = Permutation.transposition(d.n, i, i + 1)
-    matrix = []
-    for vec in basis:
-        image = act(sigma, vec.form)
-        row = [Fraction(inner(image, w.form), w.norm_sq) for w in basis]
-        recon = sum((c * w.form for c, w in zip(row, basis) if c), SquareFreeForm.zero(d.n, m))
-        if recon != image:
-            raise ValueError("image does not lie in the span of the shape's basis")
-        matrix.append(row)
-    return matrix
+def _acts_by(matrix: list[list[Fraction]], i: int, basis: Sequence[GzVector]) -> bool:
+    """Whether (i i+1) sends each vector of ``basis`` to the combination of
+    ``basis`` its row of ``matrix`` gives; a matrix of another size fails."""
+    size = len(basis)
+    if len(matrix) != size or any(len(row) != size for row in matrix):
+        return False
+    for row, vec in zip(matrix, basis):
+        n, k = vec.form.n, vec.form.k
+        image = act(Permutation.transposition(n, i, i + 1), vec.form)
+        combo = sum((c * w.form for c, w in zip(row, basis) if c), SquareFreeForm.zero(n, k))
+        if combo != image:
+            return False
+    return True
 
 
 def _central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -230,7 +224,8 @@ def check_basis(n_max: int) -> list[CheckResult]:
 
 def check_psi(n_max: int) -> list[CheckResult]:
     """The averaging map scales squared norms by C(n - 2k, m - k), and
-    every lifted vector of the cached full basis is psi of its harmonic."""
+    every lifted vector of the cached full basis is psi of its harmonic,
+    the basis's degree-k vector of the same tableau."""
     failures: list[str] = []
     cases = 0
     for n in range(0, n_max + 1):
@@ -241,7 +236,7 @@ def check_psi(n_max: int) -> list[CheckResult]:
         }
         for u in enumerate_all_tableaux(n):
             k = len(u.second_row)
-            base = gz_harmonic(u).form
+            base = basis[k, u.second_row]
             base_sq = inner(base, base)
             for m in range(k, n // 2 + 1):
                 cases += 1
@@ -339,11 +334,11 @@ def check_spectral(n_max: int) -> list[CheckResult]:
             if left != _projection_table(SquareFreeForm(length, len(key), {key: 1})):
                 table_fail.append(f"xi={prefix} (basis projection)")
                 continue
-            if left != path_product_table(prefix):
+            kernel = kernel_from_prefix(prefix)
+            if left != path_product_table(kernel):
                 table_fail.append(f"xi={prefix} (path products)")
                 continue
             if length >= 2:
-                kernel = kernel_from_prefix(prefix)
                 shallow = shallower[prefix.bits[:-1]]
                 if not is_markov(shallow, left).ok:
                     markov_fail.append(f"xi={prefix}")
@@ -564,19 +559,21 @@ def _identity(size: int) -> list[list[Fraction]]:
 
 
 def check_matrices(n_max: int) -> list[CheckResult]:
-    """Adjacent-transposition matrices: closed entries against direct
-    projection, involutions, braid and commutation relations."""
+    """Adjacent-transposition matrices: closed entries act on the shape's
+    vectors of degree k and, lifted, k + 1, and satisfy the involution,
+    braid and commutation relations."""
     agree_fail: list[str] = []
     relation_fail: list[str] = []
     for n in range(2, n_max + 1):
         for d in enumerate_diagrams(n):
+            bases = [[vec for vec in full_gz_basis(n, m) if len(vec.tableau.second_row) == d.k]
+                     for m in range(d.k, min(d.k + 1, n // 2) + 1)]
             mats = {}
             for i in range(1, n):
                 closed = orthogonal_form_matrix(i, d)
-                direct = _transposition_matrix_in_basis(i, d)
-                if closed != direct:
+                if not _acts_by(closed, i, bases[0]):
                     agree_fail.append(f"n={n} k={d.k} i={i}")
-                if d.k < n // 2 and closed != _transposition_matrix_in_basis(i, d, d.k + 1):
+                if len(bases) > 1 and not _acts_by(closed, i, bases[1]):
                     agree_fail.append(f"lifted n={n} k={d.k} i={i}")
                 mats[i] = closed
             size = len(mats[1])

@@ -540,6 +540,32 @@ def test_thread_cap_env(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--central", "--depth", "64", "--count", "2000", "--mode", "trace"],
+        ["basis", "--n", "10", "--m", "5"],
+    ],
+    ids=["sample-trace", "basis"],
+)
+def test_closed_stdout_pipe_exits_141(argv):
+    """A reader that closes the pipe after one line, as ``| head -1`` does,
+    ends the command with 128 + SIGPIPE and nothing on stderr; both outputs
+    are far larger than a pipe buffer, so the command is still writing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tworow", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_console_script_roundtrip():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -593,7 +619,8 @@ def test_cli_loads_every_traced_layer(tmp_path):
     the CLI must load them all.  A traced name the module lacks silently
     reads 0 calls, so the only ones allowed, in ``TRACED`` order, are
     ``yjm_apply``, whose work ``verify`` does through ``gz.yjm_rows``, and
-    the transposition-matrix oracle, which now lives in ``verify``."""
+    the transposition-matrix oracle, which ``verify`` replaced by checking
+    the closed matrices' action on the cached basis."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     probe = (

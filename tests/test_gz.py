@@ -39,10 +39,10 @@ from tworow.ygraph import (
     good_tableau,
 )
 from tworow.verify import (
+    _acts_by,
     _expanded_harmonic,
     _is_yjm_eigenform,
     _mat_mul as _sparse_mat_mul,
-    _transposition_matrix_in_basis,
 )
 
 
@@ -497,7 +497,7 @@ def test_divisions_give_fractions():
     assert all(type(c) is Fraction for c in f0.coeffs.values())
     table = spectral_measure(BitPrefix.from_string("010101"))
     assert all(type(p) is Fraction for _, p in table.items())
-    matrix = _transposition_matrix_in_basis(2, TwoRowDiagram(5, 2))
+    matrix = orthogonal_form_matrix(2, TwoRowDiagram(5, 2))
     assert all(type(x) is Fraction for row in matrix for x in row)
 
 
@@ -612,8 +612,6 @@ def test_matrix_index_validation():
         orthogonal_form_matrix(0, TwoRowDiagram(3, 1))
     with pytest.raises(ValueError):
         orthogonal_form_matrix(3, TwoRowDiagram(3, 1))
-    with pytest.raises(ValueError):
-        _transposition_matrix_in_basis(3, TwoRowDiagram(3, 1))
 
 
 def _mat_mul(a, b):
@@ -667,18 +665,52 @@ def test_matrices_satisfy_braid_and_commutation():
     assert _mat_mul(mats[1], mats[4]) == _mat_mul(mats[4], mats[1])
 
 
-def test_closed_matrix_matches_projection():
-    for n in range(2, 6):
+def _shape_vectors(d, m):
+    """The cached degree-m vectors of the tableaux of shape d."""
+    return [vec for vec in full_gz_basis(d.n, m) if len(vec.tableau.second_row) == d.k]
+
+
+def test_closed_matrices_act_on_both_bases():
+    """Each closed matrix sends the shape's vectors of degree k and k + 1 to
+    the combinations its rows give; the transposed (5, 2) matrices fail at
+    some i, and so does a matrix with one row too few, which a truncating
+    ``zip`` would pass."""
+    for n in range(2, 7):
         for d in enumerate_diagrams(n):
-            for i in range(1, n):
-                assert orthogonal_form_matrix(i, d) == _transposition_matrix_in_basis(i, d)
+            for m in range(d.k, min(d.k + 1, n // 2) + 1):
+                basis = _shape_vectors(d, m)
+                for i in range(1, n):
+                    assert _acts_by(orthogonal_form_matrix(i, d), i, basis), (n, d.k, m, i)
+    d = TwoRowDiagram(5, 2)
+    basis = _shape_vectors(d, 2)
+    transposed = {i: [list(col) for col in zip(*orthogonal_form_matrix(i, d))] for i in range(1, 5)}
+    assert not all(_acts_by(matrix, i, basis) for i, matrix in transposed.items())
+    assert not _acts_by(orthogonal_form_matrix(2, d)[:-1], 2, basis)
 
 
-def test_projection_matrix_independent_of_degree():
-    d = TwoRowDiagram(6, 2)
-    base = _transposition_matrix_in_basis(3, d)
-    for m in (2, 3):
-        assert _transposition_matrix_in_basis(3, d, m) == base
+def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
+    """Once ``full_gz_basis`` is warm for n <= 8, ``check_matrices`` and
+    ``check_psi`` build neither rook columns nor lift tables: every vector
+    they read is a cached one."""
+    for n in range(9):
+        for m in range(n // 2 + 1):
+            full_gz_basis(n, m)
+    built = Counter()
+
+    def counted(name):
+        real = getattr(gz, name)
+
+        def call(*args):
+            built[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("_rook_columns", "_lift_table"):
+        monkeypatch.setattr(gz, name, counted(name))
+    results = verify.check_matrices(6) + verify.check_psi(8)
+    assert all(r.ok for r in results), results
+    assert not built
 
 
 def test_off_diagonal_entries_square_correctly():

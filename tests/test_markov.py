@@ -326,7 +326,7 @@ def test_measure_level_argument():
 def test_measure_equals_path_products(p):
     """The projection route and the kernel route agree table for table."""
     for level in range(1, len(p) + 1):
-        assert spectral_measure(p, level) == path_product_table(p, level)
+        assert spectral_measure(p, level) == path_product_table(kernel_from_prefix(p, level))
 
 
 def _all_prefixes(max_len):
@@ -496,7 +496,15 @@ def test_harmonic_columns_equal_rook_sums():
 
 def test_path_products_equal_enumeration():
     for prefix in _all_prefixes(10):
-        assert path_product_table(prefix) == _enumerated_path_products(prefix), str(prefix)
+        table = path_product_table(kernel_from_prefix(prefix))
+        assert table == _enumerated_path_products(prefix), str(prefix)
+
+
+def test_central_path_products_equal_central_table():
+    """The path products of the central kernel are the central measure's
+    closed weights 2^-n prod (2 + content)/hook at every level."""
+    for n in range(1, 13):
+        assert path_product_table(central_kernel(n)) == central_table(n), n
 
 
 @pytest.mark.parametrize("level", [14, 15, 16])
@@ -506,7 +514,7 @@ def test_path_products_equal_enumeration_sparse_deep(level):
         bits = ["0"] * level
         bits[1] = bits[second] = "1"
         prefix = BitPrefix.from_string("".join(bits))
-        assert path_product_table(prefix) == _enumerated_path_products(prefix)
+        assert path_product_table(kernel_from_prefix(prefix)) == _enumerated_path_products(prefix)
 
 
 @given(prefixes(min_len=2, max_len=7))
@@ -846,7 +854,8 @@ def test_law_of_k_equals_table_marginals():
     prefix = BitPrefix.alternating(10)
     kern = kernel_from_prefix(prefix)
     for level in range(1, 11):
-        assert _law_of_k(kern, level) == _shape_marginal(path_product_table(prefix, level))
+        table = path_product_table(kernel_from_prefix(prefix, level))
+        assert _law_of_k(kern, level) == _shape_marginal(table)
     central = central_kernel(12)
     for level in range(1, 13):
         assert _law_of_k(central, level) == _shape_marginal(central_table(level))

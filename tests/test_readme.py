@@ -1,12 +1,15 @@
 """The README's library tour runs as written and its comments state true
-values, so a renamed or changed public name shows up here first."""
+values, and every command of its command-line block runs, so a renamed or
+changed public name or option shows up here first."""
 
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tworow.cli import main
 from tworow.markov import KernelEntry
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -19,7 +22,7 @@ STATED = [
     ("gz_in_H(u, 3).form.coeffs[(1, 3, 4)]", "2:", 2, None),
     ("basis = full_gz_basis(4, 2)", "6 vectors", 6, "len(basis)"),
     ("inner(basis[1].form, basis[2].form)", "exactly 0", 0, None),
-    ("spectral_measure(xi) == path_product_table(xi)", "True", True, None),
+    ("spectral_measure(xi) == path_product_table(kern)", "True", True, None),
     (
         "kern.transition(2, 0)",
         "KernelEntry(bit=0, p_stay=Fraction(2, 3),",
@@ -57,3 +60,22 @@ def test_library_tour_states_true_values(tour, code, stated, value, expr):
     assert code in comments, f"the tour no longer has the line {code!r}"
     assert stated in comments[code], comments[code]
     assert eval(expr or code, namespace) == value
+
+
+def _command_lines() -> list[str]:
+    """The ``tworow ...`` lines of the sh block under '## Command line',
+    each without its trailing ``# ...`` comment."""
+    match = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert match, "README has no sh block under '## Command line'"
+    lines = [line.partition("#")[0].strip() for line in match.group(1).splitlines()]
+    commands = [line for line in lines if line.startswith("tworow ")]
+    assert commands, "the command-line block has no tworow line"
+    return commands
+
+
+@pytest.mark.parametrize("line", _command_lines())
+def test_command_line_block_runs(capsys, line):
+    code = main(shlex.split(line)[1:])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out
