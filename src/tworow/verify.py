@@ -8,18 +8,26 @@ The library keeps one closed route per fact; the first-principles oracles
 it is checked against live here, private to this module:
 
 - ``_expanded_harmonic``: the harmonic vector as the sum of its products
-  of differences, each one a ``forms.pseudo_monomial``;
-- ``_is_yjm_eigenform``: every level's transposition sum applied to a form
-  through the gather rows of ``gz.yjm_rows``, shared by the forms of one
+  of differences, each one a ``forms.pseudo_monomial``, summed into one
+  dict;
+- ``_yjm_misses``, the one eigen check: every level's transposition sum,
+  as the gather rows of ``gz.yjm_rows``, applied to the coefficient
+  columns of a whole batch of forms at once; ``_is_yjm_eigenform`` is its
+  call on one form, and the rows are shared by the forms of one
   ``check_basis`` call and dropped with it;
-- ``forms.inner``: a vector's squared norm as the sum of its squared
-  coefficients, against which every closed norm a vector carries is checked;
+- sums of products of coefficients, ``forms.inner`` for lone forms and
+  ``sum(map(mul, a, b))`` for the dense rows of a laid-out basis, against
+  which every closed norm and the orthogonality of every full basis are
+  checked;
 - ``forms.psi``: the lift term by term, one index tuple per l-subset of a
   monomial's complement, against which every lifted basis vector is checked;
-- ``_projection_table``: the spectral table of any nonzero form, read off
-  the cached full basis;
+- ``_projection_table``: the spectral table of any nonzero form, its inner
+  product with every vector of the cached full basis read off the columns
+  of its monomials;
 - ``_acts_by``: an adjacent-transposition matrix by its definition, each
-  vector's image under ``forms.act`` as the combination its row gives;
+  vector's image under ``forms.act``, times the lcm of its row's
+  denominators, against the integer combination of dense rows that row
+  gives;
 - ``_central_transition_oracle``: the central kernel as ratios of shape
   weights between consecutive levels;
 - ``linalg.harmonic_dim``: harmonic dimensions by exact rank.
@@ -27,18 +35,26 @@ it is checked against live here, private to this module:
 A whole shape's vectors, at any degree, come only from the cached
 ``gz.full_gz_basis`` that ``check_basis`` certifies; ``gz_harmonic`` and
 ``gz_in_H`` build only the single vectors a suite tests one at a time.
+A suite that reads whole bases lays each out once per call as
+``_dense_rows``, every vector's coefficients over the lexicographic
+subsets with zeros included, so that its oracles run as C-level passes
+over plain lists rather than one Python step per vector and monomial.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from functools import partial, reduce
+from itertools import combinations, compress, count, product, repeat
+from math import comb, lcm
+from operator import add, mul, ne
 from typing import NamedTuple
 
 from .forms import (
+    Key,
     Permutation,
+    Scalar,
     SquareFreeForm,
     act,
     decompose_step,
@@ -77,6 +93,7 @@ from .ygraph import (
     dim,
     enumerate_all_tableaux,
     enumerate_diagrams,
+    enumerate_tableaux,
     good_tableau,
 )
 
@@ -99,60 +116,120 @@ def _result(name: str, failures: list[str], ok_detail: str) -> CheckResult:
 def _expanded_harmonic(u: TwoRowTableau) -> SquareFreeForm:
     """The harmonic vector of u from its definition: the sum over every
     choice of lows i_j < p_j, with all 2k indices distinct, of the
-    ``pseudo_monomial`` prod_j (x_{i_j} - x_{p_j})."""
+    ``pseudo_monomial`` prod_j (x_{i_j} - x_{p_j}), summed into one dict."""
     ps = u.second_row
-    total = SquareFreeForm.zero(u.n, len(ps))
+    total: dict[Key, Scalar] = {}
     for lows in product(*(range(1, p) for p in ps)):
         if len(set(lows + ps)) == 2 * len(ps):
-            total = total + pseudo_monomial(u.n, zip(lows, ps))
-    return total
+            for key, val in pseudo_monomial(u.n, zip(lows, ps)).coeffs.items():
+                total[key] = total.get(key, 0) + val
+    return SquareFreeForm._trusted(u.n, len(ps), total)
+
+
+def _dense_rows(n: int, k: int, forms: Iterable[SquareFreeForm]) -> list[list[Scalar]]:
+    """Each degree-k form's coefficients over the k-subsets of 1..n in
+    lexicographic order, zeros included."""
+    keys = list(combinations(range(1, n + 1), k))
+    return [list(map(form.coeffs.get, keys, repeat(0))) for form in forms]
+
+
+def _contents(u: TwoRowTableau) -> list[int]:
+    """The content of the cell of each entry 1..n of u: the eigenvalue of
+    each level's transposition sum on the vector of u."""
+    return [u.content(l) for l in range(1, u.n + 1)]
+
+
+# reduce(_add_columns, columns) is their elementwise sum, as one iterator.
+_add_columns = partial(map, add)
+
+
+def _yjm_misses(
+    n: int,
+    k: int,
+    contents: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[Scalar]],
+    tables: dict[tuple[int, int], list[YjmRows]],
+) -> set[int]:
+    """The positions of the degree-k ``_dense_rows`` that some level l's
+    transposition sum does not scale by the content at l in the
+    ``_contents`` of the same position.  The rows are read as columns, one
+    per k-subset T across every form: the columns that ``gz.yjm_rows``
+    gathers onto x_T sum, form by form, to (content - fixed count) times
+    the column of T.  ``tables`` holds each (n, k)'s rows for all levels,
+    built on first use, so the forms of one check share them."""
+    levels = tables.get((n, k))
+    if levels is None:
+        levels = tables[n, k] = [yjm_rows(n, k, l) for l in range(1, n + 1)]
+    columns = list(zip(*rows))
+    columns.append((0,) * len(rows))
+    misses: set[int] = set()
+    for level, at_level in zip(levels, zip(*contents)):
+        shifted = {fixed: [c - fixed for c in at_level] for fixed in {f for _, f, _ in level}}
+        for (_, fixed, gather), column in zip(level, columns):
+            image = list(reduce(_add_columns, gather(columns)))
+            expect = list(map(mul, shifted[fixed], column))
+            if image != expect:
+                misses.update(compress(count(), map(ne, image, expect)))
+    return misses
 
 
 def _is_yjm_eigenform(
     u: TwoRowTableau, form: SquareFreeForm, tables: dict[tuple[int, int], list[YjmRows]]
 ) -> bool:
     """Whether every level l's transposition sum scales ``form`` by u's
-    content at l: for each k-subset T, the sources that ``gz.yjm_rows``
-    gathers onto x_T sum to (content - fixed count) times the coefficient
-    of x_T.  ``tables`` holds each (n, k)'s rows for all levels, built on
-    first use, so the forms of one check share them."""
-    n, k = form.n, form.k
-    levels = tables.get((n, k))
-    if levels is None:
-        levels = tables[n, k] = [yjm_rows(n, k, l) for l in range(1, n + 1)]
-    dense = [form.coeffs.get(key, 0) for key in combinations(range(1, n + 1), k)]
-    dense.append(0)
-    for l, rows in enumerate(levels, start=1):
-        c = u.content(l)
-        for (_, fixed, gather), val in zip(rows, dense):
-            if sum(gather(dense)) != (c - fixed) * val:
-                return False
-    return True
+    content at l: ``_yjm_misses`` on the one form."""
+    rows = _dense_rows(form.n, form.k, (form,))
+    return not _yjm_misses(form.n, form.k, (_contents(u),), rows, tables)
 
 
-def _projection_table(g: SquareFreeForm) -> SpectralTable:
+def _projection_table(
+    g: SquareFreeForm, layouts: dict[tuple[int, int], dict[Key, tuple[int, ...]]] | None = None
+) -> SpectralTable:
     """The spectral table of a nonzero form g read off the full basis of its
-    level and degree: each vector v_u weighs <g, v_u>^2 / (|v_u|^2 |g|^2)."""
+    level and degree: each vector v_u weighs <g, v_u>^2 / (|v_u|^2 |g|^2).
+    The full basis is laid out as one column per monomial, the coefficients
+    of every vector there, and <g, v_u> for every u sums g's monomials'
+    columns.  ``layouts`` holds each (n, k)'s columns, built on first use,
+    so the forms of one check share them."""
+    n, k = g.n, g.k
+    basis = full_gz_basis(n, k)
+    if layouts is None:
+        layouts = {}
+    columns = layouts.get((n, k))
+    if columns is None:
+        rows = _dense_rows(n, k, (vec.form for vec in basis))
+        columns = layouts[n, k] = dict(zip(combinations(range(1, n + 1), k), zip(*rows)))
     g_sq = inner(g, g)
+    terms = [list(map(mul, repeat(val), columns[key])) for key, val in g.coeffs.items()]
     probs: dict[TwoRowTableau, Fraction] = {}
-    for vec in full_gz_basis(g.n, g.k):
-        c = inner(g, vec.form)
+    for vec, c in zip(basis, map(sum, zip(*terms))):
         if c:
             probs[vec.tableau] = Fraction(c * c, vec.norm_sq * g_sq)
-    return SpectralTable._trusted(g.n, probs)
+    return SpectralTable._trusted(n, probs)
 
 
 def _acts_by(matrix: list[list[Fraction]], i: int, basis: Sequence[GzVector]) -> bool:
     """Whether (i i+1) sends each vector of ``basis`` to the combination of
-    ``basis`` its row of ``matrix`` gives; a matrix of another size fails."""
+    ``basis`` its row of ``matrix`` gives; a matrix of another size fails.
+    Each row is scaled by the lcm of its denominators, so the combination
+    of the basis's ``_dense_rows`` is compared in integers with that
+    multiple of the vector's image under ``act``."""
     size = len(basis)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         return False
-    for row, vec in zip(matrix, basis):
-        n, k = vec.form.n, vec.form.k
-        image = act(Permutation.transposition(n, i, i + 1), vec.form)
-        combo = sum((c * w.form for c, w in zip(row, basis) if c), SquareFreeForm.zero(n, k))
-        if combo != image:
+    n, k = basis[0].form.n, basis[0].form.k
+    forms = [vec.form for vec in basis]
+    swap = Permutation.transposition(n, i, i + 1)
+    rows = _dense_rows(n, k, forms)
+    images = _dense_rows(n, k, (act(swap, form) for form in forms))
+    for entries, image in zip(matrix, images):
+        scale = lcm(*(c.denominator for c in entries))
+        combo = [0] * len(image)
+        for c, row in zip(entries, rows):
+            if c:
+                weight = c.numerator * (scale // c.denominator)
+                combo = list(map(add, combo, map(mul, repeat(weight), row)))
+        if combo != list(map(mul, repeat(scale), image)):
             return False
     return True
 
@@ -171,33 +248,42 @@ def _central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 def check_basis(n_max: int) -> list[CheckResult]:
     """Eigenvector property, orthogonality and closed norms of the basis,
-    and the closed harmonic vectors against their expansion."""
+    and the closed harmonic vectors against their expansion.  The harmonics
+    of one shape and each full basis are laid out once as ``_dense_rows``
+    and checked whole."""
     eig_fail: list[str] = []
     orth_fail: list[str] = []
     norm_fail: list[str] = []
     vectors = 0
     tables: dict[tuple[int, int], list[YjmRows]] = {}
     for n in range(1, n_max + 1):
-        for u in enumerate_all_tableaux(n):
-            vectors += 1
-            harmonic = gz_harmonic(u)
-            if harmonic.form != _expanded_harmonic(u):
-                eig_fail.append(f"harmonic {u.second_row} at n={n} differs from its expansion")
-            if not _is_yjm_eigenform(u, harmonic.form, tables):
-                eig_fail.append(f"harmonic {u.second_row} at n={n}")
-            if harmonic.norm_sq != inner(harmonic.form, harmonic.form):
-                norm_fail.append(f"harmonic norm {u.second_row} at n={n}")
+        contents = {u: _contents(u) for u in enumerate_all_tableaux(n)}
+        for d in enumerate_diagrams(n):
+            tabs = enumerate_tableaux(d)
+            harmonics = [gz_harmonic(u) for u in tabs]
+            rows = _dense_rows(n, d.k, (h.form for h in harmonics))
+            misses = _yjm_misses(n, d.k, [contents[u] for u in tabs], rows, tables)
+            for pos, (u, harmonic, row) in enumerate(zip(tabs, harmonics, rows)):
+                vectors += 1
+                if harmonic.form != _expanded_harmonic(u):
+                    eig_fail.append(f"harmonic {u.second_row} at n={n} differs from its expansion")
+                if pos in misses:
+                    eig_fail.append(f"harmonic {u.second_row} at n={n}")
+                if harmonic.norm_sq != sum(map(mul, row, row)):
+                    norm_fail.append(f"harmonic norm {u.second_row} at n={n}")
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
-            for vec in basis:
-                if not _is_yjm_eigenform(vec.tableau, vec.form, tables):
+            rows = _dense_rows(n, m, (vec.form for vec in basis))
+            misses = _yjm_misses(n, m, [contents[vec.tableau] for vec in basis], rows, tables)
+            for pos, (vec, row) in enumerate(zip(basis, rows)):
+                if pos in misses:
                     eig_fail.append(f"lifted {vec.tableau.second_row} at n={n} m={m}")
-                if vec.norm_sq != inner(vec.form, vec.form):
+                if vec.norm_sq != sum(map(mul, row, row)):
                     norm_fail.append(
                         f"lifted norm {vec.tableau.second_row} at n={n} m={m}"
                     )
-            for a, b in combinations(basis, 2):
-                if inner(a.form, b.form) != 0:
+            for (a, row_a), (b, row_b) in combinations(zip(basis, rows), 2):
+                if sum(map(mul, row_a, row_b)):
                     orth_fail.append(
                         f"n={n} m={m}: {a.tableau.second_row} vs {b.tableau.second_row}"
                     )
@@ -222,6 +308,16 @@ def check_basis(n_max: int) -> list[CheckResult]:
     ]
 
 
+def _basis_forms(n: int) -> dict[tuple[int, Key], SquareFreeForm]:
+    """The form of every cached full-basis vector at level n, by its degree
+    m and its tableau's second row."""
+    return {
+        (m, vec.tableau.second_row): vec.form
+        for m in range(n // 2 + 1)
+        for vec in full_gz_basis(n, m)
+    }
+
+
 def check_psi(n_max: int) -> list[CheckResult]:
     """The averaging map scales squared norms by C(n - 2k, m - k), and
     every lifted vector of the cached full basis is psi of its harmonic,
@@ -229,11 +325,7 @@ def check_psi(n_max: int) -> list[CheckResult]:
     failures: list[str] = []
     cases = 0
     for n in range(0, n_max + 1):
-        basis = {
-            (m, vec.tableau.second_row): vec.form
-            for m in range(n // 2 + 1)
-            for vec in full_gz_basis(n, m)
-        }
+        basis = _basis_forms(n)
         for u in enumerate_all_tableaux(n):
             k = len(u.second_row)
             base = basis[k, u.second_row]
@@ -258,15 +350,19 @@ def check_psi(n_max: int) -> list[CheckResult]:
 
 
 def check_decompose(n_max: int) -> list[CheckResult]:
-    """One-level splits: sum, orthogonality, norm ratios, exact preimages."""
+    """One-level splits: sum, orthogonality, norm ratios, exact preimages,
+    of every vector of the cached full bases over its harmonic, the basis
+    vector of degree k of the same tableau (``check_psi`` ties the two by
+    ``psi``)."""
     failures: list[str] = []
     cases = 0
     for n in range(1, n_max + 1):
+        basis = _basis_forms(n)
         for u in enumerate_all_tableaux(n):
             k = len(u.second_row)
-            f0 = gz_harmonic(u).form
+            f0 = basis[k, u.second_row]
             for m in range(k, n // 2 + 1):
-                f = psi(f0, m - k)
+                f = basis[m, u.second_row]
                 norm_f = inner(f, f)
                 for bit in (0, 1):
                     if 2 * (m + bit) > n + 1:
@@ -325,13 +421,14 @@ def check_spectral(n_max: int) -> list[CheckResult]:
     markov_fail: list[str] = []
     prefixes = 0
     shallower: dict[tuple[int, ...], SpectralTable] = {}
+    layouts: dict[tuple[int, int], dict[Key, tuple[int, ...]]] = {}
     for length in range(1, n_max + 1):
         tables: dict[tuple[int, ...], SpectralTable] = {}
         for prefix in _valid_prefixes(length):
             prefixes += 1
             left = tables[prefix.bits] = spectral_measure(prefix)
             key = tuple(t for t, b in enumerate(prefix.bits, start=1) if b)
-            if left != _projection_table(SquareFreeForm(length, len(key), {key: 1})):
+            if left != _projection_table(SquareFreeForm(length, len(key), {key: 1}), layouts):
                 table_fail.append(f"xi={prefix} (basis projection)")
                 continue
             kernel = kernel_from_prefix(prefix)

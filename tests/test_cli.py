@@ -322,6 +322,70 @@ def test_verify_golden_bytes(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
 
 
+# The whole stdout of two corrupted runs, so that a change to how the
+# suites collect failures keeps every FAIL detail's text and order.
+DROPPED_LIFT_SLOT_REPORT = (
+    "FAIL basis-eigen: lifted () at n=2 m=1; lifted () at n=3 m=1; lifted () at n=4 m=1;"
+    " lifted () at n=4 m=2; lifted (2,) at n=4 m=2; and 117 more\n"
+    "FAIL basis-orthogonal: n=2 m=1: () vs (2,); n=3 m=1: () vs (2,);"
+    " n=3 m=1: () vs (3,); n=4 m=1: () vs (2,); n=4 m=1: () vs (3,); and 1633 more\n"
+    "FAIL basis-norms: lifted norm () at n=2 m=1; lifted norm () at n=3 m=1;"
+    " lifted norm () at n=4 m=1; lifted norm () at n=4 m=2; lifted norm (2,) at n=4 m=2;"
+    " and 117 more\n"
+    "FAIL psi-isometry: basis vector n=2, u=(), m=1 is not psi;"
+    " basis vector n=3, u=(), m=1 is not psi; basis vector n=4, u=(), m=1 is not psi;"
+    " basis vector n=4, u=(), m=2 is not psi; basis vector n=4, u=(2,), m=2 is not psi;"
+    " and 117 more\n"
+    "FAIL good-tableau-norms: lifted n=2 k=0 m=1; lifted n=3 k=0 m=1;"
+    " lifted n=4 k=0 m=1; lifted n=4 k=0 m=2; lifted n=4 k=1 m=2; and 56 more\n"
+    "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
+    " for n <= 12\n"
+    "FAIL matrices-agree: lifted n=2 k=0 i=1; lifted n=3 k=0 i=1; lifted n=4 k=0 i=1;"
+    " lifted n=4 k=1 i=1; lifted n=4 k=1 i=2; and 8 more\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold"
+    " for n <= 6\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
+    " for n <= 10\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m)"
+    " for n <= 10\n"
+    "10 checks, 6 failures\n"
+)
+
+UNSIGNED_ROOK_FACTOR_REPORT = (
+    "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion;"
+    " harmonic (2,) at n=2; lifted (2,) at n=2 m=1;"
+    " harmonic (2,) at n=3 differs from its expansion; harmonic (2,) at n=3; and 22 more\n"
+    "FAIL basis-orthogonal: n=2 m=1: () vs (2,); n=3 m=1: () vs (2,);"
+    " n=3 m=1: () vs (3,); n=3 m=1: (2,) vs (3,); n=4 m=1: () vs (2,); and 20 more\n"
+    "FAIL basis-norms: lifted norm (2,) at n=4 m=2; lifted norm (3,) at n=4 m=2;"
+    " lifted norm (4,) at n=4 m=2\n"
+    "FAIL psi-isometry: n=4, u=(2,), m=2; n=4, u=(3,), m=2; n=4, u=(4,), m=2\n"
+    "FAIL good-tableau-norms: lifted n=4 k=1 m=2\n"
+    "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
+    " for n <= 4\n"
+    "FAIL matrices-agree: n=2 k=1 i=1; n=3 k=1 i=1; n=3 k=1 i=2; n=4 k=1 i=1;"
+    " lifted n=4 k=1 i=1; and 7 more\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold"
+    " for n <= 4\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
+    " for n <= 4\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m) for n <= 4\n"
+    "FAIL decompose: raised f0 is not harmonic\n"
+    "FAIL spectral: raised probabilities sum to 3/2, not 1\n"
+    "PASS alternating-parity: flat (1/2, 1/2) rows at odd levels, central rows at even"
+    " levels, certified against direct projection for n <= 4;"
+    " the opposite parity attribution is refuted\n"
+    "FAIL markov-detector: raised probabilities sum to 37/12, not 1\n"
+    "PASS central-mass: per-path weights 2^-n prod (2 + content)/hook sum to exactly 1"
+    " at every level n <= 4\n"
+    "PASS central-kernel: the rows ((n - 2k + 2)/(2(n - 2k + 1)),"
+    " (n - 2k)/(2(n - 2k + 1))) equal the weight ratios at every level n <= 4"
+    " and every k, with no parity restriction\n"
+    "PASS central-markov: central tables pass the shape-dependence test across levels\n"
+    "17 checks, 9 failures\n"
+)
+
+
 @pytest.fixture
 def fresh_basis_cache():
     """Empty the cached full bases before and after a test that corrupts
@@ -337,9 +401,7 @@ def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
     monkeypatch.setattr(gz, "_rook_factors", lambda p, j, k: [abs(f) for f in factors(p, j, k)])
     code, out, err = run_cli(capsys, "verify", "--n-max", "4")
     assert (code, err) == (1, "")
-    assert "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion" in out
-    assert "FAIL spectral: raised " in out
-    assert out.endswith(" failures\n") and not out.endswith(" 0 failures\n")
+    assert out == UNSIGNED_ROOK_FACTOR_REPORT
 
 
 def test_verify_fails_on_a_corrupted_scan_norm(capsys, monkeypatch):
@@ -374,7 +436,25 @@ def test_verify_fails_on_a_corrupted_lift(capsys, monkeypatch):
     monkeypatch.setattr(gz, "_lift_table", dropped)
     code, out, err = run_cli(capsys, "verify", "--scope", "gz")
     assert (code, err) == (1, "")
-    assert "FAIL psi-isometry: basis vector n=2, u=(), m=1 is not psi; " in out
+    assert out == DROPPED_LIFT_SLOT_REPORT
+
+
+def test_verify_fails_on_a_basis_vector_mixed_with_its_neighbour(capsys, monkeypatch):
+    """With the (3,) vector of the (4, 2) basis replaced by itself plus the
+    (4,) vector, the orthogonality check fails on exactly that pair."""
+    cached = verify.full_gz_basis
+
+    def mixed(n, m):
+        basis = list(cached(n, m))
+        if (n, m) == (4, 2):
+            vec, neighbour = basis[2], basis[3]
+            basis[2] = gz.GzVector(vec.tableau, vec.form + neighbour.form, vec.norm_sq)
+        return tuple(basis)
+
+    monkeypatch.setattr(verify, "full_gz_basis", mixed)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "FAIL basis-orthogonal: n=4 m=2: (3,) vs (4,)\n" in out
 
 
 def test_verify_fails_on_a_swapped_central_kernel(capsys, monkeypatch):

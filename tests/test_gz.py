@@ -40,9 +40,12 @@ from tworow.ygraph import (
 )
 from tworow.verify import (
     _acts_by,
+    _contents,
+    _dense_rows,
     _expanded_harmonic,
     _is_yjm_eigenform,
     _mat_mul as _sparse_mat_mul,
+    _yjm_misses,
 )
 
 
@@ -320,6 +323,24 @@ def test_eigencheck_rejects_every_basis_vector_with_a_bumped_coefficient():
                     bad = vec.form + SquareFreeForm(n, m, {key: 1})
                     assert not _is_yjm_eigenform(vec.tableau, bad, tables)
     assert sorted(tables) == [(n, m) for n in range(2, 7) for m in range(1, n // 2 + 1)]
+
+
+def test_batched_eigencheck_flags_exactly_the_bumped_vector():
+    """The batched check passes every full basis with n <= 6 and m >= 1
+    whole, and once 1 is added to any one coefficient of any one vector it
+    flags that vector and no other."""
+    tables = {}
+    for n in range(2, 7):
+        for m in range(1, n // 2 + 1):
+            basis = full_gz_basis(n, m)
+            contents = [_contents(vec.tableau) for vec in basis]
+            rows = _dense_rows(n, m, (vec.form for vec in basis))
+            assert _yjm_misses(n, m, contents, rows, tables) == set()
+            for pos, row in enumerate(rows):
+                for t in range(len(row)):
+                    row[t] += 1
+                    assert _yjm_misses(n, m, contents, rows, tables) == {pos}, (n, m, pos, t)
+                    row[t] -= 1
 
 
 def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
