@@ -11,10 +11,9 @@ it is checked against live here, private to this module:
   of differences, each one a ``forms.pseudo_monomial``, summed into one
   dict;
 - ``_yjm_misses``, the one eigen check: every level's transposition sum,
-  as the gather rows of ``gz.yjm_rows``, applied to the coefficient
-  columns of a whole batch of forms at once; ``_is_yjm_eigenform`` is its
-  call on one form, and the rows are shared by the forms of one
-  ``check_basis`` call and dropped with it;
+  given as the gather rows of ``gz.yjm_rows``, applied to the coefficient
+  columns of a whole batch of forms at once; ``check_basis`` builds the
+  rows once per cached basis and ``_is_yjm_eigenform`` for its one form;
 - sums of products of coefficients, ``forms.inner`` for lone forms and
   ``sum(map(mul, a, b))`` for the dense rows of a laid-out basis, against
   which every closed norm and the orthogonality of every full basis are
@@ -33,10 +32,11 @@ it is checked against live here, private to this module:
 - ``linalg.harmonic_dim``: harmonic dimensions by exact rank.
 
 A whole shape's vectors, at any degree, come only from the cached
-``gz.full_gz_basis`` that ``check_basis`` certifies; ``gz_harmonic`` and
+``gz.full_gz_basis`` that ``check_basis`` certifies; it reads the
+harmonics as the last block of each basis, and ``gz_harmonic`` and
 ``gz_in_H`` build only the single vectors a suite tests one at a time.
-A suite that reads whole bases lays each out once per call as
-``_dense_rows``, every vector's coefficients over the lexicographic
+A suite lays out each whole basis or shape block it reads once per call
+as ``_dense_rows``, every vector's coefficients over the lexicographic
 subsets with zeros included, so that its oracles run as C-level passes
 over plain lists rather than one Python step per vector and monomial.
 """
@@ -64,7 +64,6 @@ from .forms import (
     psi,
 )
 from .gz import (
-    GzVector,
     YjmRows,
     full_gz_basis,
     gz_harmonic,
@@ -93,7 +92,6 @@ from .ygraph import (
     dim,
     enumerate_all_tableaux,
     enumerate_diagrams,
-    enumerate_tableaux,
     good_tableau,
 )
 
@@ -144,22 +142,16 @@ _add_columns = partial(map, add)
 
 
 def _yjm_misses(
-    n: int,
-    k: int,
+    levels: Sequence[YjmRows],
     contents: Sequence[Sequence[int]],
     rows: Sequence[Sequence[Scalar]],
-    tables: dict[tuple[int, int], list[YjmRows]],
 ) -> set[int]:
     """The positions of the degree-k ``_dense_rows`` that some level l's
-    transposition sum does not scale by the content at l in the
-    ``_contents`` of the same position.  The rows are read as columns, one
-    per k-subset T across every form: the columns that ``gz.yjm_rows``
-    gathers onto x_T sum, form by form, to (content - fixed count) times
-    the column of T.  ``tables`` holds each (n, k)'s rows for all levels,
-    built on first use, so the forms of one check share them."""
-    levels = tables.get((n, k))
-    if levels is None:
-        levels = tables[n, k] = [yjm_rows(n, k, l) for l in range(1, n + 1)]
+    transposition sum, ``levels[l - 1]`` as the ``gz.yjm_rows`` of the
+    same n and k, does not scale by the content at l in the ``_contents``
+    of the same position.  The rows are read as columns, one per k-subset
+    T across every form: the columns gathered onto x_T sum, form by form,
+    to (content - fixed count) times the column of T."""
     columns = list(zip(*rows))
     columns.append((0,) * len(rows))
     misses: set[int] = set()
@@ -173,13 +165,11 @@ def _yjm_misses(
     return misses
 
 
-def _is_yjm_eigenform(
-    u: TwoRowTableau, form: SquareFreeForm, tables: dict[tuple[int, int], list[YjmRows]]
-) -> bool:
+def _is_yjm_eigenform(u: TwoRowTableau, form: SquareFreeForm) -> bool:
     """Whether every level l's transposition sum scales ``form`` by u's
     content at l: ``_yjm_misses`` on the one form."""
-    rows = _dense_rows(form.n, form.k, (form,))
-    return not _yjm_misses(form.n, form.k, (_contents(u),), rows, tables)
+    levels = [yjm_rows(form.n, form.k, l) for l in range(1, form.n + 1)]
+    return not _yjm_misses(levels, (_contents(u),), _dense_rows(form.n, form.k, (form,)))
 
 
 def _projection_table(
@@ -208,19 +198,19 @@ def _projection_table(
     return SpectralTable._trusted(n, probs)
 
 
-def _acts_by(matrix: list[list[Fraction]], i: int, basis: Sequence[GzVector]) -> bool:
-    """Whether (i i+1) sends each vector of ``basis`` to the combination of
-    ``basis`` its row of ``matrix`` gives; a matrix of another size fails.
-    Each row is scaled by the lcm of its denominators, so the combination
-    of the basis's ``_dense_rows`` is compared in integers with that
-    multiple of the vector's image under ``act``."""
-    size = len(basis)
+def _acts_by(
+    matrix: list[list[Fraction]], i: int, forms: Sequence[SquareFreeForm], rows: list[list[Scalar]]
+) -> bool:
+    """Whether (i i+1) sends each of ``forms``, laid out as ``rows`` by
+    ``_dense_rows``, to the combination of them its row of ``matrix`` gives;
+    a matrix of another size fails.  Each row of ``matrix`` is scaled by the
+    lcm of its denominators, so the combination of ``rows`` is compared in
+    integers with that multiple of the form's image under ``act``."""
+    size = len(forms)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         return False
-    n, k = basis[0].form.n, basis[0].form.k
-    forms = [vec.form for vec in basis]
+    n, k = forms[0].n, forms[0].k
     swap = Permutation.transposition(n, i, i + 1)
-    rows = _dense_rows(n, k, forms)
     images = _dense_rows(n, k, (act(swap, form) for form in forms))
     for entries, image in zip(matrix, images):
         scale = lcm(*(c.denominator for c in entries))
@@ -248,45 +238,45 @@ def _central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 def check_basis(n_max: int) -> list[CheckResult]:
     """Eigenvector property, orthogonality and closed norms of the basis,
-    and the closed harmonic vectors against their expansion.  The harmonics
-    of one shape and each full basis are laid out once as ``_dense_rows``
-    and checked whole."""
+    and the closed harmonic vectors against their expansion.  Each full
+    basis is laid out once as ``_dense_rows`` and checked whole; its last
+    block, of shape (n - m, m), holds the harmonic vectors, whose failures
+    each level reports before those of its lifted vectors."""
     eig_fail: list[str] = []
     orth_fail: list[str] = []
     norm_fail: list[str] = []
     vectors = 0
-    tables: dict[tuple[int, int], list[YjmRows]] = {}
     for n in range(1, n_max + 1):
         contents = {u: _contents(u) for u in enumerate_all_tableaux(n)}
-        for d in enumerate_diagrams(n):
-            tabs = enumerate_tableaux(d)
-            harmonics = [gz_harmonic(u) for u in tabs]
-            rows = _dense_rows(n, d.k, (h.form for h in harmonics))
-            misses = _yjm_misses(n, d.k, [contents[u] for u in tabs], rows, tables)
-            for pos, (u, harmonic, row) in enumerate(zip(tabs, harmonics, rows)):
-                vectors += 1
-                if harmonic.form != _expanded_harmonic(u):
-                    eig_fail.append(f"harmonic {u.second_row} at n={n} differs from its expansion")
-                if pos in misses:
-                    eig_fail.append(f"harmonic {u.second_row} at n={n}")
-                if harmonic.norm_sq != sum(map(mul, row, row)):
-                    norm_fail.append(f"harmonic norm {u.second_row} at n={n}")
+        lifted_eig: list[str] = []
+        lifted_norm: list[str] = []
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
             rows = _dense_rows(n, m, (vec.form for vec in basis))
-            misses = _yjm_misses(n, m, [contents[vec.tableau] for vec in basis], rows, tables)
+            levels = [yjm_rows(n, m, l) for l in range(1, n + 1)]
+            misses = _yjm_misses(levels, [contents[vec.tableau] for vec in basis], rows)
             for pos, (vec, row) in enumerate(zip(basis, rows)):
+                ps = vec.tableau.second_row
+                normed = vec.norm_sq == sum(map(mul, row, row))
+                if len(ps) == m:
+                    vectors += 1
+                    if vec.form != _expanded_harmonic(vec.tableau):
+                        eig_fail.append(f"harmonic {ps} at n={n} differs from its expansion")
+                    if pos in misses:
+                        eig_fail.append(f"harmonic {ps} at n={n}")
+                    if not normed:
+                        norm_fail.append(f"harmonic norm {ps} at n={n}")
                 if pos in misses:
-                    eig_fail.append(f"lifted {vec.tableau.second_row} at n={n} m={m}")
-                if vec.norm_sq != sum(map(mul, row, row)):
-                    norm_fail.append(
-                        f"lifted norm {vec.tableau.second_row} at n={n} m={m}"
-                    )
+                    lifted_eig.append(f"lifted {ps} at n={n} m={m}")
+                if not normed:
+                    lifted_norm.append(f"lifted norm {ps} at n={n} m={m}")
             for (a, row_a), (b, row_b) in combinations(zip(basis, rows), 2):
                 if sum(map(mul, row_a, row_b)):
                     orth_fail.append(
                         f"n={n} m={m}: {a.tableau.second_row} vs {b.tableau.second_row}"
                     )
+        eig_fail += lifted_eig
+        norm_fail += lifted_norm
     return [
         _result(
             "basis-eigen",
@@ -509,9 +499,12 @@ def check_central(mass_max: int, ratio_max: int, markov_max: int) -> list[CheckR
         for k in range(n // 2 + 1):
             if central_alpha_transition(n, k) != _central_transition_oracle(n, k):
                 ratio_fail.append(f"n={n} k={k}")
+    shallow = central_table(1) if markov_max > 1 else None
     for n in range(1, markov_max):
-        if not is_markov(central_table(n), central_table(n + 1)).ok:
+        deeper = central_table(n + 1)
+        if not is_markov(shallow, deeper).ok:
             markov_fail.append(f"n={n}")
+        shallow = deeper
     return [
         _result(
             "central-mass",
@@ -663,14 +656,17 @@ def check_matrices(n_max: int) -> list[CheckResult]:
     relation_fail: list[str] = []
     for n in range(2, n_max + 1):
         for d in enumerate_diagrams(n):
-            bases = [[vec for vec in full_gz_basis(n, m) if len(vec.tableau.second_row) == d.k]
-                     for m in range(d.k, min(d.k + 1, n // 2) + 1)]
+            bases = []
+            for m in range(d.k, min(d.k + 1, n // 2) + 1):
+                forms = [vec.form for vec in full_gz_basis(n, m)
+                         if len(vec.tableau.second_row) == d.k]
+                bases.append((forms, _dense_rows(n, m, forms)))
             mats = {}
             for i in range(1, n):
                 closed = orthogonal_form_matrix(i, d)
-                if not _acts_by(closed, i, bases[0]):
+                if not _acts_by(closed, i, *bases[0]):
                     agree_fail.append(f"n={n} k={d.k} i={i}")
-                if len(bases) > 1 and not _acts_by(closed, i, bases[1]):
+                if len(bases) > 1 and not _acts_by(closed, i, *bases[1]):
                     agree_fail.append(f"lifted n={n} k={d.k} i={i}")
                 mats[i] = closed
             size = len(mats[1])

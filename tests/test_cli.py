@@ -322,8 +322,9 @@ def test_verify_golden_bytes(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
 
 
-# The whole stdout of two corrupted runs, so that a change to how the
-# suites collect failures keeps every FAIL detail's text and order.
+# The whole stdout of four corrupted runs, so that a change to how the
+# suites collect failures keeps every FAIL detail's text and order; the
+# last two interleave the harmonic and lifted messages of each level.
 DROPPED_LIFT_SLOT_REPORT = (
     "FAIL basis-eigen: lifted () at n=2 m=1; lifted () at n=3 m=1; lifted () at n=4 m=1;"
     " lifted () at n=4 m=2; lifted (2,) at n=4 m=2; and 117 more\n"
@@ -385,6 +386,50 @@ UNSIGNED_ROOK_FACTOR_REPORT = (
     "17 checks, 9 failures\n"
 )
 
+WRONG_CLOSED_NORM_REPORT = (
+    "PASS basis-eigen: all 147 vectors at n <= 8 are eigenvectors of every partial"
+    " transposition sum, eigenvalues the entry contents\n"
+    "PASS basis-orthogonal: full bases pairwise orthogonal for n <= 8\n"
+    "FAIL basis-norms: harmonic norm () at n=1; lifted norm () at n=1 m=0;"
+    " harmonic norm () at n=2; harmonic norm (2,) at n=2; lifted norm () at n=2 m=0;"
+    " and 446 more\n"
+    "PASS psi-isometry: 305 lifts at n <= 8 scale squared norms by C(n - 2k, m - k);"
+    " at k = 0 this is the norm C(n, m) of the averaged constant\n"
+    "PASS good-tableau-norms: squared norms are 2^k and 2^k C(n - 2k, m - k) for n <= 12\n"
+    "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
+    " for n <= 12\n"
+    "PASS matrices-agree: closed-entry matrices equal the projection-built ones,"
+    " also after lifting, for n <= 6\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold"
+    " for n <= 6\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
+    " for n <= 10\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m)"
+    " for n <= 10\n"
+    "10 checks, 1 failures\n"
+)
+
+NO_FIXED_TERMS_REPORT = (
+    "FAIL basis-eigen: harmonic () at n=2; lifted () at n=2 m=0; harmonic () at n=3;"
+    " harmonic (2,) at n=3; harmonic (3,) at n=3; and 21 more\n"
+    "PASS basis-orthogonal: full bases pairwise orthogonal for n <= 4\n"
+    "PASS basis-norms: squared norms match prod (p_j - 2j + 1)(p_j - 2j + 2) and its"
+    " binomial lift for n <= 4\n"
+    "PASS psi-isometry: 20 lifts at n <= 4 scale squared norms by C(n - 2k, m - k);"
+    " at k = 0 this is the norm C(n, m) of the averaged constant\n"
+    "PASS good-tableau-norms: squared norms are 2^k and 2^k C(n - 2k, m - k) for n <= 4\n"
+    "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
+    " for n <= 4\n"
+    "PASS matrices-agree: closed-entry matrices equal the projection-built ones,"
+    " also after lifting, for n <= 4\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold"
+    " for n <= 4\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
+    " for n <= 4\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m) for n <= 4\n"
+    "10 checks, 1 failures\n"
+)
+
 
 @pytest.fixture
 def fresh_basis_cache():
@@ -423,6 +468,7 @@ def test_verify_fails_on_a_wrong_closed_norm(capsys, monkeypatch):
     assert "FAIL basis-norms: harmonic norm () at n=1; " in out
     assert "PASS psi-isometry: " in out
     assert "PASS good-tableau-norms: " in out
+    assert out == WRONG_CLOSED_NORM_REPORT
 
 
 @pytest.mark.usefixtures("fresh_basis_cache")
@@ -495,6 +541,29 @@ def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
     assert "PASS matrices-relations: " in out
 
 
+# Closed routes that verify checks, each off by one, and the checks of
+# the scope that then fail.
+OFF_BY_ONE_ROUTES = [
+    (verify, "good_tableau_ratio", "gz", ["good-tableau-ratio"]),
+    (verify, "dim", "gz", ["harmonic-dimension"]),
+    (gz, "closed_norm_sq_in_H", "gz", ["basis-norms"]),
+    (gz, "closed_norm_sq_in_H", "markov", ["spectral", "markov-detector"]),
+]
+
+
+@pytest.mark.usefixtures("fresh_basis_cache")
+@pytest.mark.parametrize("module,name,scope,failing", OFF_BY_ONE_ROUTES)
+def test_verify_fails_on_a_closed_route_off_by_one(
+    capsys, monkeypatch, module, name, scope, failing
+):
+    closed = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: closed(*args) + 1)
+    code, out, err = run_cli(capsys, "verify", "--scope", scope)
+    assert (code, err) == (1, "")
+    failed = [line[5:].split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == failing
+
+
 def _yjm_rows_without_fixed_terms(n, k, l):
     """The gather rows of the transposition sum at level l, with every
     count of the transpositions that fix a monomial set to 0."""
@@ -507,6 +576,7 @@ def test_verify_fails_on_a_transposition_sum_without_fixed_terms(capsys, monkeyp
     assert (code, err) == (1, "")
     assert "FAIL basis-eigen: harmonic () at n=2; " in out
     assert "PASS basis-norms: " in out
+    assert out == NO_FIXED_TERMS_REPORT
 
 
 def test_run_scope_runs_the_current_suites(monkeypatch):
@@ -534,6 +604,21 @@ def test_central_ceilings_are_independent(monkeypatch):
     verify.run_scope("central")
     verify.run_scope("central", 6)
     assert bounds == [(12, 10, 9), (6, 6, 6)]
+
+
+def test_central_markov_pairs_reuse_the_deeper_table(monkeypatch):
+    """Each central table of the Markov pairs is built once, the deeper
+    table of one pair serving as the shallower of the next; an empty loop
+    builds none."""
+    levels = []
+    real = verify.central_table
+    monkeypatch.setattr(verify, "central_table", lambda n: levels.append(n) or real(n))
+    assert all(result.ok for result in verify.check_central(12, 10, 9))
+    assert levels == [*range(1, 13), *range(1, 10)]
+    levels.clear()
+    for markov_max in (0, 1):
+        assert all(result.ok for result in verify.check_central(0, 0, markov_max))
+    assert levels == []
 
 
 def test_scoped_reports_make_up_the_default_report(capsys):

@@ -297,16 +297,16 @@ def test_yjm_rows_split_every_transposition_into_fixed_or_moving():
 
 @given(tableaux(max_n=6), st.data())
 def test_eigencheck_all_levels(u, data):
-    assert _is_yjm_eigenform(u, gz_harmonic(u).form, {})
+    assert _is_yjm_eigenform(u, gz_harmonic(u).form)
     m = data.draw(st.integers(min_value=len(u.second_row), max_value=u.n // 2))
-    assert _is_yjm_eigenform(u, gz_in_H(u, m).form, {})
+    assert _is_yjm_eigenform(u, gz_in_H(u, m).form)
 
 
 def test_corrupted_vector_fails_eigencheck():
     u = TwoRowTableau(3, (3,))
     good = gz_harmonic(u).form
-    assert _is_yjm_eigenform(u, good, {})
-    assert not _is_yjm_eigenform(u, good + mono(3, 2), {})
+    assert _is_yjm_eigenform(u, good)
+    assert not _is_yjm_eigenform(u, good + mono(3, 2))
 
 
 def test_eigencheck_rejects_every_basis_vector_with_a_bumped_coefficient():
@@ -314,32 +314,30 @@ def test_eigencheck_rejects_every_basis_vector_with_a_bumped_coefficient():
     joint eigenspace meets the module in a line, so adding 1 to any
     coefficient leaves it.  At m = 0 the only vector is a constant, which
     stays an eigenvector when bumped."""
-    tables = {}
     for n in range(2, 7):
         for m in range(1, n // 2 + 1):
             for vec in full_gz_basis(n, m):
-                assert _is_yjm_eigenform(vec.tableau, vec.form, tables)
+                assert _is_yjm_eigenform(vec.tableau, vec.form)
                 for key in combinations(range(1, n + 1), m):
                     bad = vec.form + SquareFreeForm(n, m, {key: 1})
-                    assert not _is_yjm_eigenform(vec.tableau, bad, tables)
-    assert sorted(tables) == [(n, m) for n in range(2, 7) for m in range(1, n // 2 + 1)]
+                    assert not _is_yjm_eigenform(vec.tableau, bad)
 
 
 def test_batched_eigencheck_flags_exactly_the_bumped_vector():
     """The batched check passes every full basis with n <= 6 and m >= 1
     whole, and once 1 is added to any one coefficient of any one vector it
     flags that vector and no other."""
-    tables = {}
     for n in range(2, 7):
         for m in range(1, n // 2 + 1):
+            levels = [yjm_rows(n, m, l) for l in range(1, n + 1)]
             basis = full_gz_basis(n, m)
             contents = [_contents(vec.tableau) for vec in basis]
             rows = _dense_rows(n, m, (vec.form for vec in basis))
-            assert _yjm_misses(n, m, contents, rows, tables) == set()
+            assert _yjm_misses(levels, contents, rows) == set()
             for pos, row in enumerate(rows):
                 for t in range(len(row)):
                     row[t] += 1
-                    assert _yjm_misses(n, m, contents, rows, tables) == {pos}, (n, m, pos, t)
+                    assert _yjm_misses(levels, contents, rows) == {pos}, (n, m, pos, t)
                     row[t] -= 1
 
 
@@ -358,6 +356,34 @@ def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
     for runs in (1, 2):
         assert all(result.ok for result in verify.check_basis(5))
         assert built == {key: runs for key in needed}
+
+
+def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch):
+    """``check_basis`` builds no lone vector: each harmonic is the last
+    block of its cached full basis, and each (n, m) is laid out and
+    eigen-checked once, 24 times each for n <= 8."""
+
+    def lone(*args):
+        raise AssertionError("check_basis built a lone vector")
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("gz_harmonic", "gz_in_H"):
+        monkeypatch.setattr(verify, name, lone)
+    for name in ("_dense_rows", "_yjm_misses"):
+        monkeypatch.setattr(verify, name, counted(name))
+    results = verify.check_basis(8)
+    assert all(r.ok for r in results), results
+    assert calls == {"_dense_rows": 24, "_yjm_misses": 24}
 
 
 def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
@@ -687,8 +713,10 @@ def test_matrices_satisfy_braid_and_commutation():
 
 
 def _shape_vectors(d, m):
-    """The cached degree-m vectors of the tableaux of shape d."""
-    return [vec for vec in full_gz_basis(d.n, m) if len(vec.tableau.second_row) == d.k]
+    """The forms of the cached degree-m vectors of the tableaux of shape d,
+    and their ``_dense_rows``."""
+    forms = [vec.form for vec in full_gz_basis(d.n, m) if len(vec.tableau.second_row) == d.k]
+    return forms, _dense_rows(d.n, m, forms)
 
 
 def test_closed_matrices_act_on_both_bases():
@@ -701,12 +729,12 @@ def test_closed_matrices_act_on_both_bases():
             for m in range(d.k, min(d.k + 1, n // 2) + 1):
                 basis = _shape_vectors(d, m)
                 for i in range(1, n):
-                    assert _acts_by(orthogonal_form_matrix(i, d), i, basis), (n, d.k, m, i)
+                    assert _acts_by(orthogonal_form_matrix(i, d), i, *basis), (n, d.k, m, i)
     d = TwoRowDiagram(5, 2)
     basis = _shape_vectors(d, 2)
     transposed = {i: [list(col) for col in zip(*orthogonal_form_matrix(i, d))] for i in range(1, 5)}
-    assert not all(_acts_by(matrix, i, basis) for i, matrix in transposed.items())
-    assert not _acts_by(orthogonal_form_matrix(2, d)[:-1], 2, basis)
+    assert not all(_acts_by(matrix, i, *basis) for i, matrix in transposed.items())
+    assert not _acts_by(orthogonal_form_matrix(2, d)[:-1], 2, *basis)
 
 
 def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
@@ -732,6 +760,26 @@ def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
     results = verify.check_matrices(6) + verify.check_psi(8)
     assert all(r.ok for r in results), results
     assert not built
+
+
+def test_matrix_check_lays_out_each_shape_degree_once(monkeypatch):
+    """``check_matrices(6)`` lays out each shape's vectors of degree k and
+    k + 1 once, and each transposition's images of them once: n layouts
+    per (shape, degree) at level n, 102 in all."""
+    levels = []
+    real = verify._dense_rows
+    monkeypatch.setattr(
+        verify, "_dense_rows", lambda n, k, forms: levels.append(n) or real(n, k, forms)
+    )
+    assert all(r.ok for r in verify.check_matrices(6))
+    degrees = [
+        n
+        for n in range(2, 7)
+        for k in range(n // 2 + 1)
+        for _ in range(k, min(k + 1, n // 2) + 1)
+    ]
+    assert sorted(levels) == sorted(n for n in degrees for _ in range(n))
+    assert len(levels) == 102
 
 
 def test_off_diagonal_entries_square_correctly():
