@@ -322,9 +322,10 @@ def test_verify_golden_bytes(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
 
 
-# The whole stdout of four corrupted runs, so that a change to how the
+# The whole stdout of six corrupted runs, so that a change to how the
 # suites collect failures keeps every FAIL detail's text and order; the
-# last two interleave the harmonic and lifted messages of each level.
+# third and fourth interleave the harmonic and lifted messages of each
+# level.
 DROPPED_LIFT_SLOT_REPORT = (
     "FAIL basis-eigen: lifted () at n=2 m=1; lifted () at n=3 m=1; lifted () at n=4 m=1;"
     " lifted () at n=4 m=2; lifted (2,) at n=4 m=2; and 117 more\n"
@@ -431,6 +432,44 @@ NO_FIXED_TERMS_REPORT = (
 )
 
 
+CORRUPTED_TRANSPOSITION_MATRIX_REPORT = (
+    "PASS basis-eigen: all 12 vectors at n <= 4 are eigenvectors of every partial"
+    " transposition sum, eigenvalues the entry contents\n"
+    "PASS basis-orthogonal: full bases pairwise orthogonal for n <= 4\n"
+    "PASS basis-norms: squared norms match prod (p_j - 2j + 1)(p_j - 2j + 2) and its"
+    " binomial lift for n <= 4\n"
+    "PASS psi-isometry: 20 lifts at n <= 4 scale squared norms by C(n - 2k, m - k);"
+    " at k = 0 this is the norm C(n, m) of the averaged constant\n"
+    "PASS good-tableau-norms: squared norms are 2^k and 2^k C(n - 2k, m - k) for n <= 4\n"
+    "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
+    " for n <= 4\n"
+    "FAIL matrices-agree: n=3 k=1 i=2; n=4 k=1 i=2; lifted n=4 k=1 i=2; n=4 k=1 i=3;"
+    " lifted n=4 k=1 i=3; and 1 more\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold"
+    " for n <= 4\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
+    " for n <= 4\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m) for n <= 4\n"
+    "10 checks, 1 failures\n"
+)
+
+SWAPPED_INDUCED_KERNEL_REPORT = (
+    "FAIL decompose-step: stay-norm n=1 u=() m=0 b=0; up-norm n=1 u=() m=0 b=0;"
+    " stay-norm n=2 u=() m=0 b=0; up-norm n=2 u=() m=0 b=0; stay-norm n=2 u=() m=0 b=1;"
+    " and 47 more\n"
+    "PASS spectral-vs-paths: projection and path-product tables agree for all 12 valid"
+    " sequences of length <= 4\n"
+    "PASS spectral-markov: step ratios depend only on the shape and match the closed"
+    " kernel for all sequences of length <= 4\n"
+    "PASS alternating-parity: flat (1/2, 1/2) rows at odd levels, central rows at even"
+    " levels, certified against direct projection for n <= 4;"
+    " the opposite parity attribution is refuted\n"
+    "PASS markov-detector: real chains accepted, corrupted pair rejected with a"
+    " same-shape witness\n"
+    "5 checks, 1 failures\n"
+)
+
+
 @pytest.fixture
 def fresh_basis_cache():
     """Empty the cached full bases before and after a test that corrupts
@@ -521,6 +560,7 @@ def test_verify_fails_on_a_corrupted_transposition_matrix(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert "FAIL matrices-agree: n=3 k=1 i=2; " in out
     assert "PASS basis-eigen: " in out
+    assert out == CORRUPTED_TRANSPOSITION_MATRIX_REPORT
 
 
 def test_verify_fails_on_a_swapped_induced_kernel(capsys, monkeypatch):
@@ -530,6 +570,7 @@ def test_verify_fails_on_a_swapped_induced_kernel(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert "FAIL decompose-step: stay-norm n=1 u=() m=0 b=0; up-norm n=1 u=() m=0 b=0; " in out
     assert "PASS spectral-markov: " in out
+    assert out == SWAPPED_INDUCED_KERNEL_REPORT
 
 
 def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
