@@ -20,14 +20,18 @@ are harmonic and span the harmonic subspace.
 ``psi`` averages a form up to higher degree: psi_l sends x_I to the sum of
 x_{I union S} over all l-element subsets S of the complement of I.  Up to a
 binomial scalar it is an isometry on harmonic forms, which is what makes
-exact norm bookkeeping possible throughout the package.
+exact norm bookkeeping possible throughout the package.  ``decompose_step``
+and ``harmonic_preimage`` check that a form is such a lift without
+building it: ``_lifts_to`` sums the seed's coefficients over the k-subsets
+of each m-subset in one pass and compares with the form there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import eq, mul
 from typing import Iterable, Iterator, Mapping
 
 Key = tuple[int, ...]
@@ -129,15 +133,21 @@ class SquareFreeForm:
         return SquareFreeForm._trusted(self.n, self.k, out)
 
     def __sub__(self, other: SquareFreeForm) -> SquareFreeForm:
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for key, val in other.coeffs.items():
+            out[key] = out.get(key, 0) - val
+        return SquareFreeForm._trusted(self.n, self.k, out)
 
     def __neg__(self) -> SquareFreeForm:
         return self * -1
 
     def __mul__(self, scalar: Scalar) -> SquareFreeForm:
+        """The form times a scalar; a nonzero scalar keeps every
+        coefficient nonzero, so only a zero one drops them."""
         val = _scalar(scalar)
-        coeffs = {key: val * c for key, c in self.coeffs.items()}
-        return SquareFreeForm._trusted(self.n, self.k, coeffs)
+        coeffs = {key: val * c for key, c in self.coeffs.items()} if val else {}
+        return SquareFreeForm._trusted(self.n, self.k, coeffs, nonzero=True)
 
     __rmul__ = __mul__
 
@@ -269,8 +279,14 @@ def pseudo_monomial(n: int, pairs: Iterable[tuple[int, int]]) -> SquareFreeForm:
         raise ValueError(f"indices must be pairwise distinct: {pair_list}")
     if any(not 1 <= idx <= n for idx in flat):
         raise ValueError(f"indices must lie in 1..{n}: {pair_list}")
+    return SquareFreeForm._trusted(n, len(pair_list), _expand_pairs(pair_list))
+
+
+def _expand_pairs(pairs: Iterable[tuple[int, int]]) -> dict[Key, int]:
+    """The coefficients of prod_t (x_{i_t} - x_{j_t}), unchecked: the
+    caller guarantees that all indices are distinct ``int`` values."""
     coeffs: dict[Key, int] = {(): 1}
-    for i, j in pair_list:
+    for i, j in pairs:
         nxt: dict[Key, int] = {}
         for key, val in coeffs.items():
             up = tuple(sorted(key + (i,)))
@@ -278,7 +294,7 @@ def pseudo_monomial(n: int, pairs: Iterable[tuple[int, int]]) -> SquareFreeForm:
             nxt[up] = nxt.get(up, 0) + val
             nxt[down] = nxt.get(down, 0) - val
         coeffs = nxt
-    return SquareFreeForm._trusted(n, len(pair_list), coeffs)
+    return coeffs
 
 
 def psi(f: SquareFreeForm, l: int) -> SquareFreeForm:
@@ -303,6 +319,21 @@ def psi(f: SquareFreeForm, l: int) -> SquareFreeForm:
             new_key = tuple(sorted(key + extra))
             out[new_key] = out.get(new_key, 0) + val
     return SquareFreeForm._trusted(f.n, f.k + l, out)
+
+
+def _lifts_to(g: SquareFreeForm, f: SquareFreeForm, scale: Scalar = 1) -> bool:
+    """Whether psi(g, f.k - g.k) == scale * f, for forms in the same
+    variables with g.k <= f.k, in one pass over the f.k-subsets I of
+    1..n and without building either side: the coefficients of g on the
+    g.k-subsets of I sum to scale * f[I]."""
+    keys = list(combinations(range(1, f.n + 1), f.k))
+    subsets = map(combinations, keys, repeat(g.k))
+    # The lookups of every key share one endless repeat(0) of defaults.
+    sums = map(sum, map(map, repeat(g.coeffs.get), subsets, repeat(repeat(0))))
+    targets = map(f.coeffs.get, keys, repeat(0))
+    if scale != 1:
+        targets = map(mul, repeat(scale), targets)
+    return all(map(eq, sums, targets))
 
 
 def decompose_step(
@@ -336,7 +367,7 @@ def decompose_step(
         )
     if not is_harmonic(f0):
         raise ValueError("f0 is not harmonic")
-    if psi(f0, m - k) != f:
+    if not _lifts_to(f0, f):
         raise ValueError("f is not the psi-image of f0")
 
     if bit == 0:
@@ -361,7 +392,8 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     adjoint image g divided by that constant.  The candidate is checked
     before the division, as g harmonic with psi(g, m - k) == C * f, so
     forms outside the image are rejected rather than mangled and integral
-    forms are checked in integers.
+    forms are checked in integers; the lift is checked by ``_lifts_to``,
+    which builds neither side.
     """
     n, m = f.n, f.k
     if not 0 <= k <= m:
@@ -376,7 +408,7 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
         for sub in combinations(key, k):
             out[sub] = out.get(sub, 0) + val
     g = SquareFreeForm._trusted(n, k, out)
-    if not is_harmonic(g) or psi(g, m - k) != scale * f:
+    if not is_harmonic(g) or not _lifts_to(g, f, scale):
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
     coeffs = {
         key: Fraction(val, scale) if val % scale else val // scale

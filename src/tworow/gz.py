@@ -45,7 +45,9 @@ k < m, the lift table once, then gathers every slot of each dense harmonic
 at once and takes each coefficient as the difference of one running sum
 at the ends of its m-subset's run, so a lifted vector costs
 C(n, m) * C(m, k) additions in C-level passes and builds no index tuples.
-``iter_basis`` runs it once per shape and ``gz_in_H`` on one tableau.  The
+``iter_basis`` runs it once per shape and ``gz_in_H`` on one tableau;
+verify's good-tableau check passes it one tableau's rook columns, built
+once for all the degrees it lifts to.  The
 level operators X_l = sum_{i<l} (i l) take a similar form: ``yjm_rows``
 gives, for each k-subset, its count of fixing transpositions and a gather
 of the monomials the others carry onto it.
@@ -171,16 +173,23 @@ def _lift_table(n: int, m: int, k: int) -> LiftTable:
 
 
 def _vectors(
-    n: int, m: int, k: int, tableaux: Collection[TwoRowTableau]
+    n: int,
+    m: int,
+    k: int,
+    tableaux: Collection[TwoRowTableau],
+    columns: RookColumns | None = None,
 ) -> Iterator[GzVector]:
     """psi(h_u, m - k) with its closed norm for each u of ``tableaux``, of
     shape (n, k), for a checked degree m, built when requested from one
-    ``_rook_columns`` table and, for k < m, one ``_lift_table``.  Each
+    ``_rook_columns`` table and, for k < m, one ``_lift_table``.  A caller
+    that already holds a table of rook columns for these tableaux passes
+    it as ``columns``; by default the call builds its own.  Each
     coefficient sums the dense h_u over the k-subsets of its m-subset: the
     running sum of all gathered slots at the end of the m-subset's C(m, k)
     slots, differenced.  Nonzero sums are kept in lexicographic key order,
     which ``serialize.write_basis`` relies on."""
-    columns = _rook_columns(n, k, tableaux)
+    if columns is None:
+        columns = _rook_columns(n, k, tableaux)
     if k == m:
         for u in tableaux:
             yield gz_harmonic(u, columns)

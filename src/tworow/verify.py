@@ -8,12 +8,12 @@ The library keeps one closed route per fact; the first-principles oracles
 it is checked against live here, private to this module:
 
 - ``_expanded_harmonic``: the harmonic vector as the sum of its products
-  of differences, each one a ``forms.pseudo_monomial``, summed into one
-  dict;
+  of differences, each expanded by the unchecked core of
+  ``forms.pseudo_monomial``, summed into one dict;
 - ``_yjm_misses``, the one eigen check: every level's transposition sum,
   given as the gather rows of ``gz.yjm_rows``, applied to the coefficient
   columns of a whole batch of forms at once; ``check_basis`` builds the
-  rows once per cached basis and ``_is_yjm_eigenform`` for its one form;
+  rows once per cached basis;
 - sums of products of coefficients, ``forms.inner`` for lone forms and
   ``sum(map(mul, a, b))`` for the dense rows of a laid-out basis, against
   which every closed norm and the orthogonality of every full basis are
@@ -26,15 +26,19 @@ it is checked against live here, private to this module:
 - ``_acts_by``: an adjacent-transposition matrix by its definition, each
   vector's image under ``forms.act``, times the lcm of its row's
   denominators, against the integer combination of dense rows that row
-  gives;
+  gives; the relations between the matrices of one shape are checked in
+  integers too, on every matrix times one common denominator;
 - ``_central_transition_oracle``: the central kernel as ratios of shape
   weights between consecutive levels;
-- ``linalg.harmonic_dim``: harmonic dimensions by exact rank.
+- ``linalg.harmonic_dim``: harmonic dimensions by exact rank, eliminated
+  on the sparse rows of the divergence.
 
 A whole shape's vectors, at any degree, come only from the cached
 ``gz.full_gz_basis`` that ``check_basis`` certifies; it reads the
-harmonics as the last block of each basis, and ``gz_harmonic`` and
-``gz_in_H`` build only the single vectors a suite tests one at a time.
+harmonics as the last block of each basis.  Only ``check_good`` builds
+single vectors, the ones it tests: ``gz_harmonic`` and, for the lifts,
+gz's one vector builder ``_vectors``, all from one table of rook columns
+per good tableau.
 A suite lays out each whole basis or shape block it reads once per call
 as ``_dense_rows``, every vector's coefficients over the lexicographic
 subsets with zeros included, so that its oracles run as C-level passes
@@ -56,18 +60,19 @@ from .forms import (
     Permutation,
     Scalar,
     SquareFreeForm,
+    _expand_pairs,
     act,
     decompose_step,
     harmonic_preimage,
     inner,
-    pseudo_monomial,
     psi,
 )
 from .gz import (
     YjmRows,
+    _rook_columns,
+    _vectors,
     full_gz_basis,
     gz_harmonic,
-    gz_in_H,
     orthogonal_form_matrix,
     yjm_rows,
 )
@@ -114,12 +119,14 @@ def _result(name: str, failures: list[str], ok_detail: str) -> CheckResult:
 def _expanded_harmonic(u: TwoRowTableau) -> SquareFreeForm:
     """The harmonic vector of u from its definition: the sum over every
     choice of lows i_j < p_j, with all 2k indices distinct, of the
-    ``pseudo_monomial`` prod_j (x_{i_j} - x_{p_j}), summed into one dict."""
+    product of differences prod_j (x_{i_j} - x_{p_j}), summed into one
+    dict.  Each product is expanded by the unchecked core of
+    ``forms.pseudo_monomial``: the indices are distinct by construction."""
     ps = u.second_row
     total: dict[Key, Scalar] = {}
     for lows in product(*(range(1, p) for p in ps)):
         if len(set(lows + ps)) == 2 * len(ps):
-            for key, val in pseudo_monomial(u.n, zip(lows, ps)).coeffs.items():
+            for key, val in _expand_pairs(zip(lows, ps)).items():
                 total[key] = total.get(key, 0) + val
     return SquareFreeForm._trusted(u.n, len(ps), total)
 
@@ -163,13 +170,6 @@ def _yjm_misses(
             if image != expect:
                 misses.update(compress(count(), map(ne, image, expect)))
     return misses
-
-
-def _is_yjm_eigenform(u: TwoRowTableau, form: SquareFreeForm) -> bool:
-    """Whether every level l's transposition sum scales ``form`` by u's
-    content at l: ``_yjm_misses`` on the one form."""
-    levels = [yjm_rows(form.n, form.k, l) for l in range(1, form.n + 1)]
-    return not _yjm_misses(levels, (_contents(u),), _dense_rows(form.n, form.k, (form,)))
 
 
 def _projection_table(
@@ -449,17 +449,20 @@ def check_spectral(n_max: int) -> list[CheckResult]:
 
 
 def check_good(n_max: int) -> list[CheckResult]:
-    """Norms and level ratios for the tableau with second row 2, 4, ..., 2k."""
+    """Norms and level ratios for the tableau with second row 2, 4, ..., 2k.
+    Its vectors are built alone, not read from the cached bases: one table
+    of rook columns per good tableau feeds its harmonic and every lift."""
     norm_fail: list[str] = []
     ratio_fail: list[str] = []
     for n in range(0, n_max + 1):
         for k in range(n // 2 + 1):
             u = good_tableau(n, k)
-            harmonic = gz_harmonic(u).form
+            columns = _rook_columns(n, k, (u,))
+            harmonic = gz_harmonic(u, columns).form
             if inner(harmonic, harmonic) != 2**k:
                 norm_fail.append(f"harmonic n={n} k={k}")
             for m in range(k, n // 2 + 1):
-                lifted = gz_in_H(u, m).form
+                lifted = next(_vectors(n, m, k, (u,), columns)).form
                 if inner(lifted, lifted) != 2**k * comb(n - 2 * k, m - k):
                     norm_fail.append(f"lifted n={n} k={k} m={m}")
                 for bit in (0, 1):
@@ -626,13 +629,13 @@ def check_dimensions(n_max: int) -> list[CheckResult]:
     ]
 
 
-def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """The product of square matrices, multiplying only nonzero entries: a
     row of an adjacent-transposition matrix has at most two."""
     b_rows = [[(c, w) for c, w in enumerate(row) if w] for row in b]
     out = []
     for row in a:
-        acc = [Fraction(0)] * len(b)
+        acc = [0] * len(b)
         for t, v in enumerate(row):
             if v:
                 for c, w in b_rows[t]:
@@ -641,17 +644,12 @@ def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Frac
     return out
 
 
-def _identity(size: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(1) if r == c else Fraction(0) for c in range(size)]
-        for r in range(size)
-    ]
-
-
 def check_matrices(n_max: int) -> list[CheckResult]:
     """Adjacent-transposition matrices: closed entries act on the shape's
     vectors of degree k and, lifted, k + 1, and satisfy the involution,
-    braid and commutation relations."""
+    braid and commutation relations.  The relations are checked in
+    integers on the shape's matrices times their common denominator D:
+    squares against D^2 I, braids at D^3 and commutators at D^2."""
     agree_fail: list[str] = []
     relation_fail: list[str] = []
     for n in range(2, n_max + 1):
@@ -661,16 +659,20 @@ def check_matrices(n_max: int) -> list[CheckResult]:
                 forms = [vec.form for vec in full_gz_basis(n, m)
                          if len(vec.tableau.second_row) == d.k]
                 bases.append((forms, _dense_rows(n, m, forms)))
-            mats = {}
+            closed = {}
             for i in range(1, n):
-                closed = orthogonal_form_matrix(i, d)
-                if not _acts_by(closed, i, *bases[0]):
+                closed[i] = orthogonal_form_matrix(i, d)
+                if not _acts_by(closed[i], i, *bases[0]):
                     agree_fail.append(f"n={n} k={d.k} i={i}")
-                if len(bases) > 1 and not _acts_by(closed, i, *bases[1]):
+                if len(bases) > 1 and not _acts_by(closed[i], i, *bases[1]):
                     agree_fail.append(f"lifted n={n} k={d.k} i={i}")
-                mats[i] = closed
+            scale = lcm(*(c.denominator for mat in closed.values() for row in mat for c in row))
+            mats = {
+                i: [[c.numerator * (scale // c.denominator) for c in row] for row in mat]
+                for i, mat in closed.items()
+            }
             size = len(mats[1])
-            ident = _identity(size)
+            ident = [[scale * scale if r == c else 0 for c in range(size)] for r in range(size)]
             for i in range(1, n):
                 if _mat_mul(mats[i], mats[i]) != ident:
                     relation_fail.append(f"involution n={n} k={d.k} i={i}")

@@ -18,6 +18,7 @@ from tworow.forms import (
     pseudo_monomial,
     psi,
 )
+from tworow.forms import _expand_pairs, _lifts_to
 from tworow.gz import gz_harmonic
 from tworow.markov import induced_transition
 from tworow.ygraph import enumerate_all_tableaux
@@ -129,6 +130,25 @@ def test_add_rejects_mismatched_forms():
         mono(3, 1) + mono(4, 1)
     with pytest.raises(ValueError):
         mono(3, 1) + mono(3, 1, 2)
+    with pytest.raises(ValueError):
+        mono(3, 1) - mono(4, 1)
+
+
+@given(form_pairs(), st.sampled_from([0, Fraction(0), 1, -1, 3, Fraction(-2, 3)]))
+def test_difference_and_multiple_keep_no_zero(pair, scalar):
+    """A difference is the sum with the negated form, and a multiple is
+    the coefficientwise product; neither stores a zero coefficient."""
+    f, g = pair
+    diff = f - g
+    assert diff.coeffs == {
+        key: f.coeffs.get(key, 0) - g.coeffs.get(key, 0)
+        for key in f.coeffs.keys() | g.coeffs.keys()
+        if f.coeffs.get(key, 0) != g.coeffs.get(key, 0)
+    }
+    assert diff == f + (-g)
+    scaled = scalar * f
+    assert scaled.coeffs == {key: scalar * c for key, c in f.coeffs.items() if scalar}
+    assert all(scaled.coeffs.values()) and all(diff.coeffs.values())
 
 
 def test_terms_sorted():
@@ -283,6 +303,14 @@ def test_pseudo_monomial_expansion():
 def test_pseudo_monomial_takes_only_integer_indices(pairs):
     with pytest.raises(TypeError):
         pseudo_monomial(3, pairs)
+
+
+def test_pseudo_monomial_is_its_unchecked_expansion():
+    """``pseudo_monomial`` checks its pairs and then expands them with
+    ``_expand_pairs``, the core that ``verify`` calls on pairs it knows
+    to be distinct."""
+    for pairs in ([], [(1, 2)], [(3, 1), (2, 5)], [(6, 1), (2, 4), (3, 5)]):
+        assert pseudo_monomial(6, pairs).coeffs == _expand_pairs(pairs)
 
 
 def test_pseudo_monomial_empty_product():
@@ -471,6 +499,37 @@ def test_harmonic_preimage_rejects_outsiders():
         harmonic_preimage(f, 2)
     with pytest.raises(ValueError):
         harmonic_preimage(mono(4, 1, 2), 2)  # x1*x2 is not harmonic
+
+
+@given(forms(), st.data())
+def test_one_pass_lift_check_agrees_with_psi(g, data):
+    """``_lifts_to(g, f, scale)`` is ``psi(g, f.k - g.k) == scale * f``,
+    on the lift of g, on that lift with one coefficient bumped and on
+    arbitrary forms of the target degree."""
+    n, k = g.n, g.k
+    m = data.draw(st.integers(min_value=k, max_value=n))
+    scale = data.draw(st.sampled_from([1, 2, Fraction(1, 3), -1]))
+    lifted = psi(g, m - k)
+    keys = list(combinations(range(1, n + 1), m))
+    bump = SquareFreeForm(n, m, {data.draw(st.sampled_from(keys)): 1})
+    other = SquareFreeForm(
+        n, m, {key: data.draw(st.integers(-2, 2)) for key in keys[: data.draw(st.integers(0, 3))]}
+    )
+    for f in (lifted, Fraction(1, 1) * lifted * scale, lifted + bump, other):
+        for s in (1, scale):
+            assert _lifts_to(g, f, s) == (lifted == s * f)
+
+
+def test_lift_checks_reject_a_bumped_lift():
+    """With one coefficient of a lift changed, ``decompose_step`` and
+    ``harmonic_preimage`` raise the same errors as when both sides of
+    their lift checks were built as forms."""
+    f0 = pseudo_monomial(5, [(1, 2)])
+    f = psi(f0, 1) + mono(5, 3, 4)
+    with pytest.raises(ValueError, match="^f is not the psi-image of f0$"):
+        decompose_step(f, f0, 0)
+    with pytest.raises(ValueError, match="^form is not a psi-image of a degree-k harmonic form$"):
+        harmonic_preimage(f, 1)
 
 
 def test_harmonic_preimage_of_zero():

@@ -43,7 +43,6 @@ from tworow.verify import (
     _contents,
     _dense_rows,
     _expanded_harmonic,
-    _is_yjm_eigenform,
     _mat_mul as _sparse_mat_mul,
     _yjm_misses,
 )
@@ -295,6 +294,13 @@ def test_yjm_rows_split_every_transposition_into_fixed_or_moving():
                         assert top == l and i < l
 
 
+def _is_yjm_eigenform(u, form):
+    """Whether every level l's transposition sum scales ``form`` by u's
+    content at l: ``_yjm_misses`` on the one form."""
+    levels = [yjm_rows(form.n, form.k, l) for l in range(1, form.n + 1)]
+    return not _yjm_misses(levels, (_contents(u),), _dense_rows(form.n, form.k, (form,)))
+
+
 @given(tableaux(max_n=6), st.data())
 def test_eigencheck_all_levels(u, data):
     assert _is_yjm_eigenform(u, gz_harmonic(u).form)
@@ -377,7 +383,7 @@ def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch):
 
         return call
 
-    for name in ("gz_harmonic", "gz_in_H"):
+    for name in ("gz_harmonic", "_vectors"):
         monkeypatch.setattr(verify, name, lone)
     for name in ("_dense_rows", "_yjm_misses"):
         monkeypatch.setattr(verify, name, counted(name))
@@ -562,14 +568,38 @@ def test_harmonic_dims():
     assert harmonic_dim(8, 4) == dim(TwoRowDiagram(8, 4))
 
 
+def _sparse(rows):
+    """Dense rows as the column -> value maps ``_rank`` takes, zeros left
+    out."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows, ncols):
+    """Sparse rows expanded to dense lists of ``ncols`` entries."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 def test_rank_over_both_fields():
-    rows = [[2, 4, 0], [1, 2, 0], [0, 0, 7]]
+    rows = _sparse([[2, 4, 0], [1, 2, 0], [0, 0, 7]])
     assert _rank(rows) == 2
     assert _rank(rows, 7) == 1
     for n in range(2, 8):
         for k in range(1, n // 2 + 1):
             rows = divergence_matrix(n, k)
             assert _rank(rows) == _rank(rows, _PRIME) == len(rows)
+
+
+def test_divergence_matrix_is_the_containment_matrix():
+    """Row J holds a 1 at the column of each k-subset containing J and
+    nothing else, over both subsets in lexicographic order."""
+    for n in range(2, 9):
+        for k in range(1, n // 2 + 1):
+            cols = list(combinations(range(1, n + 1), k))
+            subs = list(combinations(range(1, n + 1), k - 1))
+            expect = [[int(set(sub) <= set(key)) for key in cols] for sub in subs]
+            rows = divergence_matrix(n, k)
+            assert _dense(rows, len(cols)) == expect
+            assert all(set(row.values()) == {1} and list(row) == sorted(row) for row in rows)
 
 
 def _dense_rank(rows, p=None):
@@ -593,21 +623,25 @@ def _dense_rank(rows, p=None):
 
 @st.composite
 def integer_matrices(draw):
-    """Small integer matrices, sparse or not; some rows combine others."""
+    """Small sparse integer matrices, as their column count and rows of
+    column -> value maps, some of which hold explicit zeros or values
+    that vanish mod 7; some rows combine others."""
     ncols = draw(st.integers(1, 6))
-    entries = st.integers(-3, 3) | st.just(0)
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    entries = st.integers(-3, 3) | st.sampled_from([0, 7, 14])
+    row = st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
         s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        rows.append([s * x + t * y for x, y in zip(a, b)])
-    return rows
+        rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()})
+    return ncols, rows
 
 
 @given(integer_matrices())
-def test_sparse_rank_matches_dense_elimination(rows):
+def test_sparse_rank_matches_dense_elimination(matrix):
+    ncols, rows = matrix
     for p in (None, 7, _PRIME):
-        assert _rank(rows, p) == _dense_rank(rows, p)
+        assert _rank(rows, p) == _dense_rank(_dense(rows, ncols), p)
 
 
 def test_sparse_rank_on_full_deficient_and_mod_7_deficient_matrices():
@@ -616,7 +650,7 @@ def test_sparse_rank_on_full_deficient_and_mod_7_deficient_matrices():
     mod_7 = [[1, 2], [3, 13]]  # determinant 7
     for rows, ranks in ((full, (3, 3, 3)), (deficient, (3, 3, 3)), (mod_7, (2, 1, 2))):
         for p, rank in zip((None, 7, _PRIME), ranks):
-            assert _rank(rows, p) == _dense_rank(rows, p) == rank
+            assert _rank(_sparse(rows), p) == _dense_rank(rows, p) == rank
 
 
 def test_harmonic_dim_validation():
@@ -676,12 +710,15 @@ def _identity(size):
 
 
 def test_sparse_mat_mul_matches_dense():
-    """On random fraction matrices with about half of the entries zero."""
+    """On random integer and fraction matrices with about half of the
+    entries zero."""
     rng = random.Random(0)
 
     def entry():
         if rng.random() < 0.5:
-            return Fraction(0)
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
         return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
     def matrix(size):
@@ -780,6 +817,62 @@ def test_matrix_check_lays_out_each_shape_degree_once(monkeypatch):
     ]
     assert sorted(levels) == sorted(n for n in degrees for _ in range(n))
     assert len(levels) == 102
+
+
+def test_matrix_relations_multiply_integers_only(monkeypatch):
+    """``check_matrices(6)`` checks the relations on each shape's matrices
+    scaled to integers: none of its 251 products sees a ``Fraction``."""
+    products = []
+    real = verify._mat_mul
+
+    def integral(a, b):
+        products.append(all(type(x) is int for row in a + b for x in row))
+        return real(a, b)
+
+    monkeypatch.setattr(verify, "_mat_mul", integral)
+    assert all(r.ok for r in verify.check_matrices(6))
+    assert len(products) == 251 and all(products)
+
+
+def test_good_check_builds_one_rook_table_per_good_tableau(monkeypatch):
+    """``check_good(12)`` builds the rook columns of each of its 49 good
+    tableaux once and feeds them to the harmonic and every lift, where a
+    lone ``gz_harmonic`` and ``gz_in_H`` per vector would build 189."""
+    built = Counter()
+    real = gz._rook_columns
+
+    def counted(n, k, tableaux):
+        built[n, k] += 1
+        return real(n, k, tableaux)
+
+    monkeypatch.setattr(gz, "_rook_columns", counted)
+    monkeypatch.setattr(verify, "_rook_columns", counted, raising=False)
+    assert all(r.ok for r in verify.check_good(12))
+    assert built == {(n, k): 1 for n in range(13) for k in range(n // 2 + 1)}
+    assert sum(built.values()) == 49
+
+
+def test_decompose_check_calls_psi_only_for_the_split_tails(monkeypatch):
+    """In ``check_decompose(7)`` the one-level split builds its tail, one
+    ``psi`` call for each split with bit 1 or m > k, 177 in all; checking
+    that f lifts f0, and that each piece lifts its preimage, builds no
+    form (862 ``psi`` calls when both sides of each check were built)."""
+    for n in range(1, 9):
+        for m in range(n // 2 + 1):
+            full_gz_basis(n, m)
+    calls = []
+    monkeypatch.setattr("tworow.forms.psi", lambda f, l: calls.append(l) or psi(f, l))
+    assert all(r.ok for r in verify.check_decompose(7))
+    tails = sum(
+        bit == 1 or m > k
+        for n in range(1, 8)
+        for k in range(n // 2 + 1)
+        for _ in enumerate_tableaux(TwoRowDiagram(n, k))
+        for m in range(k, n // 2 + 1)
+        for bit in (0, 1)
+        if 2 * (m + bit) <= n + 1
+    )
+    assert len(calls) == tails == 177
 
 
 def test_off_diagonal_entries_square_correctly():
