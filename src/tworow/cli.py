@@ -29,14 +29,12 @@ from .markov import (
 )
 from .serialize import (
     TRACE_HEADER,
-    json_text,
     kernel_to_csv,
-    kernel_to_rows,
     summary_to_csv,
-    table_to_dict,
     trace_rows,
     trace_table,
     write_basis,
+    write_measure,
 )
 from .verify import run_scope
 
@@ -103,14 +101,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     kernel = kernel_from_prefix(prefix, n)
     match = table == path_product_table(kernel)
     if args.format == "json":
-        doc = {
-            "xi": str(prefix),
-            "level": n,
-            "table": table_to_dict(table),
-            "kernel": kernel_to_rows(kernel),
-            "oracle_match": match,
-        }
-        _emit(json_text(doc), args.out)
+        with _output(args.out) as handle:
+            write_measure(handle, prefix, table, kernel, match)
     else:
         _emit(kernel_to_csv(kernel), args.out)
     return 0 if match else 1

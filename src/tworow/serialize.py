@@ -1,7 +1,9 @@
-"""Wire formats: JSON for forms, basis vectors and tables, CSV for kernels,
-traces and sample summaries.  The package writes these formats and reads
-none of them back.
+"""Wire formats: JSON for basis vectors and spectral measures, CSV for
+kernels, traces and sample summaries.  Each format has one writer; the
+package reads none of them back.
 
+The JSON writers lay out their documents by hand, one list item at a time,
+byte for byte as ``json.dumps(indent=2, sort_keys=True)`` plus a newline.
 All rationals travel as decimal strings in lowest terms with positive
 denominators, and every writer is deterministic byte for byte: keys are
 sorted, entries are sorted, lines end with a single newline.
@@ -9,35 +11,18 @@ sorted, entries are sorted, lines end with a single newline.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Any, Iterable, TextIO
+from typing import Iterable, TextIO
 
-from .forms import SquareFreeForm
 from .gz import GzVector
-from .markov import SpectralTable, TransitionKernel
-
-
-def fraction_to_dict(x: Fraction | int) -> dict[str, str]:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def form_to_dict(f: SquareFreeForm) -> dict[str, Any]:
-    terms = [{"vars": list(key), **fraction_to_dict(val)} for key, val in f.terms()]
-    return {"n": f.n, "k": f.k, "terms": terms}
-
-
-def gz_vector_to_dict(vec: GzVector) -> dict[str, Any]:
-    return {
-        "second_row": list(vec.tableau.second_row),
-        "terms": form_to_dict(vec.form)["terms"],
-        "norm_sq": fraction_to_dict(vec.norm_sq),
-    }
+from .markov import BitPrefix, SpectralTable, TransitionKernel
 
 
 def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> None:
-    """Write ``json_text({"n": n, "m": m, "vectors": [gz_vector_to_dict(v)
-    for v in vectors]})`` to handle, one vector at a time, byte for byte.
+    """Write ``{"m", "n", "vectors"}`` to handle as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out, one vector at a time, byte for byte.
+    Each vector is ``{"norm_sq", "second_row", "terms"}``, each term
+    ``{"den", "num", "vars"}``, and ``norm_sq`` a ``{"den", "num"}``.
     Each vector's ``form.coeffs`` must hold its keys in lexicographic
     order, as ``iter_basis`` builds them; the terms are written in that
     order and not sorted again."""
@@ -56,15 +41,63 @@ def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> 
                 f'{{\n          "den": "{val.denominator}",'
                 f'\n          "num": "{val.numerator}{tail}'
             )
-        norm = vec.norm_sq
         handle.write(
-            f'{sep}    {{\n      "norm_sq": {{\n        "den": "{norm.denominator}",'
-            f'\n        "num": "{norm.numerator}"\n      }},'
+            f'{sep}    {{\n      "norm_sq": {_json_fraction(vec.norm_sq, 8)},'
             f'\n      "second_row": {_json_ints(vec.tableau.second_row, 8)},'
             f'\n      "terms": {_json_list(terms, 8)}\n    }}'
         )
         sep = ",\n"
     handle.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+def write_measure(
+    handle: TextIO,
+    prefix: BitPrefix,
+    table: SpectralTable,
+    kernel: TransitionKernel,
+    oracle_match: bool,
+) -> None:
+    """Write the ``measure`` document ``{"kernel", "level", "oracle_match",
+    "table", "xi"}`` to handle as ``json.dumps(indent=2, sort_keys=True)``
+    lays it out, one kernel row and one table entry at a time, byte for
+    byte.  ``level`` is the table's level and ``xi`` the whole prefix.
+    ``kernel`` lists ``{"bit", "k", "n", "p_stay", "p_up"}`` in
+    ``kernel.rows()`` order, with ``bit`` null where the kernel has none
+    and each probability a ``{"den", "num"}``; ``table`` is ``{"entries",
+    "level"}``, with the entries ``{"den", "num", "second_row"}`` in
+    ``table.items()`` order."""
+    handle.write('{\n  "kernel": [')
+    sep = "\n"
+    for n, k, entry in kernel.rows():
+        bit = "null" if entry.bit is None else entry.bit
+        handle.write(
+            f'{sep}    {{\n      "bit": {bit},\n      "k": {k},\n      "n": {n},'
+            f'\n      "p_stay": {_json_fraction(entry.p_stay, 8)},'
+            f'\n      "p_up": {_json_fraction(entry.p_up, 8)}\n    }}'
+        )
+        sep = ",\n"
+    close = "]" if sep == "\n" else "\n  ]"
+    match = "true" if oracle_match else "false"
+    handle.write(
+        f'{close},\n  "level": {table.level},\n  "oracle_match": {match},'
+        '\n  "table": {\n    "entries": ['
+    )
+    # A table holds mass 1, so it has at least one entry.
+    sep = "\n"
+    for u, p in table.items():
+        handle.write(
+            f'{sep}      {{\n        "den": "{p.denominator}",\n        "num": "{p.numerator}",'
+            f'\n        "second_row": {_json_ints(u.second_row, 10)}\n      }}'
+        )
+        sep = ",\n"
+    handle.write(f'\n    ],\n    "level": {table.level}\n  }},\n  "xi": "{prefix}"\n}}\n')
+
+
+def _json_fraction(x: Fraction, indent: int) -> str:
+    """``{"den", "num"}`` of x as ``json.dumps(indent=2)`` lays it out with
+    its keys at ``indent`` spaces."""
+    pad = " " * indent
+    return f'{{\n{pad}"den": "{x.denominator}",\n{pad}"num": "{x.numerator}"\n{pad[:-2]}}}'
 
 
 def _json_list(items: list[str], indent: int) -> str:
@@ -80,13 +113,6 @@ def _json_ints(values: Iterable[int], indent: int) -> str:
     return _json_list([str(v) for v in values], indent)
 
 
-def table_to_dict(table: SpectralTable) -> dict[str, Any]:
-    entries = [
-        {"second_row": list(u.second_row), **fraction_to_dict(p)} for u, p in table.items()
-    ]
-    return {"level": table.level, "entries": entries}
-
-
 KERNEL_HEADER = "n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den"
 
 
@@ -99,21 +125,6 @@ def kernel_to_csv(kernel: TransitionKernel) -> str:
             f"{entry.p_up.numerator},{entry.p_up.denominator}"
         )
     return "\n".join(lines) + "\n"
-
-
-def kernel_to_rows(kernel: TransitionKernel) -> list[dict[str, Any]]:
-    rows = []
-    for n, k, entry in kernel.rows():
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "bit": entry.bit,
-                "p_stay": fraction_to_dict(entry.p_stay),
-                "p_up": fraction_to_dict(entry.p_up),
-            }
-        )
-    return rows
 
 
 TRACE_HEADER = "step,k,j"
@@ -138,12 +149,6 @@ def trace_rows(ks: list[int], table: list[dict[int, str]]) -> str:
     return "".join(map(dict.__getitem__, table, ks))
 
 
-def trace_to_csv(paths: list[list[int]]) -> str:
-    """The header line, then every path's ``trace_rows``."""
-    table = trace_table(max(map(len, paths), default=0))
-    return TRACE_HEADER + "\n" + "".join(trace_rows(ks, table) for ks in paths)
-
-
 SUMMARY_HEADER = "n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok"
 
 
@@ -158,6 +163,3 @@ def summary_to_csv(
         )
     return "\n".join(lines) + "\n"
 
-
-def json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -19,7 +19,7 @@ from tworow.markov import (
     transition_counts,
     within_three_sigma,
 )
-from tworow.serialize import trace_to_csv
+from tworow.serialize import trace_rows, trace_table
 from tworow.verify import (
     check_basis,
     check_central,
@@ -101,7 +101,8 @@ def test_criterion_09_sampler_frequencies_and_reproducibility():
 
     def trace(kernel):
         rng = random.Random(seed)
-        return trace_to_csv([sample_path(kernel, depth, rng) for _ in range(50)])
+        table = trace_table(depth)
+        return "".join(trace_rows(sample_path(kernel, depth, rng), table) for _ in range(50))
 
     for kernel in kernels:
         assert trace(kernel) == trace(kernel)

@@ -824,9 +824,13 @@ def test_cli_loads_every_traced_layer(tmp_path):
     ``perfbench/spans.py`` as a loaded ``tworow.<layer>`` module; importing
     the CLI must load them all.  A traced name the module lacks silently
     reads 0 calls, so the only ones allowed, in ``TRACED`` order, are
-    ``yjm_apply``, whose work ``verify`` does through ``gz.yjm_rows``, and
-    the transposition-matrix oracle, which ``verify`` replaced by checking
-    the closed matrices' action on the cached basis."""
+    ``yjm_apply``, whose work ``verify`` does through ``gz.yjm_rows``; the
+    transposition-matrix oracle, which ``verify`` replaced by checking the
+    closed matrices' action on the cached basis; and the dict layer of
+    ``serialize`` (``json_text``, ``gz_vector_to_dict``, ``trace_to_csv``),
+    gone since ``measure`` streams its document through ``write_measure`` as
+    ``basis`` does through ``write_basis``, and ``sample`` its trace
+    through ``trace_rows``."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     probe = (
@@ -846,7 +850,54 @@ def test_cli_loads_every_traced_layer(tmp_path):
     loaded = dict(loaded)
     assert len(loaded) == 8
     assert all(loaded.values()), loaded
-    assert missing == ["gz.yjm_apply", "gz.transposition_matrix_in_basis"]
+    assert missing == [
+        "gz.yjm_apply",
+        "gz.transposition_matrix_in_basis",
+        "serialize.json_text",
+        "serialize.gz_vector_to_dict",
+        "serialize.trace_to_csv",
+    ]
+
+
+# Runs the CLI on its arguments, then writes the process's own peak
+# resident set size (VmHWM, in KiB) to stderr.
+PEAK_PROBE = (
+    "import sys\n"
+    "from tworow.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status') as status:\n"
+    "    sys.stderr.write([l.split()[1] for l in status if l.startswith('VmHWM:')][0])\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_measure_peak_memory_barely_grows_from_level_12_to_16(tmp_path):
+    """``measure`` writes its JSON one row at a time, so the level-16
+    alternating call (12870 table rows, 2.3 MB of JSON) peaks less than
+    10 MiB above the level-12 one; building the whole document as dicts
+    and text first cost about 25 MiB more."""
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("VmHWM:") for line in status):
+                pytest.skip("/proc/self/status has no VmHWM")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    src = Path(__file__).resolve().parent.parent / "src"
+    peaks = []
+    for xi in ("010101010101", "0101010101010101"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, "measure", "--xi", xi],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stderr))
+    assert peaks[1] - peaks[0] < 10 * 1024, peaks
 
 
 def test_installed_entry_point():
