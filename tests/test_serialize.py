@@ -50,6 +50,21 @@ def _assert_lowest_terms(d, x):
     assert Fraction(num, den) == x
 
 
+@given(st.fractions())
+def test_fraction_roundtrip(x):
+    """A fraction written by ``write_basis`` is a bare ``num``/``den``
+    object in lowest terms, as a norm and as a coefficient (a zero
+    coefficient is dropped from the form, so it writes no term)."""
+    vec = GzVector(TwoRowTableau(1, ()), SquareFreeForm(1, 0, {(): x}), x)
+    (obj,) = json.loads(_buffered_basis(1, 0, [vec]))["vectors"]
+    assert set(obj["norm_sq"]) == {"num", "den"}
+    _assert_lowest_terms(obj["norm_sq"], x)
+    assert len(obj["terms"]) == (x != 0)
+    for term in obj["terms"]:
+        assert set(term) == {"vars", "num", "den"}
+        _assert_lowest_terms(term, x)
+
+
 @st.composite
 def forms(draw):
     n = draw(st.integers(min_value=1, max_value=6))
