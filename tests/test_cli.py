@@ -470,6 +470,22 @@ SWAPPED_INDUCED_KERNEL_REPORT = (
 )
 
 
+SWAPPED_SPLIT_REPORT = (
+    "FAIL decompose-step: stay-norm n=1 u=() m=0 b=0; up-norm n=1 u=() m=0 b=0;"
+    " preimage n=1 u=() m=0 b=0; preimage n=1 u=() m=0 b=1; stay-norm n=2 u=() m=0 b=0;"
+    " and 77 more\n"
+    "PASS spectral-vs-paths: projection and path-product tables agree for all 12 valid"
+    " sequences of length <= 4\n"
+    "PASS spectral-markov: step ratios depend only on the shape and match the closed"
+    " kernel for all sequences of length <= 4\n"
+    "PASS alternating-parity: flat (1/2, 1/2) rows at odd levels, central rows at even"
+    " levels, certified against direct projection for n <= 4;"
+    " the opposite parity attribution is refuted\n"
+    "PASS markov-detector: real chains accepted, corrupted pair rejected with a"
+    " same-shape witness\n"
+    "5 checks, 1 failures\n"
+)
+
 @pytest.fixture
 def fresh_basis_cache():
     """Empty the cached full bases before and after a test that corrupts
@@ -572,6 +588,16 @@ def test_verify_fails_on_a_swapped_induced_kernel(capsys, monkeypatch):
     assert "PASS spectral-markov: " in out
     assert out == SWAPPED_INDUCED_KERNEL_REPORT
 
+
+def test_verify_fails_on_a_swapped_split(capsys, monkeypatch):
+    """With the stay and up pieces of every split exchanged, the norm
+    checks fail and the preimage check rejects each piece that is not the
+    lift of a harmonic form of its claimed degree."""
+    closed = verify.decompose_step
+    monkeypatch.setattr(verify, "decompose_step", lambda *args: closed(*args)[::-1])
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert out == SWAPPED_SPLIT_REPORT
 
 def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
     rank = verify.harmonic_dim
