@@ -20,19 +20,29 @@ are harmonic and span the harmonic subspace.
 ``psi`` averages a form up to higher degree: psi_l sends x_I to the sum of
 x_{I union S} over all l-element subsets S of the complement of I.  Up to a
 binomial scalar it is an isometry on harmonic forms, which is what makes
-exact norm bookkeeping possible throughout the package.  ``decompose_step``
-and ``harmonic_preimage`` check that a form is such a lift without
-building it: ``_lifts_to`` sums the seed's coefficients over the k-subsets
-of each m-subset in one pass and compares with the form there.
+exact norm bookkeeping possible throughout the package.
+
+The lift from degree k < m to degree m in n variables has one index
+structure, the ``LiftTable`` of (n, m, k) over dense coefficient lists in
+lexicographic subset order: a gather of the k-subsets of each m-subset,
+and its transpose, the m-subsets over each k-subset.  psi(g, m - k) of a
+dense g is one gather and one running sum, differenced at the end of each
+m-subset's run, which is how ``gz`` builds its lifted vectors; the adjoint
+of psi is the same over the transpose, and the divergence is that adjoint
+at (n, k, k - 1).  ``psi`` itself stays the term-by-term lift.  ``decompose_step`` and ``harmonic_preimage``
+check harmonicity and lifts this way, building no form, and a caller
+that checks many forms passes one dict of tables to every call, so each
+(n, m, k) is built once per dict.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import accumulate, chain, combinations, compress, islice, repeat
 from math import comb
-from operator import eq, mul
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter, sub
+from typing import NamedTuple
 
 Key = tuple[int, ...]
 Scalar = int | Fraction
@@ -250,15 +260,15 @@ def inner(f: SquareFreeForm, g: SquareFreeForm) -> Scalar:
 
 
 def divergence(f: SquareFreeForm) -> SquareFreeForm:
-    """Sum over one-element extensions: (div f)_J = sum_{j not in J} f_{J + j}."""
+    """Sum over one-element extensions: (div f)_J = sum_{j not in J} f_{J + j},
+    the adjoint of the lift from degree k - 1 to k."""
     if f.k == 0:
         raise ValueError("degree-0 forms have no divergence")
-    out: dict[Key, Scalar] = {}
-    for key, val in f.coeffs.items():
-        for drop in range(f.k):
-            sub = key[:drop] + key[drop + 1:]
-            out[sub] = out.get(sub, 0) + val
-    return SquareFreeForm._trusted(f.n, f.k - 1, out)
+    table = _table({}, f.n, f.k, f.k - 1)
+    sums = _adjoint(table, _dense(f, table.keys))
+    return SquareFreeForm._trusted(
+        f.n, f.k - 1, dict(compress(zip(table.subsets, sums), sums)), nonzero=True
+    )
 
 
 def is_harmonic(f: SquareFreeForm) -> bool:
@@ -321,23 +331,100 @@ def psi(f: SquareFreeForm, l: int) -> SquareFreeForm:
     return SquareFreeForm._trusted(f.n, f.k + l, out)
 
 
-def _lifts_to(g: SquareFreeForm, f: SquareFreeForm, scale: Scalar = 1) -> bool:
-    """Whether psi(g, f.k - g.k) == scale * f, for forms in the same
-    variables with g.k <= f.k, in one pass over the f.k-subsets I of
-    1..n and without building either side: the coefficients of g on the
-    g.k-subsets of I sum to scale * f[I]."""
-    keys = list(combinations(range(1, f.n + 1), f.k))
-    subsets = map(combinations, keys, repeat(g.k))
-    # The lookups of every key share one endless repeat(0) of defaults.
-    sums = map(sum, map(map, repeat(g.coeffs.get), subsets, repeat(repeat(0))))
-    targets = map(f.coeffs.get, keys, repeat(0))
-    if scale != 1:
-        targets = map(mul, repeat(scale), targets)
-    return all(map(eq, sums, targets))
+Getter = Callable[[Sequence[Scalar]], tuple[Scalar, ...]]
+
+
+class LiftTable(NamedTuple):
+    """The index structure of the lift from degree k < m to degree m in n
+    variables, over dense coefficient lists in lexicographic subset order.
+    ``gather`` reads, for every m-subset in turn, the positions of its
+    ``width`` = C(m, k) k-subsets.  A table shared through ``_table`` also
+    holds the transpose: ``supersets`` reads, for every k-subset in turn,
+    the positions of the ``fan`` = C(n - k, m - k) m-subsets containing it."""
+
+    keys: list[Key]
+    subsets: list[Key]
+    gather: Getter
+    width: int
+    supersets: Getter | None = None
+    fan: int = 0
+
+
+LiftTables = dict[tuple[int, int, int], LiftTable]
+
+
+def _getter(positions: Sequence[int]) -> Getter:
+    """A getter of ``positions`` from a list, as a tuple; an itemgetter of
+    one position would return the bare item."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda dense: (dense[only],)
+    return itemgetter(*positions)
+
+
+def _lift_table(n: int, m: int, k: int) -> LiftTable:
+    """The lift of (n, m, k), for 0 <= k < m <= n, without its transpose:
+    the basis builder ``gz._vectors`` reads only the gather."""
+    subsets = list(combinations(range(1, n + 1), k))
+    position = {subset: i for i, subset in enumerate(subsets)}
+    keys = list(combinations(range(1, n + 1), m))
+    slots = chain.from_iterable(map(combinations, keys, repeat(k)))
+    return LiftTable(keys, subsets, _getter(list(map(position.__getitem__, slots))), comb(m, k))
+
+
+def _table(tables: LiftTables, n: int, m: int, k: int) -> LiftTable:
+    """The lift table of (n, m, k) with its transpose, from ``tables``,
+    built there on first use.  The gather of the identity 0, 1, .. is the
+    flat list of positions, and a stable sort of its slots by position
+    lists the slots of each k-subset in the order of their m-subsets."""
+    table = tables.get((n, m, k))
+    if table is None:
+        table = _lift_table(n, m, k)
+        slots = table.gather(range(len(table.subsets)))
+        owners = [i // table.width for i in sorted(range(len(slots)), key=slots.__getitem__)]
+        table = tables[n, m, k] = table._replace(
+            supersets=_getter(owners), fan=comb(n - k, m - k)
+        )
+    return table
+
+
+def _run_sums(slots: Iterable[Scalar], width: int) -> list[Scalar]:
+    """The sums of the consecutive runs of ``width`` slots: the running sum
+    at the end of each run, differenced."""
+    ends = list(islice(accumulate(slots, initial=0), 0, None, width))
+    return list(map(sub, islice(ends, 1, None), ends))
+
+
+def _lift(table: LiftTable, dense: Sequence[Scalar]) -> list[Scalar]:
+    """psi(g, m - k) on the m-subsets, for g dense on the k-subsets."""
+    return _run_sums(table.gather(dense), table.width)
+
+
+def _adjoint(table: LiftTable, dense: Sequence[Scalar]) -> list[Scalar]:
+    """The adjoint of psi(., m - k) on the k-subsets, for f dense on the
+    m-subsets: each k-subset sums f over the m-subsets containing it."""
+    return _run_sums(table.supersets(dense), table.fan)
+
+
+def _dense(f: SquareFreeForm, keys: Iterable[Key]) -> list[Scalar]:
+    """The coefficients of f on ``keys``, zeros included."""
+    return list(map(f.coeffs.get, keys, repeat(0)))
+
+
+def _subsets(tables: LiftTables, n: int, k: int) -> list[Key]:
+    """The k-subsets of 1..n in lexicographic order, as read off the
+    divergence table (n, k, k - 1)."""
+    return _table(tables, n, k, k - 1).keys if k else [()]
+
+
+def _harmonic(tables: LiftTables, n: int, k: int, dense: Sequence[Scalar]) -> bool:
+    """Whether the degree-k form dense on the k-subsets of 1..n is
+    harmonic: its divergence, the adjoint at (n, k, k - 1), is zero."""
+    return k == 0 or not any(_adjoint(_table(tables, n, k, k - 1), dense))
 
 
 def decompose_step(
-    f: SquareFreeForm, f0: SquareFreeForm, bit: int
+    f: SquareFreeForm, f0: SquareFreeForm, bit: int, tables: LiftTables | None = None
 ) -> tuple[SquareFreeForm, SquareFreeForm]:
     """Split f under one more variable into stay and up components.
 
@@ -353,6 +440,10 @@ def decompose_step(
     integral whenever f and f0 are.  With base the embedded f and tail its
     one-variable correction, they are a * (base + tail) and
     b * base - a * tail for integers a + b = d.
+
+    ``tables`` holds the ``LiftTable``s that validate f0 and f; a caller
+    with many forms of the same sizes passes one dict to every call, and
+    by default the call builds its own.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -365,9 +456,16 @@ def decompose_step(
         raise ValueError(
             f"target degree {m + bit} exceeds half of {n + 1} variables"
         )
-    if not is_harmonic(f0):
+    if tables is None:
+        tables = {}
+    keys = _subsets(tables, n, k)
+    lifted = _dense(f0, keys)
+    if not _harmonic(tables, n, k, lifted):
         raise ValueError("f0 is not harmonic")
-    if not _lifts_to(f0, f):
+    if k < m:
+        table = _table(tables, n, m, k)
+        lifted, keys = _lift(table, lifted), table.keys
+    if lifted != _dense(f, keys):
         raise ValueError("f is not the psi-image of f0")
 
     if bit == 0:
@@ -384,7 +482,9 @@ def decompose_step(
     return a * (base + tail), b * base - a * tail
 
 
-def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
+def harmonic_preimage(
+    f: SquareFreeForm, k: int, tables: LiftTables | None = None
+) -> SquareFreeForm:
     """Recover the harmonic f0 with psi(f0, m - k) == f, or raise.
 
     On the psi-image of the degree-k harmonic subspace, following psi with
@@ -392,8 +492,9 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     adjoint image g divided by that constant.  The candidate is checked
     before the division, as g harmonic with psi(g, m - k) == C * f, so
     forms outside the image are rejected rather than mangled and integral
-    forms are checked in integers; the lift is checked by ``_lifts_to``,
-    which builds neither side.
+    forms are checked in integers.  The adjoint, the divergence and the
+    lift are each one gather of a ``LiftTable`` from ``tables``, shared
+    as in ``decompose_step``.
     """
     n, m = f.n, f.k
     if not 0 <= k <= m:
@@ -403,15 +504,23 @@ def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     scale = comb(n - 2 * k, m - k)
     if scale == 0:
         raise ValueError(f"no degree-{k} harmonic component in degree {m}")
-    out: dict[Key, Scalar] = {}
-    for key, val in f.coeffs.items():
-        for sub in combinations(key, k):
-            out[sub] = out.get(sub, 0) + val
-    g = SquareFreeForm._trusted(n, k, out)
-    if not is_harmonic(g) or not _lifts_to(g, f, scale):
+    if tables is None:
+        tables = {}
+    if k == m:
+        subsets = _subsets(tables, n, k)
+        g = _dense(f, subsets)
+    else:
+        table = _table(tables, n, m, k)
+        target = _dense(f, table.keys)
+        subsets, g = table.subsets, _adjoint(table, target)
+    # At k == m, psi(g, 0) is g itself and C is 1, so g lifts to f.
+    if not _harmonic(tables, n, k, g) or (
+        k < m and _lift(table, g) != [scale * c for c in target]
+    ):
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
     coeffs = {
         key: Fraction(val, scale) if val % scale else val // scale
-        for key, val in g.coeffs.items()
+        for key, val in zip(subsets, g)
+        if val
     }
-    return SquareFreeForm._trusted(n, k, coeffs)
+    return SquareFreeForm._trusted(n, k, coeffs, nonzero=True)

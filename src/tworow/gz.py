@@ -37,9 +37,10 @@ product of its k columns.  The same factorisation lets
 at once, in one scan over the entries 1, .., n.
 
 So the lifted vector sums h_u over the k-subsets of each m-subset, and that
-index structure depends only on (n, m, k), not on u.  ``_lift_table``
-lays it out as one getter of the positions of the k-subsets of every
-m-subset in turn, C(m, k) slots each.  ``_vectors`` is the one vector
+index structure depends only on (n, m, k), not on u.  ``_lift_table``,
+from ``forms``, whose lift checks read the same table, lays it out as one
+getter of the positions of the k-subsets of every m-subset in turn,
+C(m, k) slots each.  ``_vectors`` is the one vector
 builder: for the tableaux of one shape it builds the rook columns and, for
 k < m, the lift table once, then gathers every slot of each dense harmonic
 at once and takes each coefficient as the difference of one running sum
@@ -66,11 +67,11 @@ from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, count, islice, repeat
+from itertools import combinations, compress, count
 from math import comb, prod
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 
-from .forms import Key, SquareFreeForm
+from .forms import Key, SquareFreeForm, _lift, _lift_table
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -156,22 +157,6 @@ def _dense_harmonic(u: TwoRowTableau, columns: RookColumns) -> list[int]:
     return dense
 
 
-LiftTable = tuple[list[Key], itemgetter, int]
-
-
-def _lift_table(n: int, m: int, k: int) -> LiftTable:
-    """The index structure of the lift from degree k < m to degree m in n
-    variables: the m-subsets I of 1..n in lexicographic order, one getter
-    of the positions, in the lexicographic order of the k-subsets, of the
-    k-subsets of every I in turn, and their count C(m, k) per I.  Every
-    lift reads at least two positions (C(n, m) >= 2 once 0 <= k < m), so
-    the getter returns a tuple."""
-    position = {subset: i for i, subset in enumerate(combinations(range(1, n + 1), k))}
-    keys = list(combinations(range(1, n + 1), m))
-    slots = chain.from_iterable(map(combinations, keys, repeat(k)))
-    return keys, itemgetter(*map(position.__getitem__, slots)), comb(m, k)
-
-
 def _vectors(
     n: int,
     m: int,
@@ -194,11 +179,10 @@ def _vectors(
         for u in tableaux:
             yield gz_harmonic(u, columns)
         return
-    keys, gather, width = _lift_table(n, m, k)
+    table = _lift_table(n, m, k)
+    keys = table.keys
     for u in tableaux:
-        slots = gather(_dense_harmonic(u, columns))
-        ends = list(islice(accumulate(slots, initial=0), 0, None, width))
-        sums = list(map(sub, islice(ends, 1, None), ends))
+        sums = _lift(table, _dense_harmonic(u, columns))
         form = SquareFreeForm._trusted(n, m, dict(compress(zip(keys, sums), sums)), nonzero=True)
         yield GzVector(u, form, closed_norm_sq_in_H(u, m))
 

@@ -43,6 +43,9 @@ A suite lays out each whole basis or shape block it reads once per call
 as ``_dense_rows``, every vector's coefficients over the lexicographic
 subsets with zeros included, so that its oracles run as C-level passes
 over plain lists rather than one Python step per vector and monomial.
+``check_decompose`` likewise keeps one dict of ``forms`` lift tables for
+the call and passes it to every ``decompose_step`` and
+``harmonic_preimage``, so each (n, m, k) it checks is indexed once.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from typing import NamedTuple
 
 from .forms import (
     Key,
+    LiftTables,
     Permutation,
     Scalar,
     SquareFreeForm,
@@ -343,9 +347,11 @@ def check_decompose(n_max: int) -> list[CheckResult]:
     """One-level splits: sum, orthogonality, norm ratios, exact preimages,
     of every vector of the cached full bases over its harmonic, the basis
     vector of degree k of the same tableau (``check_psi`` ties the two by
-    ``psi``)."""
+    ``psi``).  The splits and preimages share one dict of lift tables,
+    dropped when the call returns."""
     failures: list[str] = []
     cases = 0
+    tables: LiftTables = {}
     for n in range(1, n_max + 1):
         basis = _basis_forms(n)
         for u in enumerate_all_tableaux(n):
@@ -360,7 +366,7 @@ def check_decompose(n_max: int) -> list[CheckResult]:
                     cases += 1
                     # Both pieces come scaled by d, so sums compare with d
                     # times the whole and squared norms with d^2 times it.
-                    stay, up = decompose_step(f, f0, bit)
+                    stay, up = decompose_step(f, f0, bit, tables)
                     d = n - 2 * k + 1
                     whole = f.embedded(n + 1)
                     if bit:
@@ -377,9 +383,9 @@ def check_decompose(n_max: int) -> list[CheckResult]:
                         failures.append(f"up-norm n={n} u={u.second_row} m={m} b={bit}")
                     try:
                         if not stay.is_zero():
-                            harmonic_preimage(stay, k)
+                            harmonic_preimage(stay, k, tables)
                         if not up.is_zero():
-                            harmonic_preimage(up, k + 1)
+                            harmonic_preimage(up, k + 1, tables)
                     except ValueError:
                         failures.append(f"preimage n={n} u={u.second_row} m={m} b={bit}")
     return [

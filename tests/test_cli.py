@@ -486,6 +486,7 @@ SWAPPED_SPLIT_REPORT = (
     "5 checks, 1 failures\n"
 )
 
+
 @pytest.fixture
 def fresh_basis_cache():
     """Empty the cached full bases before and after a test that corrupts
@@ -531,8 +532,8 @@ def test_verify_fails_on_a_corrupted_lift(capsys, monkeypatch):
     table = gz._lift_table
 
     def dropped(n, m, k):
-        keys, gather, width = table(n, m, k)
-        return keys, lambda dense: (0, *gather(dense)[1:]), width
+        lift = table(n, m, k)
+        return lift._replace(gather=lambda dense: (0, *lift.gather(dense)[1:]))
 
     monkeypatch.setattr(gz, "_lift_table", dropped)
     code, out, err = run_cli(capsys, "verify", "--scope", "gz")
@@ -598,6 +599,7 @@ def test_verify_fails_on_a_swapped_split(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
     assert (code, err) == (1, "")
     assert out == SWAPPED_SPLIT_REPORT
+
 
 def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
     rank = verify.harmonic_dim
@@ -898,11 +900,9 @@ PEAK_PROBE = (
 )
 
 
-def test_measure_peak_memory_barely_grows_from_level_12_to_16(tmp_path):
-    """``measure`` writes its JSON one row at a time, so the level-16
-    alternating call (12870 table rows, 2.3 MB of JSON) peaks less than
-    10 MiB above the level-12 one; building the whole document as dicts
-    and text first cost about 25 MiB more."""
+def _peak_kib(argv, cwd):
+    """The peak resident set size, in KiB, of a fresh process that runs
+    the CLI on ``argv`` with its stdout discarded."""
     try:
         with open("/proc/self/status") as status:
             if not any(line.startswith("VmHWM:") for line in status):
@@ -910,20 +910,50 @@ def test_measure_peak_memory_barely_grows_from_level_12_to_16(tmp_path):
     except OSError:
         pytest.skip("no /proc/self/status")
     src = Path(__file__).resolve().parent.parent / "src"
-    peaks = []
-    for xi in ("010101010101", "0101010101010101"):
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_PROBE, "measure", "--xi", xi],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            cwd=tmp_path,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        peaks.append(int(proc.stderr))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=cwd,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr)
+
+
+def test_measure_peak_memory_barely_grows_from_level_12_to_16(tmp_path):
+    """``measure`` writes its JSON one row at a time, so the level-16
+    alternating call (12870 table rows, 2.3 MB of JSON) peaks less than
+    10 MiB above the level-12 one; building the whole document as dicts
+    and text first cost about 25 MiB more."""
+    peaks = [
+        _peak_kib(["measure", "--xi", xi], tmp_path)
+        for xi in ("010101010101", "0101010101010101")
+    ]
     assert peaks[1] - peaks[0] < 10 * 1024, peaks
+
+
+TRACE = ["sample", "--central", "--depth", "64", "--mode", "trace", "--count"]
+
+
+@pytest.mark.parametrize(
+    "small, large, bound_mib",
+    [
+        (["basis", "--n", "10", "--m", "5"], ["basis", "--n", "12", "--m", "6"], 4),
+        (TRACE + ["2000"], TRACE + ["20000"], 2),
+    ],
+    ids=["basis", "sample-trace"],
+)
+def test_streamed_peak_memory_barely_grows_with_the_output(tmp_path, small, large, bound_mib):
+    """``basis`` writes one vector at a time and ``sample --mode trace``
+    one path at a time, so a far larger output costs little more memory:
+    the (12, 6) basis (102 MB of JSON) peaks less than 4 MiB above the
+    (10, 5) one (7.5 MB), and 20000 traced paths less than 2 MiB above
+    2000."""
+    peaks = [_peak_kib(argv, tmp_path) for argv in (small, large)]
+    assert peaks[1] - peaks[0] < bound_mib * 1024, peaks
 
 
 def test_installed_entry_point():

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tworow.forms import (
     Permutation,
@@ -18,7 +18,7 @@ from tworow.forms import (
     pseudo_monomial,
     psi,
 )
-from tworow.forms import _expand_pairs, _lifts_to
+from tworow.forms import _adjoint, _dense, _expand_pairs, _lift, _table
 from tworow.gz import gz_harmonic
 from tworow.markov import induced_transition
 from tworow.ygraph import enumerate_all_tableaux
@@ -503,33 +503,57 @@ def test_harmonic_preimage_rejects_outsiders():
 
 @given(forms(), st.data())
 def test_one_pass_lift_check_agrees_with_psi(g, data):
-    """``_lifts_to(g, f, scale)`` is ``psi(g, f.k - g.k) == scale * f``,
-    on the lift of g, on that lift with one coefficient bumped and on
-    arbitrary forms of the target degree."""
+    """The two gathers of the shared table of (n, m, k) are psi and its
+    adjoint: ``_lift`` of g's dense coefficients is psi(g, m - k),
+    ``_adjoint`` sums a form over the m-subsets containing each k-subset,
+    and the lift check ``_lift(...) == scale * f`` holds exactly when
+    psi(g, m - k) == scale * f, on the lift of g, on that lift with one
+    coefficient bumped and on arbitrary forms of the target degree."""
     n, k = g.n, g.k
-    m = data.draw(st.integers(min_value=k, max_value=n))
+    assume(k < n)
+    m = data.draw(st.integers(min_value=k + 1, max_value=n))
     scale = data.draw(st.sampled_from([1, 2, Fraction(1, 3), -1]))
+    table = _table({}, n, m, k)
     lifted = psi(g, m - k)
     keys = list(combinations(range(1, n + 1), m))
+    assert table.keys == keys
+    assert table.subsets == list(combinations(range(1, n + 1), k))
     bump = SquareFreeForm(n, m, {data.draw(st.sampled_from(keys)): 1})
     other = SquareFreeForm(
         n, m, {key: data.draw(st.integers(-2, 2)) for key in keys[: data.draw(st.integers(0, 3))]}
     )
+    lift = _lift(table, _dense(g, table.subsets))
+    assert lift == _dense(lifted, keys)
     for f in (lifted, Fraction(1, 1) * lifted * scale, lifted + bump, other):
+        sums = {}
+        for key, val in f.coeffs.items():
+            for sub in combinations(key, k):
+                sums[sub] = sums.get(sub, 0) + val
+        adjoint = SquareFreeForm(n, k, sums)
+        assert _adjoint(table, _dense(f, keys)) == _dense(adjoint, table.subsets)
         for s in (1, scale):
-            assert _lifts_to(g, f, s) == (lifted == s * f)
+            assert (lift == [s * c for c in _dense(f, keys)]) == (lifted == s * f)
 
 
 def test_lift_checks_reject_a_bumped_lift():
     """With one coefficient of a lift changed, ``decompose_step`` and
     ``harmonic_preimage`` raise the same errors as when both sides of
-    their lift checks were built as forms."""
+    their lift checks were built as forms, and the same again with one
+    dict of tables shared across calls, before and after the true lift
+    has been checked through it."""
     f0 = pseudo_monomial(5, [(1, 2)])
-    f = psi(f0, 1) + mono(5, 3, 4)
-    with pytest.raises(ValueError, match="^f is not the psi-image of f0$"):
-        decompose_step(f, f0, 0)
-    with pytest.raises(ValueError, match="^form is not a psi-image of a degree-k harmonic form$"):
-        harmonic_preimage(f, 1)
+    lifted = psi(f0, 1)
+    f = lifted + mono(5, 3, 4)
+    outside = "^form is not a psi-image of a degree-k harmonic form$"
+    tables = {}
+    for shared in ((), (tables,), (tables,)):
+        with pytest.raises(ValueError, match="^f is not the psi-image of f0$"):
+            decompose_step(f, f0, 0, *shared)
+        with pytest.raises(ValueError, match=outside):
+            harmonic_preimage(f, 1, *shared)
+        assert harmonic_preimage(lifted, 1, *shared) == f0
+        assert decompose_step(lifted, f0, 0, *shared) == decompose_step(lifted, f0, 0)
+    assert sorted(tables) == [(5, 1, 0), (5, 2, 1)]
 
 
 def test_harmonic_preimage_of_zero():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from tworow import gz, verify
+from tworow import gz, linalg, verify
 from tworow.forms import (
     Permutation,
     SquareFreeForm,
@@ -18,6 +18,7 @@ from tworow.forms import (
     pseudo_monomial,
     psi,
 )
+from tworow.forms import _lift_table
 from tworow.gz import (
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
@@ -568,6 +569,21 @@ def test_harmonic_dims():
     assert harmonic_dim(8, 4) == dim(TwoRowDiagram(8, 4))
 
 
+def test_harmonic_dim_confirms_a_rank_drop_mod_p_over_the_rationals(monkeypatch):
+    """Mod 2 the divergence loses rank at 9 of the 16 (n, k) with n <= 8
+    and 1 <= k <= n/2; ``harmonic_dim`` then eliminates again over the
+    rationals and still returns C(n, k) - C(n, k - 1)."""
+    calls = []
+    real = linalg._rank
+    monkeypatch.setattr(linalg, "_PRIME", 2)
+    monkeypatch.setattr(linalg, "_rank", lambda rows, p=None: calls.append(p) or real(rows, p))
+    for n in range(9):
+        for k in range(1, n // 2 + 1):
+            assert harmonic_dim(n, k) == comb(n, k) - comb(n, k - 1)
+    assert calls.count(2) == 16
+    assert calls.count(None) == 9
+
+
 def _sparse(rows):
     """Dense rows as the column -> value maps ``_rank`` takes, zeros left
     out."""
@@ -873,6 +889,25 @@ def test_decompose_check_calls_psi_only_for_the_split_tails(monkeypatch):
         if 2 * (m + bit) <= n + 1
     )
     assert len(calls) == tails == 177
+
+
+def test_decompose_check_builds_each_lift_table_once_per_call(monkeypatch):
+    """``check_decompose(7)`` builds the ``LiftTable`` of each (n, m, k) it
+    reads once, 30 in all, and shares it across its ``decompose_step`` and
+    ``harmonic_preimage`` calls; a second call builds them all again, so no
+    table outlives its call."""
+    built = Counter()
+
+    def counted(n, m, k):
+        built[n, m, k] += 1
+        return _lift_table(n, m, k)
+
+    monkeypatch.setattr("tworow.forms._lift_table", counted)
+    sizes = {(n, m, k) for n in range(2, 9) for m in range(1, n // 2 + 1) for k in range(m)}
+    for runs in (1, 2):
+        assert all(r.ok for r in verify.check_decompose(7))
+        assert built == {size: runs for size in sizes}
+    assert len(sizes) == 30
 
 
 def test_off_diagonal_entries_square_correctly():
