@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -487,6 +488,40 @@ SWAPPED_SPLIT_REPORT = (
 )
 
 
+UNSUMMED_SPLIT_REPORT = (
+    "FAIL decompose-step: sum n=1 u=() m=0 b=0; sum n=1 u=() m=0 b=1;"
+    " sum n=2 u=() m=0 b=0; sum n=2 u=() m=0 b=1; sum n=2 u=() m=1 b=0;"
+    " and 25 more\n"
+    "PASS spectral-vs-paths: projection and path-product tables agree for all 12 valid"
+    " sequences of length <= 4\n"
+    "PASS spectral-markov: step ratios depend only on the shape and match the closed"
+    " kernel for all sequences of length <= 4\n"
+    "PASS alternating-parity: flat (1/2, 1/2) rows at odd levels, central rows at even"
+    " levels, certified against direct projection for n <= 4;"
+    " the opposite parity attribution is refuted\n"
+    "PASS markov-detector: real chains accepted, corrupted pair rejected with a"
+    " same-shape witness\n"
+    "5 checks, 1 failures\n"
+)
+
+
+SKEWED_SPLIT_REPORT = (
+    "FAIL decompose-step: orth n=1 u=() m=0 b=1; stay-norm n=1 u=() m=0 b=1;"
+    " up-norm n=1 u=() m=0 b=1; preimage n=1 u=() m=0 b=1; orth n=2 u=() m=0 b=1;"
+    " and 67 more\n"
+    "PASS spectral-vs-paths: projection and path-product tables agree for all 12 valid"
+    " sequences of length <= 4\n"
+    "PASS spectral-markov: step ratios depend only on the shape and match the closed"
+    " kernel for all sequences of length <= 4\n"
+    "PASS alternating-parity: flat (1/2, 1/2) rows at odd levels, central rows at even"
+    " levels, certified against direct projection for n <= 4;"
+    " the opposite parity attribution is refuted\n"
+    "PASS markov-detector: real chains accepted, corrupted pair rejected with a"
+    " same-shape witness\n"
+    "5 checks, 1 failures\n"
+)
+
+
 @pytest.fixture
 def fresh_basis_cache():
     """Empty the cached full bases before and after a test that corrupts
@@ -600,6 +635,37 @@ def test_verify_fails_on_a_swapped_split(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert out == SWAPPED_SPLIT_REPORT
 
+
+def test_verify_fails_on_a_split_that_does_not_sum_back(capsys, monkeypatch):
+    """With every split returned as (stay, stay), the pieces no longer sum
+    to d times the whole, and each such split reports only its sum."""
+    closed = verify.decompose_step
+
+    def unsummed(*args):
+        stay, _ = closed(*args)
+        return stay, stay
+
+    monkeypatch.setattr(verify, "decompose_step", unsummed)
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert out == UNSUMMED_SPLIT_REPORT
+
+
+def test_verify_fails_on_a_split_that_is_not_orthogonal(capsys, monkeypatch):
+    """With half of up moved into stay, the pieces still sum back, but
+    wherever up is nonzero they are not orthogonal, their norms are off
+    and the shifted stay piece has no harmonic preimage."""
+    closed = verify.decompose_step
+
+    def skewed(*args):
+        stay, up = closed(*args)
+        half = up * Fraction(1, 2)
+        return stay + half, half
+
+    monkeypatch.setattr(verify, "decompose_step", skewed)
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert out == SKEWED_SPLIT_REPORT
 
 def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
     rank = verify.harmonic_dim
