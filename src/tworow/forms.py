@@ -8,8 +8,8 @@ unitary.
 
 Integral coefficients are kept as ``int`` and the rest as ``Fraction``.
 Products of differences, their psi-images, their permuted images and the
-scaled split of ``decompose_step`` are integral; ``harmonic_preimage`` is
-the only operation that divides, so it alone can produce fractions.
+split of ``decompose_step``, integer copies of these, are integral;
+``harmonic_preimage`` alone divides, so only it can produce fractions.
 
 The harmonic forms are the ones killed by the divergence operator, which
 sends the coefficient at a (k-1)-subset J to the sum of coefficients over
@@ -29,10 +29,10 @@ and its transpose, the m-subsets over each k-subset.  psi(g, m - k) of a
 dense g is one gather and one running sum, differenced at the end of each
 m-subset's run, which is how ``gz`` builds its lifted vectors; the adjoint
 of psi is the same over the transpose, and the divergence is that adjoint
-at (n, k, k - 1).  ``psi`` itself stays the term-by-term lift.  ``decompose_step`` and ``harmonic_preimage``
-check harmonicity and lifts this way, building no form, and a caller
-that checks many forms passes one dict of tables to every call, so each
-(n, m, k) is built once per dict.
+at (n, k, k - 1).  ``psi`` itself stays the term-by-term lift.  The
+harmonicity and lift checks of ``decompose_step`` and ``harmonic_preimage``
+and the split's tail run this way, on dense lists; a caller with many
+forms passes one dict of tables to every call, so each is built once.
 """
 
 from __future__ import annotations
@@ -265,10 +265,7 @@ def divergence(f: SquareFreeForm) -> SquareFreeForm:
     if f.k == 0:
         raise ValueError("degree-0 forms have no divergence")
     table = _table({}, f.n, f.k, f.k - 1)
-    sums = _adjoint(table, _dense(f, table.keys))
-    return SquareFreeForm._trusted(
-        f.n, f.k - 1, dict(compress(zip(table.subsets, sums), sums)), nonzero=True
-    )
+    return _sparse(f.n, f.k - 1, table.subsets, _adjoint(table, _dense(f, table.keys)))
 
 
 def is_harmonic(f: SquareFreeForm) -> bool:
@@ -411,6 +408,11 @@ def _dense(f: SquareFreeForm, keys: Iterable[Key]) -> list[Scalar]:
     return list(map(f.coeffs.get, keys, repeat(0)))
 
 
+def _sparse(n: int, k: int, keys: Iterable[Key], dense: Sequence[Scalar]) -> SquareFreeForm:
+    """The form with coefficients ``dense`` on ``keys``, zeros dropped."""
+    return SquareFreeForm._trusted(n, k, dict(compress(zip(keys, dense), dense)), nonzero=True)
+
+
 def _subsets(tables: LiftTables, n: int, k: int) -> list[Key]:
     """The k-subsets of 1..n in lexicographic order, as read off the
     divergence table (n, k, k - 1)."""
@@ -421,6 +423,17 @@ def _harmonic(tables: LiftTables, n: int, k: int, dense: Sequence[Scalar]) -> bo
     """Whether the degree-k form dense on the k-subsets of 1..n is
     harmonic: its divergence, the adjoint at (n, k, k - 1), is zero."""
     return k == 0 or not any(_adjoint(_table(tables, n, k, k - 1), dense))
+
+
+def _lifted(
+    tables: LiftTables, n: int, j: int, k: int, dense: Sequence[Scalar]
+) -> tuple[Sequence[Scalar], list[Key]]:
+    """psi(g, j - k) for g dense on the k-subsets of 1..n, with the
+    j-subsets it is dense on: g itself at j == k, else one ``_lift``."""
+    if j == k:
+        return dense, _subsets(tables, n, k)
+    table = _table(tables, n, j, k)
+    return _lift(table, dense), table.keys
 
 
 def decompose_step(
@@ -437,13 +450,15 @@ def decompose_step(
 
     The pieces are returned scaled by d = n - 2k + 1, as the pair
     (d * f_stay, d * f_up), so they sum to d times the embedded f and are
-    integral whenever f and f0 are.  With base the embedded f and tail its
-    one-variable correction, they are a * (base + tail) and
-    b * base - a * tail for integers a + b = d.
+    integral whenever f and f0 are.  They are a * (base + tail) and
+    b * base - a * tail for integers a + b = d, with base f (times x_{n+1}
+    at bit 1) and tail psi(f0, m - k - 1) x_{n+1} (psi(f0, m - k + 1) at
+    bit 1): one has x_{n+1} in every monomial and the other in none, so
+    each piece is two scaled copies on disjoint supports.
 
-    ``tables`` holds the ``LiftTable``s that validate f0 and f; a caller
-    with many forms of the same sizes passes one dict to every call, and
-    by default the call builds its own.
+    ``tables`` holds the ``LiftTable``s that validate f0 and f and lift
+    the tail; a caller with many forms of the same sizes passes one dict
+    to every call, and by default the call builds its own.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -453,33 +468,27 @@ def decompose_step(
     if not k <= m:
         raise ValueError(f"harmonic degree {k} exceeds form degree {m}")
     if 2 * (m + bit) > n + 1:
-        raise ValueError(
-            f"target degree {m + bit} exceeds half of {n + 1} variables"
-        )
+        raise ValueError(f"target degree {m + bit} exceeds half of {n + 1} variables")
     if tables is None:
         tables = {}
-    keys = _subsets(tables, n, k)
-    lifted = _dense(f0, keys)
-    if not _harmonic(tables, n, k, lifted):
+    g0 = _dense(f0, _subsets(tables, n, k))
+    if not _harmonic(tables, n, k, g0):
         raise ValueError("f0 is not harmonic")
-    if k < m:
-        table = _table(tables, n, m, k)
-        lifted, keys = _lift(table, lifted), table.keys
-    if lifted != _dense(f, keys):
+    base, keys = _lifted(tables, n, m, k, g0)
+    if base != _dense(f, keys):
         raise ValueError("f is not the psi-image of f0")
 
     if bit == 0:
-        base = f.embedded(n + 1)
-        if m > k:
-            tail = psi(f0, m - k - 1).embedded(n + 1).times_var(n + 1)
-        else:
-            tail = SquareFreeForm.zero(n + 1, m)
+        tail, tail_keys = _lifted(tables, n, m - 1, k, g0) if m > k else ((), [])
+        keys = keys + [key + (n + 1,) for key in tail_keys]
         a, b = n - m - k + 1, m - k
     else:
-        base = f.embedded(n + 1).times_var(n + 1)
-        tail = psi(f0, m - k + 1).embedded(n + 1)
+        tail, tail_keys = _lifted(tables, n, m + 1, k, g0)
+        keys = [key + (n + 1,) for key in keys] + tail_keys
         a, b = m - k + 1, n - m - k
-    return a * (base + tail), b * base - a * tail
+    stay = [a * c for c in chain(base, tail)]
+    up = [b * c for c in base] + [-a * c for c in tail]
+    return _sparse(n + 1, m + bit, keys, stay), _sparse(n + 1, m + bit, keys, up)
 
 
 def harmonic_preimage(
@@ -518,9 +527,5 @@ def harmonic_preimage(
         k < m and _lift(table, g) != [scale * c for c in target]
     ):
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
-    coeffs = {
-        key: Fraction(val, scale) if val % scale else val // scale
-        for key, val in zip(subsets, g)
-        if val
-    }
-    return SquareFreeForm._trusted(n, k, coeffs, nonzero=True)
+    quotients = [Fraction(val, scale) if val % scale else val // scale for val in g]
+    return _sparse(n, k, subsets, quotients)

@@ -67,11 +67,11 @@ from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import combinations, count
 from math import comb, prod
 from operator import itemgetter, mul
 
-from .forms import Key, SquareFreeForm, _lift, _lift_table
+from .forms import Key, SquareFreeForm, _lift, _lift_table, _sparse
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
@@ -98,9 +98,7 @@ def gz_harmonic(u: TwoRowTableau, columns: RookColumns | None = None) -> GzVecto
     form's keys are filled in lexicographic order."""
     if columns is None:
         columns = _rook_columns(u.n, len(u.second_row), (u,))
-    dense = _dense_harmonic(u, columns)
-    coeffs = dict(compress(zip(columns[0], dense), dense))
-    form = SquareFreeForm._trusted(u.n, len(u.second_row), coeffs, nonzero=True)
+    form = _sparse(u.n, len(u.second_row), columns[0], _dense_harmonic(u, columns))
     return GzVector(u, form, closed_harmonic_norm_sq(u))
 
 
@@ -180,10 +178,8 @@ def _vectors(
             yield gz_harmonic(u, columns)
         return
     table = _lift_table(n, m, k)
-    keys = table.keys
     for u in tableaux:
-        sums = _lift(table, _dense_harmonic(u, columns))
-        form = SquareFreeForm._trusted(n, m, dict(compress(zip(keys, sums), sums)), nonzero=True)
+        form = _sparse(n, m, table.keys, _lift(table, _dense_harmonic(u, columns)))
         yield GzVector(u, form, closed_norm_sq_in_H(u, m))
 
 

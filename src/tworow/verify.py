@@ -15,9 +15,9 @@ it is checked against live here, private to this module:
   columns of a whole batch of forms at once; ``check_basis`` builds the
   rows once per cached basis;
 - sums of products of coefficients, ``forms.inner`` for lone forms and
-  ``sum(map(mul, a, b))`` for the dense rows of a laid-out basis, against
-  which every closed norm and the orthogonality of every full basis are
-  checked;
+  ``sum(map(mul, a, b))`` for the dense rows of a laid-out basis or split,
+  against which every closed norm, the orthogonality of every full basis
+  and the norm shares of every split are checked;
 - ``forms.psi``: the lift term by term, one index tuple per l-subset of a
   monomial's complement, against which every lifted basis vector is checked;
 - ``_projection_table``: the spectral table of any nonzero form, its inner
@@ -39,12 +39,12 @@ harmonics as the last block of each basis.  Only ``check_good`` builds
 single vectors, the ones it tests: ``gz_harmonic`` and, for the lifts,
 gz's one vector builder ``_vectors``, all from one table of rook columns
 per good tableau.
-A suite lays out each whole basis or shape block it reads once per call
-as ``_dense_rows``, every vector's coefficients over the lexicographic
-subsets with zeros included, so that its oracles run as C-level passes
-over plain lists rather than one Python step per vector and monomial.
-``check_decompose`` likewise keeps one dict of ``forms`` lift tables for
-the call and passes it to every ``decompose_step`` and
+A suite lays out each whole basis, shape block or split it reads once
+per call as ``_dense_rows``, every vector's coefficients over the
+lexicographic subsets with zeros included, so that its oracles run as
+C-level passes over plain lists rather than one Python step per vector
+and monomial.  ``check_decompose`` also keeps one dict of ``forms`` lift
+tables for the call and passes it to every ``decompose_step`` and
 ``harmonic_preimage``, so each (n, m, k) it checks is indexed once.
 """
 
@@ -347,8 +347,9 @@ def check_decompose(n_max: int) -> list[CheckResult]:
     """One-level splits: sum, orthogonality, norm ratios, exact preimages,
     of every vector of the cached full bases over its harmonic, the basis
     vector of degree k of the same tableau (``check_psi`` ties the two by
-    ``psi``).  The splits and preimages share one dict of lift tables,
-    dropped when the call returns."""
+    ``psi``).  The two pieces and d times the whole, built here from f, are
+    laid out as ``_dense_rows`` and checked as list passes.  The splits and
+    preimages share one dict of lift tables, dropped when the call returns."""
     failures: list[str] = []
     cases = 0
     tables: LiftTables = {}
@@ -357,29 +358,27 @@ def check_decompose(n_max: int) -> list[CheckResult]:
         for u in enumerate_all_tableaux(n):
             k = len(u.second_row)
             f0 = basis[k, u.second_row]
+            d = n - 2 * k + 1
             for m in range(k, n // 2 + 1):
                 f = basis[m, u.second_row]
-                norm_f = inner(f, f)
                 for bit in (0, 1):
                     if 2 * (m + bit) > n + 1:
                         continue
                     cases += 1
-                    # Both pieces come scaled by d, so sums compare with d
-                    # times the whole and squared norms with d^2 times it.
                     stay, up = decompose_step(f, f0, bit, tables)
-                    d = n - 2 * k + 1
-                    whole = f.embedded(n + 1)
-                    if bit:
-                        whole = whole.times_var(n + 1)
-                    if stay + up != d * whole:
+                    whole = {key + (n + 1,) * bit: d * c for key, c in f.coeffs.items()}
+                    rows = (stay, up, SquareFreeForm._trusted(n + 1, m + bit, whole))
+                    stay_row, up_row, whole_row = _dense_rows(n + 1, m + bit, rows)
+                    if list(map(add, stay_row, up_row)) != whole_row:
                         failures.append(f"sum n={n} u={u.second_row} m={m} b={bit}")
                         continue
-                    if inner(stay, up) != 0:
+                    if sum(map(mul, stay_row, up_row)):
                         failures.append(f"orth n={n} u={u.second_row} m={m} b={bit}")
+                    whole_sq = sum(map(mul, whole_row, whole_row))
                     p_stay, p_up = induced_transition(n, k, m, bit)
-                    if inner(stay, stay) != d * d * p_stay * norm_f:
+                    if sum(map(mul, stay_row, stay_row)) != p_stay * whole_sq:
                         failures.append(f"stay-norm n={n} u={u.second_row} m={m} b={bit}")
-                    if inner(up, up) != d * d * p_up * norm_f:
+                    if sum(map(mul, up_row, up_row)) != p_up * whole_sq:
                         failures.append(f"up-norm n={n} u={u.second_row} m={m} b={bit}")
                     try:
                         if not stay.is_zero():

@@ -19,7 +19,7 @@ from tworow.forms import (
     psi,
 )
 from tworow.forms import _adjoint, _dense, _expand_pairs, _lift, _table
-from tworow.gz import gz_harmonic
+from tworow.gz import full_gz_basis, gz_harmonic
 from tworow.markov import induced_transition
 from tworow.ygraph import enumerate_all_tableaux
 
@@ -478,6 +478,49 @@ def test_decompose_of_integral_forms_is_integral():
                         continue
                     for piece in decompose_step(f, f0, bit):
                         assert all(type(val) is int for val in piece.coeffs.values())
+
+
+def reference_split(f, f0, bit):
+    """The scaled split of ``decompose_step`` built from the public form
+    algebra: base the embedded f (times x_{n+1} at bit 1), tail its
+    one-variable correction, and the pieces a * (base + tail) and
+    b * base - a * tail."""
+    n, m, k = f.n, f.k, f0.k
+    if bit == 0:
+        base = f.embedded(n + 1)
+        if m > k:
+            tail = psi(f0, m - k - 1).embedded(n + 1).times_var(n + 1)
+        else:
+            tail = SquareFreeForm.zero(n + 1, m)
+        a, b = n - m - k + 1, m - k
+    else:
+        base = f.embedded(n + 1).times_var(n + 1)
+        tail = psi(f0, m - k + 1).embedded(n + 1)
+        a, b = m - k + 1, n - m - k
+    return a * (base + tail), b * base - a * tail
+
+
+def test_decompose_matches_the_form_algebra_split():
+    """Every full-basis vector at n <= 7, split at both bits, equals the
+    split built from ``psi``, ``embedded``, ``times_var``, ``+``, ``-`` and
+    ``*``; so does the split of the same vector halved, whose pieces have
+    ``Fraction`` coefficients, over its halved harmonic."""
+    fractional = 0
+    for n in range(1, 8):
+        for m in range(n // 2 + 1):
+            for vec in full_gz_basis(n, m):
+                u = vec.tableau
+                f0 = gz_harmonic(u).form
+                for scale in (1, Fraction(1, 2)):
+                    f, g0 = scale * vec.form, scale * f0
+                    for bit in (0, 1):
+                        if 2 * (m + bit) > n + 1:
+                            continue
+                        pieces = decompose_step(f, g0, bit)
+                        assert pieces == reference_split(f, g0, bit), (u, m, bit, scale)
+                        values = [val for piece in pieces for val in piece.coeffs.values()]
+                        fractional += any(type(val) is Fraction for val in values)
+    assert fractional == 254
 
 
 # recovering the harmonic seed

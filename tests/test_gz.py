@@ -868,34 +868,39 @@ def test_good_check_builds_one_rook_table_per_good_tableau(monkeypatch):
     assert sum(built.values()) == 49
 
 
-def test_decompose_check_calls_psi_only_for_the_split_tails(monkeypatch):
-    """In ``check_decompose(7)`` the one-level split builds its tail, one
-    ``psi`` call for each split with bit 1 or m > k, 177 in all; checking
-    that f lifts f0, and that each piece lifts its preimage, builds no
-    form (862 ``psi`` calls when both sides of each check were built)."""
+def test_decompose_check_calls_psi_zero_times(monkeypatch):
+    """``check_decompose(7)`` calls ``psi`` 0 times: each split lifts its
+    tail from the dense f0 over a ``LiftTable``, and the check compares the
+    pieces as dense rows.  No ``inner`` and no form operator runs either
+    (at the parent design the 254 splits built 177 ``psi`` tails and the
+    check took 903 ``inner`` products)."""
     for n in range(1, 9):
         for m in range(n // 2 + 1):
             full_gz_basis(n, m)
-    calls = []
-    monkeypatch.setattr("tworow.forms.psi", lambda f, l: calls.append(l) or psi(f, l))
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for module in ("tworow.forms", "tworow.verify"):
+        monkeypatch.setattr(f"{module}.psi", counted("psi", psi))
+        monkeypatch.setattr(f"{module}.inner", counted("inner", inner))
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "embedded", "times_var"):
+        monkeypatch.setattr(SquareFreeForm, name, counted(name, getattr(SquareFreeForm, name)))
     assert all(r.ok for r in verify.check_decompose(7))
-    tails = sum(
-        bit == 1 or m > k
-        for n in range(1, 8)
-        for k in range(n // 2 + 1)
-        for _ in enumerate_tableaux(TwoRowDiagram(n, k))
-        for m in range(k, n // 2 + 1)
-        for bit in (0, 1)
-        if 2 * (m + bit) <= n + 1
-    )
-    assert len(calls) == tails == 177
+    assert calls == {}
 
 
 def test_decompose_check_builds_each_lift_table_once_per_call(monkeypatch):
     """``check_decompose(7)`` builds the ``LiftTable`` of each (n, m, k) it
-    reads once, 30 in all, and shares it across its ``decompose_step`` and
+    reads once, 40 in all, and shares it across its ``decompose_step`` and
     ``harmonic_preimage`` calls; a second call builds them all again, so no
-    table outlives its call."""
+    table outlives its call.  The bit-1 tails lift to degree m + 1 at level
+    n, which at odd n reaches (n + 1) / 2."""
     built = Counter()
 
     def counted(n, m, k):
@@ -903,11 +908,13 @@ def test_decompose_check_builds_each_lift_table_once_per_call(monkeypatch):
         return _lift_table(n, m, k)
 
     monkeypatch.setattr("tworow.forms._lift_table", counted)
-    sizes = {(n, m, k) for n in range(2, 9) for m in range(1, n // 2 + 1) for k in range(m)}
+    sizes = {
+        (n, m, k) for n in range(1, 9) for m in range(1, (n + 1) // 2 + 1) for k in range(m)
+    }
     for runs in (1, 2):
         assert all(r.ok for r in verify.check_decompose(7))
         assert built == {size: runs for size in sizes}
-    assert len(sizes) == 30
+    assert len(sizes) == 40
 
 
 def test_off_diagonal_entries_square_correctly():
