@@ -871,9 +871,9 @@ def test_good_check_builds_one_rook_table_per_good_tableau(monkeypatch):
 def test_decompose_check_calls_psi_zero_times(monkeypatch):
     """``check_decompose(7)`` calls ``psi`` 0 times: each split lifts its
     tail from the dense f0 over a ``LiftTable``, and the check compares the
-    pieces as dense rows.  No ``inner`` and no form operator runs either
-    (at the parent design the 254 splits built 177 ``psi`` tails and the
-    check took 903 ``inner`` products)."""
+    pieces as dense rows.  No ``inner`` and no form operator runs either,
+    where splits built as forms would call ``psi`` for 177 of the 254 tails
+    and a check on forms would take 903 ``inner`` products."""
     for n in range(1, 9):
         for m in range(n // 2 + 1):
             full_gz_basis(n, m)
