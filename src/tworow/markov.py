@@ -547,33 +547,21 @@ def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) 
 
     ``rng`` is a Random instance or an integer seed.  Each step consumes
     exactly 64 bits, so traces are reproducible byte for byte under a
-    fixed seed.  The walk is the first of ``sample_paths`` with the same
-    arguments, but only the rows it visits get an up threshold.
+    fixed seed.  Every path sampler goes through one walk over one
+    threshold table, built per call: this is the one walk of
+    ``sample_paths`` with the same arguments, so a lone path pays for the
+    table of every stored row up to ``depth``.
     """
-    rng = _as_rng(rng)
-    _check_walks(kernel, depth, 1)
-    getrandbits = rng.getrandbits
-    entries = kernel.entries
-    ks = [0]
-    k = 0
-    for n in range(1, depth):
-        r = getrandbits(64)
-        entry = entries.get((n, k))
-        if entry is None:
-            raise _missing_row(n, k)
-        if r < _up_threshold(entry.p_up):
-            k += 1
-        ks.append(k)
-    return ks
+    return next(sample_paths(kernel, depth, 1, rng))
 
 
 def sample_paths(
     kernel: TransitionKernel, depth: int, count: int, rng: random.Random | int
 ) -> Iterator[list[int]]:
-    """``count`` walks drawn one after another from ``rng``, each as
-    ``sample_path`` returns it.  Arguments are checked before the first
-    walk is asked for, and the walks share one threshold table, built
-    from the whole kernel before the first walk."""
+    """``count`` walks drawn one after another from ``rng``, each the
+    second-row length at levels 1 .. depth.  Arguments are checked before
+    the first walk is asked for, and the walks share one threshold table,
+    built from the whole kernel before the first walk."""
     rng = _as_rng(rng)
     _check_walks(kernel, depth, count)
     table = _threshold_table(kernel, depth)

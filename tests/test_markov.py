@@ -2,6 +2,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -791,6 +792,78 @@ def test_deep_induced_kernel_has_zero_up_rows():
     assert all(visits[key][0] > 0 and visits[key][1] == 0 for key in zero_up)
 
 
+class _ScriptedRandom(random.Random):
+    """A Random whose ``getrandbits(64)`` returns the scripted words in order."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        assert k == 64
+        return next(self.words)
+
+
+def _boundary_scripts(kernel, depth):
+    """Every walk the kernel allows to ``depth``, each with the words that
+    must drive it: T - 1 for an up step and T for a stay, where T is the
+    up threshold of the row the walk is at.  Also the set of every T met."""
+    scripts, met = [], set()
+    stack = [([0], [])]
+    while stack:
+        ks, words = stack.pop()
+        n = len(ks)
+        if n == depth:
+            scripts.append((ks, words))
+            continue
+        t = _up_threshold(kernel.transition(n, ks[-1]).p_up)
+        met.add(t)
+        if t < 2**64:
+            stack.append((ks + [ks[-1]], words + [t]))
+        if t > 0:
+            stack.append((ks + [ks[-1] + 1], words + [t - 1]))
+    return scripts, met
+
+
+def _certain_up_kernel():
+    half = Fraction(1, 2)
+    return TransitionKernel(
+        4,
+        {
+            (1, 0): KernelEntry(None, Fraction(0), Fraction(1)),
+            (2, 1): KernelEntry(None, Fraction(1), Fraction(0)),
+            (3, 1): KernelEntry(None, half, half),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel,depth,edges",
+    [
+        (central_kernel(12), 12, {0}),
+        (kernel_from_prefix(BitPrefix.from_string("001011010011")), 12, {0}),
+        (_certain_up_kernel(), 4, {0, 2**64}),
+    ],
+)
+def test_walks_go_up_below_the_threshold_and_stay_at_it(kernel, depth, edges, monkeypatch):
+    scripts, met = _boundary_scripts(kernel, depth)
+    # T = 0 (p_up = 0) must stay even at r = 0; T = 2^64 (p_up = 1) must
+    # go up even at r = 2^64 - 1.
+    assert edges <= met
+    walks = [ks for ks, _ in scripts]
+    words = [w for _, script in scripts for w in script]
+    for ks, script in scripts:
+        assert sample_path(kernel, depth, _ScriptedRandom(script)) == ks
+    rng = _ScriptedRandom(words)
+    assert list(sample_paths(kernel, depth, len(walks), rng)) == walks
+    assert next(rng.words, None) is None
+    # transition_counts seeds its own Random, so script the one it makes.
+    scripted = SimpleNamespace(Random=lambda seed: _ScriptedRandom(words))
+    monkeypatch.setattr(markov, "random", scripted)
+    counts = transition_counts(kernel, depth, len(walks), 0)
+    assert list(counts.items()) == list(_counts_of(walks).items())
+
+
 def _gap_kernels():
     one = KernelEntry(None, Fraction(0), Fraction(1))
     # Level 2 stores k = 0 only, but the walk reaches k = 1 there.
@@ -879,20 +952,9 @@ def test_sample_path_is_seed_deterministic():
     "kernel",
     [central_kernel(64), kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4))],
 )
-def test_sample_path_is_the_first_stream_walk_and_thresholds_only_its_rows(
-    kernel, monkeypatch
-):
-    computed = []
-
-    def counted(p):
-        computed.append(p)
-        return _up_threshold(p)
-
-    monkeypatch.setattr(markov, "_up_threshold", counted)
+def test_sample_path_is_the_first_stream_walk(kernel):
     for seed in range(5):
-        computed.clear()
         walk = sample_path(kernel, 64, seed)
-        assert len(computed) <= 63
         rng = random.Random(seed)
         assert sample_path(kernel, 64, rng) == walk
         assert rng.getstate() == _drawn(63, seed).getstate()
@@ -918,11 +980,20 @@ def test_sample_path_steps_are_valid():
 
 
 def test_sample_tableau_matches_path():
-    kern = kernel_from_prefix(BitPrefix.alternating(10))
-    u = sample_tableau(kern, 10, 42)
-    ks = sample_path(kern, 10, 42)
-    assert u.n == 10
-    assert len(u.second_row) == ks[-1]
+    kernels = [
+        central_kernel(64),
+        kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4)),
+    ]
+    for kernel in kernels:
+        for depth in (10, 64):
+            for seed in range(5):
+                u = sample_tableau(kernel, depth, seed)
+                ks = next(sample_paths(kernel, depth, 1, seed))
+                assert u.n == depth
+                # ks[n] is the length at level n + 1, so an up step there
+                # places n + 1 in the second row.
+                ups = tuple(n + 1 for n in range(1, depth) if ks[n] > ks[n - 1])
+                assert u.second_row == ups
 
 
 def test_sample_depth_validation():
