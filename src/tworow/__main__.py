@@ -1,8 +1,6 @@
 """``python -m tworow``: the same command line as the ``tworow`` script."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,6 +5,13 @@ Every command is deterministic given its flags and seed; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 usage error, including an ``--out`` file that
 cannot be opened, 141 (128 + SIGPIPE) when the reader closes stdout early.
+
+``main(argv)`` is the in-process API: it returns the exit code.  The
+``tworow`` script, ``python -m tworow`` and ``python -m tworow.cli`` go
+through ``run``, which flushes the output and ends the process with
+``os._exit``: every call is a fresh interpreter, and tearing down the
+modules that ``site`` and the package loaded cost about 10-14 ms of each
+call after its output was complete.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
 from math import comb
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 from .gz import iter_basis
 from .markov import (
@@ -227,5 +234,20 @@ def main(argv: list[str] | None = None) -> int:
         return 141
 
 
+def run() -> NoReturn:
+    """The command-line entry point: ``main()`` on ``sys.argv``, then a
+    flush of stdout and stderr and ``os._exit`` with its code, so the
+    interpreter skips its teardown and atexit handlers do not run; the
+    package registers none.  An exception that escapes ``main``, such as
+    argparse's ``SystemExit``, ends the process the usual way."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,6 +12,8 @@ sorted, entries are sorted, lines end with a single newline.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 from typing import Iterable, TextIO
 
 from .gz import GzVector
@@ -23,31 +25,44 @@ def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> 
     sort_keys=True)`` lays it out, one vector at a time, byte for byte.
     Each vector is ``{"norm_sq", "second_row", "terms"}``, each term
     ``{"den", "num", "vars"}``, and ``norm_sq`` a ``{"den", "num"}``.
-    Each vector's ``form.coeffs`` must hold its keys in lexicographic
-    order, as ``iter_basis`` builds them; the terms are written in that
-    order and not sorted again."""
-    # A term's text after its numerator depends only on its monomial, and a
-    # degree-m basis has only C(n, m) monomials, so each is laid out once.
-    tails: dict[tuple[int, ...], str] = {}
+    Each vector's ``form.coeffs`` must hold its keys, m-subsets of 1..n,
+    in lexicographic order, as ``iter_basis`` builds them; the terms are
+    written in that order and not sorted again."""
+    # A term's text is a head that depends only on its coefficient and a
+    # tail that depends only on its monomial.  A degree-m basis has C(n, m)
+    # monomials and few distinct coefficients, so each piece is laid out
+    # once and every term is one concatenation.
+    tails = {
+        key: f'",\n          "vars": {_json_ints(key, 12)}\n        }}'
+        for key in combinations(range(1, n + 1), m)
+    }
+    heads = _TermHeads()
     handle.write(f'{{\n  "m": {m},\n  "n": {n},\n  "vectors": [')
     sep = "\n"
     for vec in vectors:
-        terms = []
-        for key, val in vec.form.coeffs.items():
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = f'",\n          "vars": {_json_ints(key, 12)}\n        }}'
-            terms.append(
-                f'{{\n          "den": "{val.denominator}",'
-                f'\n          "num": "{val.numerator}{tail}'
-            )
+        coeffs = vec.form.coeffs
+        terms = ",\n        ".join(
+            map(add, map(heads.__getitem__, coeffs.values()), map(tails.__getitem__, coeffs))
+        )
+        terms = f"[\n        {terms}\n      ]" if terms else "[]"
         handle.write(
             f'{sep}    {{\n      "norm_sq": {_json_fraction(vec.norm_sq, 8)},'
             f'\n      "second_row": {_json_ints(vec.tableau.second_row, 8)},'
-            f'\n      "terms": {_json_list(terms, 8)}\n    }}'
+            f'\n      "terms": {terms}\n    }}'
         )
         sep = ",\n"
     handle.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+class _TermHeads(dict):
+    """A basis term's text up to its numerator, keyed by its coefficient and
+    laid out on first lookup; ``2`` and ``Fraction(2)`` share one entry."""
+
+    def __missing__(self, val: Fraction) -> str:
+        head = self[val] = (
+            f'{{\n          "den": "{val.denominator}",\n          "num": "{val.numerator}'
+        )
+        return head
 
 
 def write_measure(

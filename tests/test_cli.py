@@ -840,21 +840,28 @@ def test_thread_cap_env(capsys, monkeypatch):
     capsys.readouterr()
 
 
+# The command lines that start a fresh interpreter, besides the installed
+# ``tworow`` script.
+DASH_M = ["tworow", "tworow.cli"]
+
+PIPED = {
+    "sample-trace": ["sample", "--central", "--depth", "64", "--count", "2000", "--mode", "trace"],
+    "basis": ["basis", "--n", "10", "--m", "5"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sample", "--central", "--depth", "64", "--count", "2000", "--mode", "trace"],
-        ["basis", "--n", "10", "--m", "5"],
-    ],
-    ids=["sample-trace", "basis"],
+    "module,argv",
+    [(module, argv) for module in DASH_M for argv in PIPED.values()],
+    ids=["sample-trace", "basis", "sample-trace-cli", "basis-cli"],
 )
-def test_closed_stdout_pipe_exits_141(argv):
+def test_closed_stdout_pipe_exits_141(module, argv):
     """A reader that closes the pipe after one line, as ``| head -1`` does,
     ends the command with 128 + SIGPIPE and nothing on stderr; both outputs
     are far larger than a pipe buffer, so the command is still writing."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "tworow", *argv],
+        [sys.executable, "-m", module, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -864,6 +871,122 @@ def test_closed_stdout_pipe_exits_141(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def _buffered_env(*paths):
+    """The environment with ``paths`` as ``PYTHONPATH`` and without
+    ``PYTHONUNBUFFERED``, so a child buffers its stdout as a user's
+    ``tworow`` does and only the flush before exit writes the tail."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=os.pathsep.join(map(str, paths)))
+
+
+def test_run_exits_141_when_its_final_flush_meets_a_closed_pipe(tmp_path):
+    """Output still buffered when ``main`` returns meets a reader that has
+    gone at ``run``'s flush: the process exits 141 with nothing on stderr,
+    as ``main``'s own handler ends it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "import tworow.cli as cli\n"
+        "cli.main = lambda: sys.stdout.write('unflushed') and 0\n"
+        "cli.run()\n"
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_buffered_env(src),
+            cwd=tmp_path,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _fresh(module, argv, cwd, pythonpath=()):
+    """Runs ``python -m module argv`` in a fresh interpreter with the
+    package sources, and ``pythonpath`` before them, on ``PYTHONPATH``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        env=_buffered_env(*pythonpath, src),
+        cwd=cwd,
+        timeout=60,
+    )
+
+
+BASIS_10_5 = ["basis", "--n", "10", "--m", "5"]
+BASIS_10_5_DIGEST = dict(((n, m), d) for n, m, d in GOLDEN_BASES)[10, 5]
+
+
+@pytest.mark.parametrize("module", DASH_M)
+def test_fresh_basis_loses_no_byte(module, tmp_path):
+    """A fresh process writes every byte of a 7.5 MB export before it
+    exits, to a pipe and to an ``--out`` file."""
+    proc = _fresh(module, BASIS_10_5, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == BASIS_10_5_DIGEST
+    target = tmp_path / "basis.json"
+    proc = _fresh(module, [*BASIS_10_5, "--out", str(target)], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == BASIS_10_5_DIGEST
+
+
+@pytest.mark.parametrize("module", DASH_M)
+@pytest.mark.parametrize(
+    "argv,stderr_start",
+    [
+        (["basis", "--n", "14", "--m", "7"], "error: basis exports at most"),
+        (["basis", "--n", "2", "--m", "1", "--out", "missing/out.json"], "error: cannot open"),
+        (["basis", "--n", "2"], "usage: tworow basis"),
+    ],
+    ids=["size-rule", "unopenable-out", "argparse"],
+)
+def test_fresh_usage_errors_match_in_process(capsys, monkeypatch, tmp_path, module, argv, stderr_start):
+    """A usage error exits 2 from a fresh process with the stdout and
+    stderr of an in-process ``main``; argparse's own exit prints the
+    usage text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    expect = capsys.readouterr()
+    assert code == 2 and expect.err.startswith(stderr_start)
+    proc = _fresh(module, argv, tmp_path)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (2, expect.out, expect.err)
+
+
+def test_cli_ends_without_interpreter_teardown(capsys, tmp_path):
+    """``python -m tworow`` flushes its output and ends with ``os._exit``,
+    so an atexit hook, here one that ``sitecustomize`` registers, does not
+    run, while a plain import of the CLI exits the usual way and runs it."""
+    marker = tmp_path / "atexit-ran"
+    (tmp_path / "sitecustomize.py").write_text(
+        f"import atexit, pathlib\natexit.register(pathlib.Path({str(marker)!r}).touch)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tworow.cli"],
+        capture_output=True,
+        env=_buffered_env(tmp_path, src),
+        cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert marker.exists()
+    marker.unlink()
+    assert main(["measure", "--xi", "01"]) == 0
+    expect = capsys.readouterr().out
+    proc = _fresh("tworow", ["measure", "--xi", "01"], tmp_path, [tmp_path])
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, expect, b"")
+    assert not marker.exists()
 
 
 def test_console_script_roundtrip():

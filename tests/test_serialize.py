@@ -184,10 +184,15 @@ def test_write_basis_equals_json_text():
 
 
 def test_write_basis_empty_lists_and_fractions():
+    """Empty documents and term lists, fractional coefficients, ``2`` next
+    to ``Fraction(2)`` in one vector and a value repeated across vectors
+    all write as ``json.dumps`` lays them out."""
     u = TwoRowTableau(3, (2,))
+    mixed = {(1,): 2, (2,): Fraction(2), (3,): Fraction(-1, 2)}
     vectors = [
         GzVector(u, SquareFreeForm(3, 1, {(1,): Fraction(-1, 2), (3,): 5}), Fraction(101, 4)),
         GzVector(TwoRowTableau(3, ()), SquareFreeForm.zero(3, 1), 0),
+        GzVector(TwoRowTableau(3, (3,)), SquareFreeForm(3, 1, mixed), Fraction(2)),
     ]
     for vecs in ([], vectors):
         assert _buffered_basis(3, 1, vecs) == _json_reference(_basis_doc(3, 1, vecs))
