@@ -6,10 +6,12 @@ substituting variables, which permutes the monomials, so the monomial basis
 is orthonormal for the coefficientwise inner product and the action is
 unitary.
 
-Integral coefficients are kept as ``int`` and the rest as ``Fraction``.
-Products of differences, their psi-images, their permuted images and the
-split of ``decompose_step``, integer copies of these, are integral;
-``harmonic_preimage`` alone divides, so only it can produce fractions.
+The constructor keeps integral coefficients as ``int`` and the rest as
+``Fraction``.  With ``int`` coefficients and scalars in, every operation
+returns ``int`` coefficients, and ``harmonic_preimage``, the only one that
+divides, returns its integral quotients as ``int``.  Given a ``Fraction``,
+the others may return an integral value as ``Fraction(x, 1)``, which
+compares, hashes and prints as x, so ``==`` and ``repr`` do not see it.
 
 The harmonic forms are the ones killed by the divergence operator, which
 sends the coefficient at a (k-1)-subset J to the sum of coefficients over
@@ -22,17 +24,19 @@ x_{I union S} over all l-element subsets S of the complement of I.  Up to a
 binomial scalar it is an isometry on harmonic forms, which is what makes
 exact norm bookkeeping possible throughout the package.
 
-The lift from degree k < m to degree m in n variables has one index
+The lift from degree k to degree m >= k in n variables has one index
 structure, the ``LiftTable`` of (n, m, k) over dense coefficient lists in
 lexicographic subset order: a gather of the k-subsets of each m-subset,
-and its transpose, the m-subsets over each k-subset.  psi(g, m - k) of a
-dense g is one gather and one running sum, differenced at the end of each
-m-subset's run, which is how ``gz`` builds its lifted vectors; the adjoint
-of psi is the same over the transpose, and the divergence is that adjoint
-at (n, k, k - 1).  ``psi`` itself stays the term-by-term lift.  The
-harmonicity and lift checks of ``decompose_step`` and ``harmonic_preimage``
-and the split's tail run this way, on dense lists; a caller with many
-forms passes one dict of tables to every call, so each is built once.
+and its transpose, the m-subsets over each k-subset.  At m == k it is
+the identity lift, one slot per subset each way, with no case of its
+own.  psi(g, m - k) of a dense g is one gather and one running sum,
+differenced at the end of each m-subset's run, which is how ``gz`` builds
+its lifted vectors; the adjoint of psi is the same over the transpose,
+and the divergence is that adjoint at (n, k, k - 1).  ``psi`` itself
+stays the term-by-term lift.  The harmonicity and lift checks of
+``decompose_step`` and ``harmonic_preimage`` and the split's tail run
+this way, on dense lists; a caller with many forms passes one dict of
+tables to every call, so each is built once.
 """
 
 from __future__ import annotations
@@ -235,15 +239,13 @@ class Permutation:
 
 
 def act(sigma: Permutation, f: SquareFreeForm) -> SquareFreeForm:
-    """Substitute x_i -> x_{sigma(i)} in every monomial of f."""
+    """Substitute x_i -> x_{sigma(i)} in every monomial of f.  Distinct
+    monomials go to distinct monomials, so no terms merge or cancel."""
     if sigma.n != f.n:
         raise ValueError(f"permutation of 1..{sigma.n} cannot act on {f.n} variables")
     images = sigma.images
-    out: dict[Key, Scalar] = {}
-    for key, val in f.coeffs.items():
-        new_key = tuple(sorted(images[i - 1] for i in key))
-        out[new_key] = out.get(new_key, 0) + val
-    return SquareFreeForm._trusted(f.n, f.k, out)
+    out = {tuple(sorted(images[i - 1] for i in key)): val for key, val in f.coeffs.items()}
+    return SquareFreeForm._trusted(f.n, f.k, out, nonzero=True)
 
 
 def inner(f: SquareFreeForm, g: SquareFreeForm) -> Scalar:
@@ -332,7 +334,7 @@ Getter = Callable[[Sequence[Scalar]], tuple[Scalar, ...]]
 
 
 class LiftTable(NamedTuple):
-    """The index structure of the lift from degree k < m to degree m in n
+    """The index structure of the lift from degree k <= m to degree m in n
     variables, over dense coefficient lists in lexicographic subset order.
     ``gather`` reads, for every m-subset in turn, the positions of its
     ``width`` = C(m, k) k-subsets.  A table shared through ``_table`` also
@@ -360,8 +362,9 @@ def _getter(positions: Sequence[int]) -> Getter:
 
 
 def _lift_table(n: int, m: int, k: int) -> LiftTable:
-    """The lift of (n, m, k), for 0 <= k < m <= n, without its transpose:
-    the basis builder ``gz._vectors`` reads only the gather."""
+    """The lift of (n, m, k), for 0 <= k <= m <= n, without its transpose:
+    the basis builder ``gz._vectors`` reads only the gather.  At k == m
+    the gather is 0, 1, .., C(n, m) - 1, one slot wide."""
     subsets = list(combinations(range(1, n + 1), k))
     position = {subset: i for i, subset in enumerate(subsets)}
     keys = list(combinations(range(1, n + 1), m))
@@ -371,9 +374,10 @@ def _lift_table(n: int, m: int, k: int) -> LiftTable:
 
 def _table(tables: LiftTables, n: int, m: int, k: int) -> LiftTable:
     """The lift table of (n, m, k) with its transpose, from ``tables``,
-    built there on first use.  The gather of the identity 0, 1, .. is the
-    flat list of positions, and a stable sort of its slots by position
-    lists the slots of each k-subset in the order of their m-subsets."""
+    built there on first use, for 0 <= k <= m <= n.  The gather of the
+    identity 0, 1, .. is the flat list of positions, and a stable sort of
+    its slots by position lists the slots of each k-subset in the order of
+    their m-subsets; at k == m both are the identity, with fan 1."""
     table = tables.get((n, m, k))
     if table is None:
         table = _lift_table(n, m, k)
@@ -387,7 +391,10 @@ def _table(tables: LiftTables, n: int, m: int, k: int) -> LiftTable:
 
 def _run_sums(slots: Iterable[Scalar], width: int) -> list[Scalar]:
     """The sums of the consecutive runs of ``width`` slots: the running sum
-    at the end of each run, differenced."""
+    at the end of each run, differenced.  Runs of one slot are the slots
+    themselves, each coefficient keeping its type."""
+    if width == 1:
+        return list(slots)
     ends = list(islice(accumulate(slots, initial=0), 0, None, width))
     return list(map(sub, islice(ends, 1, None), ends))
 
@@ -413,12 +420,6 @@ def _sparse(n: int, k: int, keys: Iterable[Key], dense: Sequence[Scalar]) -> Squ
     return SquareFreeForm._trusted(n, k, dict(compress(zip(keys, dense), dense)), nonzero=True)
 
 
-def _subsets(tables: LiftTables, n: int, k: int) -> list[Key]:
-    """The k-subsets of 1..n in lexicographic order, as read off the
-    divergence table (n, k, k - 1)."""
-    return _table(tables, n, k, k - 1).keys if k else [()]
-
-
 def _harmonic(tables: LiftTables, n: int, k: int, dense: Sequence[Scalar]) -> bool:
     """Whether the degree-k form dense on the k-subsets of 1..n is
     harmonic: its divergence, the adjoint at (n, k, k - 1), is zero."""
@@ -427,11 +428,9 @@ def _harmonic(tables: LiftTables, n: int, k: int, dense: Sequence[Scalar]) -> bo
 
 def _lifted(
     tables: LiftTables, n: int, j: int, k: int, dense: Sequence[Scalar]
-) -> tuple[Sequence[Scalar], list[Key]]:
+) -> tuple[list[Scalar], list[Key]]:
     """psi(g, j - k) for g dense on the k-subsets of 1..n, with the
-    j-subsets it is dense on: g itself at j == k, else one ``_lift``."""
-    if j == k:
-        return dense, _subsets(tables, n, k)
+    j-subsets it is dense on."""
     table = _table(tables, n, j, k)
     return _lift(table, dense), table.keys
 
@@ -471,10 +470,11 @@ def decompose_step(
         raise ValueError(f"target degree {m + bit} exceeds half of {n + 1} variables")
     if tables is None:
         tables = {}
-    g0 = _dense(f0, _subsets(tables, n, k))
+    table = _table(tables, n, m, k)
+    g0 = _dense(f0, table.subsets)
     if not _harmonic(tables, n, k, g0):
         raise ValueError("f0 is not harmonic")
-    base, keys = _lifted(tables, n, m, k, g0)
+    base, keys = _lift(table, g0), table.keys
     if base != _dense(f, keys):
         raise ValueError("f is not the psi-image of f0")
 
@@ -515,17 +515,10 @@ def harmonic_preimage(
         raise ValueError(f"no degree-{k} harmonic component in degree {m}")
     if tables is None:
         tables = {}
-    if k == m:
-        subsets = _subsets(tables, n, k)
-        g = _dense(f, subsets)
-    else:
-        table = _table(tables, n, m, k)
-        target = _dense(f, table.keys)
-        subsets, g = table.subsets, _adjoint(table, target)
-    # At k == m, psi(g, 0) is g itself and C is 1, so g lifts to f.
-    if not _harmonic(tables, n, k, g) or (
-        k < m and _lift(table, g) != [scale * c for c in target]
-    ):
+    table = _table(tables, n, m, k)
+    target = _dense(f, table.keys)
+    g = _adjoint(table, target)
+    if not _harmonic(tables, n, k, g) or _lift(table, g) != [scale * c for c in target]:
         raise ValueError("form is not a psi-image of a degree-k harmonic form")
     quotients = [Fraction(val, scale) if val % scale else val // scale for val in g]
-    return _sparse(n, k, subsets, quotients)
+    return _sparse(n, k, table.subsets, quotients)

@@ -266,12 +266,6 @@ def yjm_rows(n: int, k: int, l: int) -> YjmRows:
     return rows
 
 
-def _swap_levels(u: TwoRowTableau, i: int) -> TwoRowTableau:
-    """The tableau with entries i and i + 1 exchanged (rows differ)."""
-    swap = {i: i + 1, i + 1: i}
-    return TwoRowTableau(u.n, tuple(sorted(swap.get(p, p) for p in u.second_row)))
-
-
 def orthogonal_form_matrix(i: int, d: TwoRowDiagram) -> list[list[Fraction]]:
     """Matrix of the adjacent transposition (i i+1) in the basis of shape d.
 
@@ -287,11 +281,14 @@ def orthogonal_form_matrix(i: int, d: TwoRowDiagram) -> list[list[Fraction]]:
     index = {u.second_row: r for r, u in enumerate(tabs)}
     size = len(tabs)
     matrix = [[Fraction(0)] * size for _ in range(size)]
+    # |c| >= 2 puts i and i + 1 in different rows, so exactly one of them
+    # is in the second row and exchanging them keeps it increasing.
+    swap = {i: i + 1, i + 1: i}
     for r, u in enumerate(tabs):
         dist = u.content(i + 1) - u.content(i)
         matrix[r][r] = Fraction(1, dist)
         if abs(dist) >= 2:
-            v = _swap_levels(u, i)
-            matrix[r][index[v.second_row]] = 1 - Fraction(1, dist)
+            swapped = tuple(swap.get(p, p) for p in u.second_row)
+            matrix[r][index[swapped]] = 1 - Fraction(1, dist)
     return matrix
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from operator import add
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .gz import GzVector
 from .markov import BitPrefix, SpectralTable, TransitionKernel
@@ -115,17 +115,13 @@ def _json_fraction(x: Fraction, indent: int) -> str:
     return f'{{\n{pad}"den": "{x.denominator}",\n{pad}"num": "{x.numerator}"\n{pad[:-2]}}}'
 
 
-def _json_list(items: list[str], indent: int) -> str:
-    """A list of already-indented JSON values as ``json.dumps(indent=2)``
-    lays it out with its items at ``indent`` spaces."""
-    if not items:
+def _json_ints(values: Sequence[int], indent: int) -> str:
+    """A list of ints as ``json.dumps(indent=2)`` lays it out with its
+    items at ``indent`` spaces."""
+    if not values:
         return "[]"
     pad = " " * indent
-    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
-
-
-def _json_ints(values: Iterable[int], indent: int) -> str:
-    return _json_list([str(v) for v in values], indent)
+    return "[\n" + pad + (",\n" + pad).join(map(str, values)) + "\n" + pad[:-2] + "]"
 
 
 KERNEL_HEADER = "n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den"

@@ -583,7 +583,8 @@ def test_lift_checks_reject_a_bumped_lift():
     ``harmonic_preimage`` raise the same errors as when both sides of
     their lift checks were built as forms, and the same again with one
     dict of tables shared across calls, before and after the true lift
-    has been checked through it."""
+    has been checked through it.  The bit-0 tail psi(f0, 0) reads the
+    identity table (5, 1, 1)."""
     f0 = pseudo_monomial(5, [(1, 2)])
     lifted = psi(f0, 1)
     f = lifted + mono(5, 3, 4)
@@ -596,7 +597,82 @@ def test_lift_checks_reject_a_bumped_lift():
             harmonic_preimage(f, 1, *shared)
         assert harmonic_preimage(lifted, 1, *shared) == f0
         assert decompose_step(lifted, f0, 0, *shared) == decompose_step(lifted, f0, 0)
-    assert sorted(tables) == [(5, 1, 0), (5, 2, 1)]
+    assert sorted(tables) == [(5, 1, 0), (5, 1, 1), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_identity_lift_table_returns_its_input(n):
+    """The ``LiftTable`` of (n, m, m) is the identity lift: its keys and
+    subsets are the m-subsets in lexicographic order, and ``_lift`` and
+    ``_adjoint`` return their input with the same values and types, for
+    mixed ``int`` and ``Fraction`` lists, integral ``Fraction``s included."""
+    for m in range(n + 1):
+        table = _table({}, n, m, m)
+        subsets = list(combinations(range(1, n + 1), m))
+        assert table.keys == table.subsets == subsets
+        size = len(subsets)
+        for dense in (
+            [i - 2 for i in range(size)],
+            [Fraction(i, 1 + i % 2) if i % 3 else -i for i in range(size)],
+        ):
+            for out in (_lift(table, dense), _adjoint(table, dense)):
+                assert out == dense
+                assert list(map(type, out)) == list(map(type, dense))
+
+
+def typed(coeffs):
+    return {key: (type(val), val) for key, val in coeffs.items()}
+
+
+def test_identity_lift_keeps_the_coefficient_types_of_a_mixed_seed():
+    """At m == k the split and the preimage keep the type of each
+    coefficient that passes only through the identity lift: the ``int``
+    -1 of the seed stays an ``int``, scaled, where a running sum over the
+    halves before it would give ``Fraction(-1, 1)``."""
+    half = Fraction(1, 2)
+    seed = SquareFreeForm(4, 1, {(1,): 3 * half, (2,): -1, (3,): -half})
+    assert typed(harmonic_preimage(seed, 1).coeffs) == typed(seed.coeffs)
+    stay, up = decompose_step(seed, seed, 0)
+    assert typed(stay.coeffs) == typed({(1,): 9 * half, (2,): -3, (3,): -3 * half})
+    assert up.is_zero()
+    stay, up = decompose_step(seed, seed, 1)
+    one = Fraction(1)
+    assert typed(stay.coeffs) == typed({
+        (1, 2): half, (1, 3): one, (1, 4): 3 * half, (1, 5): 3 * half, (2, 3): -3 * half,
+        (2, 4): -one, (2, 5): -1, (3, 4): -half, (3, 5): -half,
+    })
+    assert typed(up.coeffs) == typed({
+        (1, 2): -half, (1, 3): -one, (1, 4): -3 * half, (1, 5): 3 * one, (2, 3): 3 * half,
+        (2, 4): one, (2, 5): -2, (3, 4): half, (3, 5): -one,
+    })
+
+
+def test_integral_forms_give_integral_coefficients():
+    """With ``int`` coefficients and scalars in, ``act``, ``psi``,
+    ``pseudo_monomial``, ``divergence``, ``*``, ``+``, ``-``,
+    ``decompose_step`` and ``harmonic_preimage`` return ``int``
+    coefficients only."""
+
+    def integral(form):
+        return all(type(val) is int for val in form.coeffs.values())
+
+    for n in range(1, 7):
+        reverse = Permutation(range(n, 0, -1))
+        pairs = [(i, i + 1) for i in range(1, n, 2)]
+        assert integral(pseudo_monomial(n, pairs))
+        for m in range(n // 2 + 1):
+            for vec in full_gz_basis(n, m):
+                f = vec.form
+                f0 = gz_harmonic(vec.tableau).form
+                k = f0.k
+                skew = f + act(reverse, f)
+                outputs = [act(reverse, f), f * 3, -f, skew, f - 2 * skew, psi(f, 1)]
+                outputs += [divergence(skew)] if m else []
+                outputs += [harmonic_preimage(f, k), harmonic_preimage(f * 6, k)]
+                for bit in (0, 1):
+                    if 2 * (m + bit) <= n + 1:
+                        outputs += decompose_step(f, f0, bit)
+                assert all(map(integral, outputs)), (n, m, vec.tableau)
 
 
 def test_harmonic_preimage_of_zero():

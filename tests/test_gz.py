@@ -897,10 +897,11 @@ def test_decompose_check_calls_psi_zero_times(monkeypatch):
 
 def test_decompose_check_builds_each_lift_table_once_per_call(monkeypatch):
     """``check_decompose(7)`` builds the ``LiftTable`` of each (n, m, k) it
-    reads once, 40 in all, and shares it across its ``decompose_step`` and
+    reads once, 64 in all, and shares it across its ``decompose_step`` and
     ``harmonic_preimage`` calls; a second call builds them all again, so no
     table outlives its call.  The bit-1 tails lift to degree m + 1 at level
-    n, which at odd n reaches (n + 1) / 2."""
+    n, which at odd n reaches (n + 1) / 2.  Of the 64, 40 lift k < m and 24
+    are the identity lifts (n, j, j) that the checks read at m == k."""
     built = Counter()
 
     def counted(n, m, k):
@@ -908,13 +909,15 @@ def test_decompose_check_builds_each_lift_table_once_per_call(monkeypatch):
         return _lift_table(n, m, k)
 
     monkeypatch.setattr("tworow.forms._lift_table", counted)
-    sizes = {
+    lifts = {
         (n, m, k) for n in range(1, 9) for m in range(1, (n + 1) // 2 + 1) for k in range(m)
     }
+    identities = {(n, j, j) for n in range(1, 9) for j in range(n // 2 + 1)}
+    sizes = lifts | identities
     for runs in (1, 2):
         assert all(r.ok for r in verify.check_decompose(7))
         assert built == {size: runs for size in sizes}
-    assert len(sizes) == 40
+    assert (len(lifts), len(identities), len(sizes)) == (40, 24, 64)
 
 
 def test_off_diagonal_entries_square_correctly():

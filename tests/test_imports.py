@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
-Deleting a function tends to leave its imports behind; this guard reads
-each module of ``src/tworow`` with ``ast`` and names every imported name
-that no expression of the module reads.
+Deleting a function tends to leave its imports behind, and folding one
+path into another tends to leave a private helper behind; these guards
+read each module of ``src/tworow`` with ``ast`` and name every imported
+name that no expression of the module reads, and every module-level
+``_name`` that no module of the package reads.
 """
 
 import ast
@@ -42,3 +45,58 @@ def test_guard_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(tree: ast.Module) -> list[str]:
+    """The ``_name``s, dunders aside, that the top level of ``tree``
+    binds by ``def``, ``class`` or assignment."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.append(node.target.id)
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module._name`` for each private module-level name of ``sources``
+    that no module reads as a ``Name``, an attribute or a ``from`` import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in private_names(tree)
+        if name not in read
+    ]
+
+
+def test_private_guard_sees_read_and_unread_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_spare: int = 4\n"
+            "__all__ = []\n"
+            "def _helper(): return _LIMIT\n"
+            "def _dead(): pass\n"
+            "class _Box: pass\n"
+        ),
+        "b": "from a import _helper\nimport a\nx = a._Box\n",
+    }
+    assert unread_private_names(sources) == ["a._spare", "a._dead"]
+
+
+def test_package_reads_every_private_module_level_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
