@@ -34,15 +34,7 @@ from .markov import (
     transition_counts,
     within_three_sigma,
 )
-from .serialize import (
-    TRACE_HEADER,
-    kernel_to_csv,
-    summary_to_csv,
-    trace_rows,
-    trace_table,
-    write_basis,
-    write_measure,
-)
+from .serialize import write_basis, write_kernel, write_measure, write_summary, write_trace
 from .verify import run_scope
 
 MAX_BASIS_LEVEL = 16
@@ -62,11 +54,6 @@ def _output(out: str | None) -> AbstractContextManager[TextIO]:
         return open(out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot open --out {out}: {exc.strerror or exc}") from None
-
-
-def _emit(text: str, out: str | None) -> None:
-    with _output(out) as handle:
-        handle.write(text)
 
 
 def _thread_cap() -> None:
@@ -107,11 +94,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
     table = spectral_measure(prefix, n)
     kernel = kernel_from_prefix(prefix, n)
     match = table == path_product_table(kernel)
-    if args.format == "json":
-        with _output(args.out) as handle:
+    with _output(args.out) as handle:
+        if args.format == "json":
             write_measure(handle, prefix, table, kernel, match)
-    else:
-        _emit(kernel_to_csv(kernel), args.out)
+        else:
+            write_kernel(handle, kernel)
     return 0 if match else 1
 
 
@@ -131,25 +118,22 @@ def cmd_sample(args: argparse.Namespace) -> int:
         for (n, k), (visits, ups) in counts.items():
             p_up = kernel.transition(n, k).p_up
             rows.append((n, k, visits, ups, p_up, within_three_sigma(visits, ups, p_up)))
-        _emit(summary_to_csv(rows), args.out)
+        write, doc = write_summary, (rows,)
     else:
-        with _output(args.out) as handle:
-            handle.write(TRACE_HEADER + "\n")
-            table = trace_table(depth)
-            for ks in sample_paths(kernel, depth, args.count, args.seed):
-                handle.write(trace_rows(ks, table))
+        paths = sample_paths(kernel, depth, args.count, args.seed)
+        write, doc = write_trace, (depth, paths)
+    with _output(args.out) as handle:
+        write(handle, *doc)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_scope(args.scope, args.n_max)
-    lines = []
-    failures = 0
-    for r in results:
-        failures += 0 if r.ok else 1
-        lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    lines.append(f"{len(results)} checks, {failures} failures")
-    _emit("\n".join(lines) + "\n", args.out)
+    failures = sum(not r.ok for r in results)
+    with _output(args.out) as handle:
+        for r in results:
+            handle.write(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}\n")
+        handle.write(f"{len(results)} checks, {failures} failures\n")
     return 0 if failures == 0 else 1
 
 

@@ -1,5 +1,6 @@
 """Wire formats: JSON for basis vectors and spectral measures, CSV for
-kernels, traces and sample summaries.  Each format has one writer; the
+kernels, traces and sample summaries.  Each format has one writer,
+``write_<doc>(handle, ...)``, which writes to a handle as it goes; the
 package reads none of them back.
 
 The JSON writers lay out their documents by hand, one list item at a time,
@@ -124,53 +125,43 @@ def _json_ints(values: Sequence[int], indent: int) -> str:
     return "[\n" + pad + (",\n" + pad).join(map(str, values)) + "\n" + pad[:-2] + "]"
 
 
-KERNEL_HEADER = "n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den"
-
-
-def kernel_to_csv(kernel: TransitionKernel) -> str:
-    lines = [KERNEL_HEADER]
+def write_kernel(handle: TextIO, kernel: TransitionKernel) -> None:
+    """Write the kernel CSV to handle: the header
+    ``n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den``, then one row per
+    entry in ``kernel.rows()`` order, with the bit column empty where the
+    kernel has none."""
+    handle.write("n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den\n")
     for n, k, entry in kernel.rows():
-        bit = "" if entry.bit is None else str(entry.bit)
-        lines.append(
+        bit = "" if entry.bit is None else entry.bit
+        handle.write(
             f"{n},{k},{bit},{entry.p_stay.numerator},{entry.p_stay.denominator},"
-            f"{entry.p_up.numerator},{entry.p_up.denominator}"
+            f"{entry.p_up.numerator},{entry.p_up.denominator}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
-TRACE_HEADER = "step,k,j"
-
-
-def trace_table(depth: int) -> list[dict[int, str]]:
-    """Every CSV row a path of up to ``depth`` levels can hold, laid out
-    once: ``table[step - 1][k]`` is ``f"{step},{k},{step - 2 * k}\n"`` for
-    0 <= 2k <= step; the j column is the walk coordinate level - 2k."""
-    return [
+def write_trace(handle: TextIO, depth: int, paths: Iterable[list[int]]) -> None:
+    """Write the trace CSV to handle: the header ``step,k,j``, then each
+    path's rows as the path is drawn from ``paths``.  A path is its list of
+    second-row lengths at levels 1, 2, ..., as ``sample_path`` returns it,
+    at most ``depth`` long; steps restart at 1 for every path, and the j
+    column is the walk coordinate step - 2k.  A k outside 0 <= 2k <= step
+    raises ``KeyError``."""
+    # Every row a path can hold, laid out once: rows[step - 1][k].
+    rows = [
         {k: f"{step},{k},{step - 2 * k}\n" for k in range(step // 2 + 1)}
         for step in range(1, depth + 1)
     ]
+    handle.write("step,k,j\n")
+    for ks in paths:
+        handle.write("".join(map(dict.__getitem__, rows, ks)))
 
 
-def trace_rows(ks: list[int], table: list[dict[int, str]]) -> str:
-    """One path's CSV rows, each ending in a newline: the path is its list
-    of second-row lengths at levels 1, 2, ..., as ``sample_path`` returns
-    it, and ``table`` is a ``trace_table`` at least as deep.  Steps
-    restart at 1 for every path; a k outside 0 <= 2k <= step raises
-    ``KeyError``."""
-    return "".join(map(dict.__getitem__, table, ks))
-
-
-SUMMARY_HEADER = "n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok"
-
-
-def summary_to_csv(
-    rows: list[tuple[int, int, int, int, Fraction, bool]]
-) -> str:
-    lines = [SUMMARY_HEADER]
+def write_summary(
+    handle: TextIO, rows: Iterable[tuple[int, int, int, int, Fraction, bool]]
+) -> None:
+    """Write the sample summary CSV to handle: the header
+    ``n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok``, then one line
+    per ``(n, k, trials, ups, p_up, ok)`` row, with ok as 1 or 0."""
+    handle.write("n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok\n")
     for n, k, trials, ups, p_up, ok in rows:
-        lines.append(
-            f"{n},{k},{trials},{ups},{p_up.numerator},{p_up.denominator},"
-            f"{1 if ok else 0}"
-        )
-    return "\n".join(lines) + "\n"
-
+        handle.write(f"{n},{k},{trials},{ups},{p_up.numerator},{p_up.denominator},{int(ok)}\n")

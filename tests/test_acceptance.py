@@ -6,6 +6,7 @@ stated inline and the 3-sigma window of criterion 9, which is itself
 evaluated in integer arithmetic.
 """
 
+import io
 import random
 import time
 
@@ -19,7 +20,7 @@ from tworow.markov import (
     transition_counts,
     within_three_sigma,
 )
-from tworow.serialize import trace_rows, trace_table
+from tworow.serialize import write_trace
 from tworow.verify import (
     check_basis,
     check_central,
@@ -101,8 +102,9 @@ def test_criterion_09_sampler_frequencies_and_reproducibility():
 
     def trace(kernel):
         rng = random.Random(seed)
-        table = trace_table(depth)
-        return "".join(trace_rows(sample_path(kernel, depth, rng), table) for _ in range(50))
+        buf = io.StringIO()
+        write_trace(buf, depth, (sample_path(kernel, depth, rng) for _ in range(50)))
+        return buf.getvalue()
 
     for kernel in kernels:
         assert trace(kernel) == trace(kernel)

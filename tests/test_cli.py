@@ -282,10 +282,15 @@ GOLDEN_MEASURES = [
 
 
 @pytest.mark.parametrize("xi,fmt,digest", GOLDEN_MEASURES)
-def test_measure_golden_bytes(capsys, xi, fmt, digest):
-    code, out, err = run_cli(capsys, "measure", "--xi", xi, "--format", fmt)
+def test_measure_golden_bytes(capsys, tmp_path, xi, fmt, digest):
+    argv = ["measure", "--xi", xi, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    target = tmp_path / f"measure.{fmt}"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_measure_alternating_level_14(capsys):
@@ -317,10 +322,14 @@ def test_verify_scoped(capsys):
 VERIFY_DIGEST = "7603c09f04c1472c26ef871b3aeb672c6ed3c27d42a986199dc5e26a1b7a15a2"
 
 
-def test_verify_golden_bytes(capsys):
+def test_verify_golden_bytes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
+    target = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 # The whole stdout of six corrupted runs, so that a change to how the
@@ -785,13 +794,22 @@ def test_verify_central_scope(capsys):
         ["sample", "--central", "--depth", "100"],
         ["sample", "--central", "--depth", "0"],
         ["sample", "--central", "--depth", "5", "--count", "-1"],
+        ["measure", "--xi", "11", "--format", "csv"],
+        ["sample", "--central", "--depth", "0", "--mode", "trace"],
+        ["sample", "--central", "--depth", "5", "--count", "-1", "--mode", "trace"],
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
+    """A rejected call exits 2 with an ``error:`` line, and makes no
+    ``--out`` file: every check runs before the file is opened."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == 2
+    assert capsys.readouterr().err == captured.err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(
@@ -799,6 +817,7 @@ def test_usage_errors_exit_2(capsys, argv):
     [
         ["basis", "--n", "2", "--m", "1"],
         ["measure", "--xi", "01"],
+        ["measure", "--xi", "01", "--format", "csv"],
         ["sample", "--central", "--depth", "4", "--count", "3"],
         ["sample", "--central", "--depth", "4", "--count", "3", "--mode", "trace"],
         ["verify", "--scope", "central", "--n-max", "2"],
@@ -1047,7 +1066,7 @@ def test_cli_loads_every_traced_layer(tmp_path):
     ``serialize`` (``json_text``, ``gz_vector_to_dict``, ``trace_to_csv``),
     gone since ``measure`` streams its document through ``write_measure`` as
     ``basis`` does through ``write_basis``, and ``sample`` its trace
-    through ``trace_rows``."""
+    through ``write_trace``."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     probe = (

@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private module-level name is read somewhere in the package, and every
+public writer of ``serialize`` is read by another package module.
 
-Deleting a function tends to leave its imports behind, and folding one
-path into another tends to leave a private helper behind; these guards
-read each module of ``src/tworow`` with ``ast`` and name every imported
-name that no expression of the module reads, and every module-level
-``_name`` that no module of the package reads.
+Deleting a function tends to leave its imports behind, folding one path
+into another tends to leave a private helper behind, and moving a command
+to a new writer tends to leave the old one behind with only its tests to
+call it; these guards read each module of ``src/tworow`` with ``ast`` and
+name every imported name that no expression of the module reads, every
+module-level ``_name`` that no module of the package reads, and every
+public function of ``serialize`` that no other module reads.
 """
 
 import ast
@@ -61,19 +64,25 @@ def private_names(tree: ast.Module) -> list[str]:
     return [name for name in bound if name.startswith("_") and not name.startswith("__")]
 
 
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names ``tree`` reads as a ``Name``, an attribute or a ``from``
+    import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """``module._name`` for each private module-level name of ``sources``
     that no module reads as a ``Name``, an attribute or a ``from`` import."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
+    read = set().union(*map(_read_names, trees.values()))
     return [
         f"{module}.{name}"
         for module, tree in trees.items()
@@ -100,3 +109,44 @@ def test_private_guard_sees_read_and_unread_names():
 def test_package_reads_every_private_module_level_name():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unread_public_functions(sources: dict[str, str], module: str) -> list[str]:
+    """``module.name`` for each public module-level function of ``module``
+    that no other module of ``sources`` reads."""
+    read = set()
+    for other, source in sources.items():
+        if other != module:
+            read |= _read_names(ast.parse(source))
+    return [
+        f"{module}.{node.name}"
+        for node in ast.parse(sources[module]).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_public_guard_sees_read_and_unread_functions():
+    sources = {
+        "serialize": (
+            "HEADER = 'a,b'\n"
+            "class Row: pass\n"
+            "def write_kept(handle): handle.write(HEADER)\n"
+            "def write_by_attribute(handle): pass\n"
+            "def trace_to_csv(rows): return write_kept\n"
+            "def _helper(): pass\n"
+        ),
+        "cli": (
+            "from .serialize import write_kept\n"
+            "from . import serialize\n"
+            "serialize.write_by_attribute\n"
+        ),
+        "other": "def trace_to_csv(): pass\n",
+    }
+    assert unread_public_functions(sources, "serialize") == ["serialize.trace_to_csv"]
+
+
+def test_package_reads_every_public_serialize_function():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_functions(sources, "serialize") == []

@@ -22,16 +22,20 @@ from tworow.markov import (
     spectral_measure,
 )
 from tworow.serialize import (
-    KERNEL_HEADER,
-    SUMMARY_HEADER,
-    kernel_to_csv,
-    summary_to_csv,
-    trace_rows,
-    trace_table,
     write_basis,
+    write_kernel,
     write_measure,
+    write_summary,
+    write_trace,
 )
 from tworow.ygraph import TwoRowTableau
+
+
+def _written(writer, *args):
+    """The text ``writer(handle, *args)`` writes to a fresh handle."""
+    buf = io.StringIO()
+    writer(buf, *args)
+    return buf.getvalue()
 
 
 def _json_reference(doc):
@@ -56,7 +60,7 @@ def test_fraction_roundtrip(x):
     object in lowest terms, as a norm and as a coefficient (a zero
     coefficient is dropped from the form, so it writes no term)."""
     vec = GzVector(TwoRowTableau(1, ()), SquareFreeForm(1, 0, {(): x}), x)
-    (obj,) = json.loads(_buffered_basis(1, 0, [vec]))["vectors"]
+    (obj,) = json.loads(_written(write_basis, 1, 0, [vec]))["vectors"]
     assert set(obj["norm_sq"]) == {"num", "den"}
     _assert_lowest_terms(obj["norm_sq"], x)
     assert len(obj["terms"]) == (x != 0)
@@ -86,7 +90,7 @@ def test_form_roundtrip(f, norm_sq):
     """``write_basis`` spells every coefficient and the norm in lowest
     terms with a positive denominator, and writes the terms in key order."""
     vec = GzVector(TwoRowTableau(f.n, ()), f, norm_sq)
-    (obj,) = json.loads(_buffered_basis(f.n, f.k, [vec]))["vectors"]
+    (obj,) = json.loads(_written(write_basis, f.n, f.k, [vec]))["vectors"]
     _assert_lowest_terms(obj["norm_sq"], norm_sq)
     keys = [tuple(term["vars"]) for term in obj["terms"]]
     assert keys == sorted(f.coeffs)
@@ -104,7 +108,7 @@ def test_measure_roundtrip(p, q):
     probs = {TwoRowTableau(2, ()): p, TwoRowTableau(2, (2,)): 1 - p}
     table = SpectralTable(2, probs)
     kernel = TransitionKernel(2, {(1, 0): KernelEntry(0, 1 - q, q)})
-    doc = json.loads(_buffered_measure(BitPrefix.from_string("01"), table, kernel, True))
+    doc = json.loads(_written(write_measure, BitPrefix.from_string("01"), table, kernel, True))
     for entry in doc["table"]["entries"]:
         _assert_lowest_terms(entry, probs[TwoRowTableau(2, tuple(entry["second_row"]))])
     (row,) = doc["kernel"]
@@ -154,12 +158,6 @@ def test_table_takes_only_integer_indices(field, value):
         TwoRowTableau(args["level"], tuple(args["second_row"]))
 
 
-def _buffered_basis(n, m, vectors):
-    buf = io.StringIO()
-    write_basis(buf, n, m, vectors)
-    return buf.getvalue()
-
-
 def _basis_doc(n, m, vectors):
     return {
         "n": n,
@@ -180,7 +178,7 @@ def test_write_basis_equals_json_text():
         for m in range(n // 2 + 1):
             vectors = list(iter_basis(n, m))
             expect = _json_reference(_basis_doc(n, m, vectors))
-            assert _buffered_basis(n, m, vectors) == expect, (n, m)
+            assert _written(write_basis, n, m, vectors) == expect, (n, m)
 
 
 def test_write_basis_empty_lists_and_fractions():
@@ -195,7 +193,7 @@ def test_write_basis_empty_lists_and_fractions():
         GzVector(TwoRowTableau(3, (3,)), SquareFreeForm(3, 1, mixed), Fraction(2)),
     ]
     for vecs in ([], vectors):
-        assert _buffered_basis(3, 1, vecs) == _json_reference(_basis_doc(3, 1, vecs))
+        assert _written(write_basis, 3, 1, vecs) == _json_reference(_basis_doc(3, 1, vecs))
 
 
 def _measure_doc(prefix, table, kernel, match):
@@ -220,12 +218,6 @@ def _measure_doc(prefix, table, kernel, match):
         ],
         "oracle_match": match,
     }
-
-
-def _buffered_measure(prefix, table, kernel, match):
-    buf = io.StringIO()
-    write_measure(buf, prefix, table, kernel, match)
-    return buf.getvalue()
 
 
 def _random_prefix(rng, length):
@@ -255,7 +247,7 @@ def test_write_measure_equals_json_dumps():
             kernel = kernel_from_prefix(prefix, n)
             assert table == path_product_table(kernel)
             for verdict in (True, False):
-                text = _buffered_measure(prefix, table, kernel, verdict)
+                text = _written(write_measure, prefix, table, kernel, verdict)
                 expect = _json_reference(_measure_doc(prefix, table, kernel, verdict))
                 assert text == expect, (str(prefix), n, verdict)
     assert not kernel_from_prefix(prefixes[0], 1).rows()
@@ -265,7 +257,7 @@ def test_write_measure_equals_json_dumps():
 def test_write_measure_writes_a_missing_bit_as_null():
     prefix = BitPrefix.from_string("01")
     table, kernel = spectral_measure(prefix), central_kernel(3)
-    text = _buffered_measure(prefix, table, kernel, False)
+    text = _written(write_measure, prefix, table, kernel, False)
     assert text == _json_reference(_measure_doc(prefix, table, kernel, False))
     assert text.count('"bit": null') == len(kernel.rows()) == 3
 
@@ -273,7 +265,7 @@ def test_write_measure_writes_a_missing_bit_as_null():
 def test_table_roundtrip_and_layout():
     prefix = BitPrefix.from_string("01")
     table = spectral_measure(prefix)
-    text = _buffered_measure(prefix, table, kernel_from_prefix(prefix), True)
+    text = _written(write_measure, prefix, table, kernel_from_prefix(prefix), True)
     assert json.loads(text)["table"] == {
         "level": 2,
         "entries": [
@@ -283,7 +275,8 @@ def test_table_roundtrip_and_layout():
     }
     prefix = BitPrefix.from_string("001011")
     table = spectral_measure(prefix)
-    obj = json.loads(_buffered_measure(prefix, table, kernel_from_prefix(prefix), True))["table"]
+    text = _written(write_measure, prefix, table, kernel_from_prefix(prefix), True)
+    obj = json.loads(text)["table"]
     rows = [tuple(entry["second_row"]) for entry in obj["entries"]]
     assert rows == sorted(set(rows), key=lambda row: (len(row), row))
     assert len(rows) == len(table.probs) > 2
@@ -294,20 +287,20 @@ def test_table_roundtrip_and_layout():
 def test_kernel_csv_golden():
     kern = kernel_from_prefix(BitPrefix.from_string("0101"))
     expect = (
-        KERNEL_HEADER + "\n"
+        "n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den\n"
         "1,0,1,1,2,1,2\n"
         "2,0,0,2,3,1,3\n"
         "2,1,0,1,1,0,1\n"
         "3,0,1,1,2,1,2\n"
         "3,1,1,1,2,1,2\n"
     )
-    assert kernel_to_csv(kern) == expect
+    assert _written(write_kernel, kern) == expect
 
 
 def test_central_kernel_csv_empty_bit_column():
-    text = kernel_to_csv(central_kernel(3))
+    text = _written(write_kernel, central_kernel(3))
     lines = text.strip().split("\n")
-    assert lines[0] == KERNEL_HEADER
+    assert lines[0] == "n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den"
     assert lines[1] == "1,0,,3,4,1,4"
     assert lines[2] == "2,0,,2,3,1,3"
     assert lines[3] == "2,1,,1,1,0,1"
@@ -316,7 +309,8 @@ def test_central_kernel_csv_empty_bit_column():
 def test_kernel_rows_mirror_csv():
     prefix = BitPrefix.from_string("001")
     kern = kernel_from_prefix(prefix)
-    rows = json.loads(_buffered_measure(prefix, spectral_measure(prefix), kern, True))["kernel"]
+    text = _written(write_measure, prefix, spectral_measure(prefix), kern, True)
+    rows = json.loads(text)["kernel"]
     assert len(rows) == len(kern.rows()) == 2
     assert rows[0] == {
         "n": 1,
@@ -330,9 +324,9 @@ def test_kernel_rows_mirror_csv():
 
 
 def test_trace_csv():
-    table = trace_table(3)
-    text = "".join(trace_rows(ks, table) for ks in [[0, 0, 1], [0, 1, 1]])
+    text = _written(write_trace, 3, [[0, 0, 1], [0, 1, 1]])
     assert text == (
+        "step,k,j\n"
         "1,0,1\n"
         "2,0,2\n"
         "3,1,1\n"
@@ -343,12 +337,18 @@ def test_trace_csv():
 
 
 def test_trace_table_holds_every_row_to_the_depth_bound():
-    table = trace_table(64)
-    assert [len(row) for row in table] == [step // 2 + 1 for step in range(1, 65)]
-    for step in range(1, 65):
-        for k in range(step // 2 + 1):
-            assert table[step - 1][k] == f"{step},{k},{step - 2 * k}\n"
-    assert trace_table(0) == []
+    """For each k <= 32 the path min(k, step // 2) over steps 1..64 holds
+    (step, k') for every k' <= min(k, step // 2), so the 33 paths together
+    write every row a depth-64 path can hold."""
+    paths = [[min(k, step // 2) for step in range(1, 65)] for k in range(33)]
+    rows = [f"{step},{k},{step - 2 * k}\n" for ks in paths for step, k in enumerate(ks, 1)]
+    assert _written(write_trace, 64, paths) == "step,k,j\n" + "".join(rows)
+    assert len(rows) == 33 * 64
+    assert set(rows) == {
+        f"{step},{k},{step - 2 * k}\n" for step in range(1, 65) for k in range(step // 2 + 1)
+    }
+    assert len(set(rows)) == 1088
+    assert _written(write_trace, 0, []) == _written(write_trace, 64, []) == "step,k,j\n"
 
 
 def test_trace_csv_of_ragged_paths_equals_formatted_rows():
@@ -358,11 +358,31 @@ def test_trace_csv_of_ragged_paths_equals_formatted_rows():
         for ks in paths
         for step, k in enumerate(ks, start=1)
     )
-    deep = trace_table(64)
-    assert "".join(trace_rows(ks, deep) for ks in paths) == formatted
+    assert _written(write_trace, 64, paths) == "step,k,j\n" + formatted
     for outside in ([0, -1], [0, 2], [1]):
         with pytest.raises(KeyError):
-            trace_rows(outside, deep)
+            write_trace(io.StringIO(), 64, [outside])
+
+
+def test_write_trace_writes_each_path_before_drawing_the_next():
+    """The i-th request for a path sees the header and the rows of the
+    i - 1 paths before it in the handle, and nothing more."""
+    paths = [[0], [0, 1, 1], [0, 1], sample_path(central_kernel(64), 64, 5)]
+    buf = io.StringIO()
+    seen = []
+
+    def drawn():
+        for ks in paths:
+            seen.append(buf.getvalue())
+            yield ks
+        seen.append(buf.getvalue())
+
+    write_trace(buf, 64, drawn())
+    expect = ["step,k,j\n"]
+    for ks in paths:
+        expect.append(expect[-1] + "".join(f"{t},{k},{t - 2 * k}\n" for t, k in enumerate(ks, 1)))
+    assert seen == expect
+    assert buf.getvalue() == expect[-1]
 
 
 def test_summary_csv():
@@ -370,8 +390,8 @@ def test_summary_csv():
         (1, 0, 1000, 497, Fraction(1, 2), True),
         (2, 0, 1000, 700, Fraction(1, 3), False),
     ]
-    assert summary_to_csv(rows) == (
-        SUMMARY_HEADER + "\n"
+    assert _written(write_summary, rows) == (
+        "n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok\n"
         "1,0,1000,497,1,2,1\n"
         "2,0,1000,700,1,3,0\n"
     )
