@@ -491,6 +491,26 @@ def decompose_step(
     return _sparse(n + 1, m + bit, keys, stay), _sparse(n + 1, m + bit, keys, up)
 
 
+def _scaled_preimage(f: SquareFreeForm, k: int, tables: LiftTables) -> list[Scalar] | str:
+    """C = C(n - 2k, m - k) times the harmonic f0 with psi(f0, m - k) == f,
+    dense on the k-subsets, or, if there is none, the reason: the check of
+    ``harmonic_preimage`` without its division or its form."""
+    n, m = f.n, f.k
+    if not 0 <= k <= m:
+        return f"harmonic degree must lie in 0..{m}, got {k}"
+    if 2 * k > n:
+        return f"harmonic degree {k} exceeds half of {n} variables"
+    scale = comb(n - 2 * k, m - k)
+    if scale == 0:
+        return f"no degree-{k} harmonic component in degree {m}"
+    table = _table(tables, n, m, k)
+    target = _dense(f, table.keys)
+    g = _adjoint(table, target)
+    if not _harmonic(tables, n, k, g) or _lift(table, g) != [scale * c for c in target]:
+        return "form is not a psi-image of a degree-k harmonic form"
+    return g
+
+
 def harmonic_preimage(
     f: SquareFreeForm, k: int, tables: LiftTables | None = None
 ) -> SquareFreeForm:
@@ -505,20 +525,12 @@ def harmonic_preimage(
     lift are each one gather of a ``LiftTable`` from ``tables``, shared
     as in ``decompose_step``.
     """
-    n, m = f.n, f.k
-    if not 0 <= k <= m:
-        raise ValueError(f"harmonic degree must lie in 0..{m}, got {k}")
-    if 2 * k > n:
-        raise ValueError(f"harmonic degree {k} exceeds half of {n} variables")
-    scale = comb(n - 2 * k, m - k)
-    if scale == 0:
-        raise ValueError(f"no degree-{k} harmonic component in degree {m}")
     if tables is None:
         tables = {}
-    table = _table(tables, n, m, k)
-    target = _dense(f, table.keys)
-    g = _adjoint(table, target)
-    if not _harmonic(tables, n, k, g) or _lift(table, g) != [scale * c for c in target]:
-        raise ValueError("form is not a psi-image of a degree-k harmonic form")
+    g = _scaled_preimage(f, k, tables)
+    if isinstance(g, str):
+        raise ValueError(g)
+    n, m = f.n, f.k
+    scale = comb(n - 2 * k, m - k)
     quotients = [Fraction(val, scale) if val % scale else val // scale for val in g]
-    return _sparse(n, k, table.subsets, quotients)
+    return _sparse(n, k, _table(tables, n, m, k).subsets, quotients)

@@ -9,14 +9,16 @@ the walk staying at second-row length k or moving up depends only on
 (n, k, m(n)) and the next direction bit, through the closed kernel in
 ``induced_transition``.
 
-Both routes to a table walk the tree of tableau prefixes once in integers
-and make one ``Fraction`` per tableau: ``spectral_measure`` carries the
-partial rook-count sums of ``gz``'s closed coefficients and the closed
-norm, and ``path_product_table`` the product of the rows of a kernel its
-caller passes in and keeps.  Step ratios compare by cross-multiplying
-integers.  Tables and tableaux that the module builds itself skip
-validation (``_trusted``), but every table still checks that its mass is
-exactly 1.
+A table maps each second row of positive weight to a ``(num, den)`` pair
+in lowest terms.  Both routes to a table walk the tree of tableau
+prefixes once in integers and reduce each leaf with one gcd:
+``spectral_measure`` carries the partial rook-count sums of ``gz``'s
+closed coefficients and the closed norm, and ``path_product_table`` the
+product of the rows of a kernel its caller passes in and keeps.
+Marginals, equality and cross-multiplied step ratios work on the pairs;
+tableaux and ``Fraction``s are made only when a caller reads them.
+Tables that the module builds itself skip validation (``_trusted``), but
+every table still checks that its mass is exactly 1.
 
 The same machinery covers the exchangeable central measure with two equal
 frequencies, whose kernel is level-homogeneous, and exact-arithmetic
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, NamedTuple
 
 from .forms import _index, _scalar
@@ -35,8 +37,8 @@ from .gz import _norm_factor
 from .ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
+    _second_rows,
     enumerate_diagrams,
-    enumerate_tableaux,
     hook_length,
 )
 
@@ -97,12 +99,13 @@ class BitPrefix:
 
 
 class SpectralTable:
-    """An exact probability table on the standard tableaux of one level."""
+    """An exact probability table on the standard tableaux of one level.
+    ``probs`` is read-only: a new dict, in ``items`` order, on each access."""
 
-    __slots__ = ("level", "probs")
+    __slots__ = ("level", "_pairs")
 
     def __init__(self, level: int, probs: dict[TwoRowTableau, Fraction]):
-        clean: dict[TwoRowTableau, Fraction] = {}
+        pairs: dict[tuple[int, ...], tuple[int, int]] = {}
         total = Fraction(0)
         for u, p in probs.items():
             if u.n != level:
@@ -112,57 +115,79 @@ class SpectralTable:
                 raise ValueError(f"negative probability {p} at {u}")
             total += p
             if p:
-                clean[u] = p
+                pairs[u.second_row] = (p.numerator, p.denominator)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.level = level
-        self.probs = clean
+        self._pairs = pairs
 
     @classmethod
-    def _trusted(cls, level: int, probs: dict[TwoRowTableau, Fraction]) -> SpectralTable:
-        """Build from positive ``Fraction`` weights on tableaux already known
-        to live at ``level``, without validating them and keeping the dict.
+    def _trusted(cls, level: int, pairs: dict[tuple[int, ...], tuple[int, int]]) -> SpectralTable:
+        """Build from positive ``(num, den)`` pairs in lowest terms on second
+        rows known to be standard at ``level``, keeping the dict unchecked.
         The mass must still be exactly 1: the numerators, each brought to
         the lcm of the denominators, must sum to that lcm."""
-        common = lcm(*(p.denominator for p in probs.values()))
-        total = sum(p.numerator * (common // p.denominator) for p in probs.values())
+        common = lcm(*(den for _, den in pairs.values()))
+        total = sum(num * (common // den) for num, den in pairs.values())
         if total != common:
             raise ValueError(f"probabilities sum to {Fraction(total, common)}, not 1")
         table = object.__new__(cls)
         table.level = level
-        table.probs = probs
+        table._pairs = pairs
         return table
 
+    @property
+    def probs(self) -> dict[TwoRowTableau, Fraction]:
+        return dict(self.items())
+
     def prob(self, u: TwoRowTableau) -> Fraction:
-        return self.probs.get(u, Fraction(0))
+        pair = self._pairs.get(u.second_row) if u.n == self.level else None
+        return Fraction(*pair) if pair else Fraction(0)
 
     def items(self) -> list[tuple[TwoRowTableau, Fraction]]:
         """Entries sorted by second-row length, then second row."""
-        return sorted(
-            self.probs.items(), key=lambda kv: (len(kv[0].second_row), kv[0].second_row)
-        )
+        level, pairs = self.level, self._pairs
+        return [
+            (TwoRowTableau._trusted(level, row), Fraction(*pairs[row]))
+            for row in sorted(pairs, key=_by_shape)
+        ]
 
     def support(self) -> list[TwoRowTableau]:
         return [u for u, _ in self.items()]
 
     def restricted(self) -> SpectralTable:
-        """The exact marginal one level down."""
-        if self.level == 0:
+        """The exact marginal one level down: numerators summed over the
+        lcm of the denominators, each marginal reduced once."""
+        level = self.level
+        if level == 0:
             raise ValueError("cannot restrict a level-0 table")
-        out: dict[TwoRowTableau, Fraction] = {}
-        for u, p in self.probs.items():
-            v = u.restricted()
-            out[v] = out.get(v, 0) + p
-        return SpectralTable._trusted(self.level - 1, out)
+        common = lcm(*(den for _, den in self._pairs.values()))
+        sums: dict[tuple[int, ...], int] = {}
+        for row, (num, den) in self._pairs.items():
+            if row and row[-1] == level:
+                row = row[:-1]
+            sums[row] = sums.get(row, 0) + num * (common // den)
+        pairs = {row: _reduced(num, common) for row, num in sums.items()}
+        return SpectralTable._trusted(level - 1, pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralTable):
             return NotImplemented
-        return self.level == other.level and self.probs == other.probs
+        return self.level == other.level and self._pairs == other._pairs
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{u.second_row}: {p}" for u, p in self.items())
         return f"SpectralTable(level={self.level}, {{{entries}}})"
+
+
+def _by_shape(row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return len(row), row
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den as a pair in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 class KernelEntry:
@@ -298,7 +323,7 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
     width = min(m, level // 2) + 1
     # The psi isometry constant of each k, as in ``gz.closed_norm_sq_in_H``.
     lift = [comb(level - 2 * k, m - k) for k in range(width)]
-    probs: dict[TwoRowTableau, Fraction] = {}
+    pairs: dict[tuple[int, ...], tuple[int, int]] = {}
     stack: list[tuple[int, tuple[int, ...], list[int], int]] = [
         (0, (), [1] + [0] * (width - 1), 1)
     ]
@@ -308,9 +333,7 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
         if t == level:
             c = v[j]
             if c:
-                probs[TwoRowTableau._trusted(level, second)] = Fraction(
-                    c * c, norm * lift[j]
-                )
+                pairs[second] = _reduced(c * c, norm * lift[j])
             continue
         in_i = bits[t]
         stay = [x + y for x, y in zip(v, [0, *v])] if in_i else v
@@ -326,7 +349,7 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
                 up[b + 1] -= v[b] * (t - j - b)
         if any(up):
             stack.append((t + 1, second + (t + 1,), up, norm * _norm_factor(t + 1, j)))
-    return SpectralTable._trusted(level, probs)
+    return SpectralTable._trusted(level, pairs)
 
 
 def path_product_table(kernel: TransitionKernel) -> SpectralTable:
@@ -334,19 +357,19 @@ def path_product_table(kernel: TransitionKernel) -> SpectralTable:
     tableau's weight is the product of stay/up probabilities along its
     path.  Only paths through stored rows and nonzero steps are walked;
     every other tableau has weight 0.  Each path carries an integer
-    numerator and denominator, and each leaf makes one ``Fraction``."""
+    numerator and denominator, reduced once at its leaf."""
     level = kernel.depth
     # A row's two probabilities share their denominator (``KernelEntry``).
     rows = {
         key: (entry.p_stay.numerator, entry.p_up.numerator, entry.p_stay.denominator)
         for key, entry in kernel.entries.items()
     }
-    probs: dict[TwoRowTableau, Fraction] = {}
+    pairs: dict[tuple[int, ...], tuple[int, int]] = {}
     stack: list[tuple[int, int, tuple[int, ...], int, int]] = [(1, 0, (), 1, 1)]
     while stack:
         t, k, second, num, den = stack.pop()
         if t == level:
-            probs[TwoRowTableau._trusted(level, second)] = Fraction(num, den)
+            pairs[second] = _reduced(num, den)
             continue
         row = rows.get((t, k))
         if row is None:
@@ -357,7 +380,7 @@ def path_product_table(kernel: TransitionKernel) -> SpectralTable:
             stack.append((t + 1, k, second, num * stay, den))
         if up:
             stack.append((t + 1, k + 1, second + (t + 1,), num * up, den))
-    return SpectralTable._trusted(level, probs)
+    return SpectralTable._trusted(level, pairs)
 
 
 class MarkovViolation(NamedTuple):
@@ -375,24 +398,25 @@ class MarkovReport(NamedTuple):
     violations: tuple[MarkovViolation, ...]
 
 
-def _step_ratio(
-    table: SpectralTable, deeper: SpectralTable, u: TwoRowTableau, up: bool
-) -> tuple[int, int]:
-    """deeper.prob(u.extended(up)) / table.prob(u) for u in the support of
-    ``table``, as an unreduced numerator and a positive denominator; an up
-    step past n/2 has ratio 0.  Two ratios compare by cross-multiplying."""
-    if up and 2 * (len(u.second_row) + 1) > u.n + 1:
-        return 0, 1
-    p = table.probs[u]
-    q = deeper.probs.get(u.extended(up), 0)
-    return q.numerator * p.denominator, q.denominator * p.numerator
+def _step_ratios(
+    table: SpectralTable, deeper: SpectralTable, row: tuple[int, ...]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The stay and up ratios of a row in the support of ``table``, each an
+    unreduced (num, den) with den > 0: the extension's weight in ``deeper``,
+    0 if it has none (an up step past n/2), over the row's in ``table``."""
+    num, den = table._pairs[row]
+    deep = deeper._pairs
+    stay_num, stay_den = deep.get(row, (0, 1))
+    up_num, up_den = deep.get(row + (deeper.level,), (0, 1))
+    return (stay_num * den, stay_den * num), (up_num * den, up_den * num)
 
 
 def is_markov(table: SpectralTable, deeper: SpectralTable) -> MarkovReport:
     """Decide whether the level-to-level step depends only on the shape.
 
     ``deeper`` must be one level up with exact marginal ``table``; violations
-    list same-shape tableau pairs with different stay or up ratios.
+    list same-shape tableau pairs with different stay or up ratios, each
+    against the first tableau of its shape in ``items`` order.
     """
     if deeper.level != table.level + 1:
         raise ValueError(
@@ -400,22 +424,20 @@ def is_markov(table: SpectralTable, deeper: SpectralTable) -> MarkovReport:
         )
     if deeper.restricted() != table:
         raise ValueError("deeper table does not marginalize to the shallow one")
-    by_shape: dict[int, list[TwoRowTableau]] = {}
-    for u in table.support():
-        by_shape.setdefault(len(u.second_row), []).append(u)
+    by_shape: dict[int, list] = {}
+    for row in sorted(table._pairs, key=_by_shape):
+        by_shape.setdefault(len(row), []).append((row, _step_ratios(table, deeper, row)))
     violations: list[MarkovViolation] = []
-    for _, group in sorted(by_shape.items()):
-        lead = group[0]
+    level = table.level
+    for (lead, lead_ratios), *rest in by_shape.values():
         for up in (False, True):
-            lead_num, lead_den = _step_ratio(table, deeper, lead, up)
-            for u in group[1:]:
-                num, den = _step_ratio(table, deeper, u, up)
+            lead_num, lead_den = lead_ratios[up]
+            for row, ratios in rest:
+                num, den = ratios[up]
                 if num * lead_den != lead_num * den:
-                    violations.append(
-                        MarkovViolation(
-                            lead, u, up, Fraction(lead_num, lead_den), Fraction(num, den)
-                        )
-                    )
+                    first, second = (TwoRowTableau._trusted(level, r) for r in (lead, row))
+                    ratio = Fraction(lead_num, lead_den), Fraction(num, den)
+                    violations.append(MarkovViolation(first, second, up, *ratio))
     return MarkovReport(not violations, tuple(violations))
 
 
@@ -423,10 +445,9 @@ def kernel_matches(
     table: SpectralTable, deeper: SpectralTable, kernel: TransitionKernel
 ) -> bool:
     """Check that the observed step ratios equal the kernel's rows exactly."""
-    for u in table.support():
-        entry = kernel.transition(table.level, len(u.second_row))
-        for up, want in ((False, entry.p_stay), (True, entry.p_up)):
-            num, den = _step_ratio(table, deeper, u, up)
+    for row in sorted(table._pairs, key=len):
+        entry = kernel.transition(table.level, len(row))
+        for (num, den), want in zip(_step_ratios(table, deeper, row), (entry.p_stay, entry.p_up)):
             if num * want.denominator != want.numerator * den:
                 return False
     return True
@@ -453,10 +474,11 @@ def good_tableau_ratio(n: int, k: int, m_n: int, m_n1: int) -> Fraction:
 def central_shape_weight(d: TwoRowDiagram) -> Fraction:
     """Per-path weight of the two-frequency central measure at shape d:
     2^-n times the product over cells of (2 + content) / hook."""
-    w = Fraction(1, 2**d.n)
+    num, den = 1, 2**d.n
     for cell in d.cells():
-        w *= Fraction(2 + cell.content, hook_length(d, cell))
-    return w
+        num *= 2 + cell.content
+        den *= hook_length(d, cell)
+    return Fraction(num, den)
 
 
 def central_table(level: int) -> SpectralTable:
@@ -464,12 +486,11 @@ def central_table(level: int) -> SpectralTable:
     weight."""
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
-    probs: dict[TwoRowTableau, Fraction] = {}
+    pairs: dict[tuple[int, ...], tuple[int, int]] = {}
     for d in enumerate_diagrams(level):
         w = central_shape_weight(d)
-        for u in enumerate_tableaux(d):
-            probs[u] = w
-    return SpectralTable._trusted(level, probs)
+        pairs.update(dict.fromkeys(_second_rows(level, d.k), (w.numerator, w.denominator)))
+    return SpectralTable._trusted(level, pairs)
 
 
 def central_alpha_transition(n: int, k: int) -> tuple[Fraction, Fraction]:

@@ -45,7 +45,7 @@ lexicographic subsets with zeros included, so that its oracles run as
 C-level passes over plain lists rather than one Python step per vector
 and monomial.  ``check_decompose`` also keeps one dict of ``forms`` lift
 tables for the call and passes it to every ``decompose_step`` and
-``harmonic_preimage``, so each (n, m, k) it checks is indexed once.
+``forms._scaled_preimage``, so each (n, m, k) it checks is indexed once.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ from .forms import (
     Scalar,
     SquareFreeForm,
     _expand_pairs,
+    _scaled_preimage,
     act,
     decompose_step,
-    harmonic_preimage,
     inner,
     psi,
 )
@@ -84,6 +84,7 @@ from .linalg import harmonic_dim
 from .markov import (
     BitPrefix,
     SpectralTable,
+    _reduced,
     central_alpha_transition,
     central_shape_weight,
     central_table,
@@ -179,8 +180,8 @@ def _yjm_misses(
 def _projection_table(
     g: SquareFreeForm, layouts: dict[tuple[int, int], dict[Key, tuple[int, ...]]] | None = None
 ) -> SpectralTable:
-    """The spectral table of a nonzero form g read off the full basis of its
-    level and degree: each vector v_u weighs <g, v_u>^2 / (|v_u|^2 |g|^2).
+    """The spectral table of a nonzero integral form g read off the full basis
+    of its level and degree: each vector v_u weighs <g, v_u>^2 / (|v_u|^2 |g|^2).
     The full basis is laid out as one column per monomial, the coefficients
     of every vector there, and <g, v_u> for every u sums g's monomials'
     columns.  ``layouts`` holds each (n, k)'s columns, built on first use,
@@ -195,11 +196,11 @@ def _projection_table(
         columns = layouts[n, k] = dict(zip(combinations(range(1, n + 1), k), zip(*rows)))
     g_sq = inner(g, g)
     terms = [list(map(mul, repeat(val), columns[key])) for key, val in g.coeffs.items()]
-    probs: dict[TwoRowTableau, Fraction] = {}
+    pairs: dict[Key, tuple[int, int]] = {}
     for vec, c in zip(basis, map(sum, zip(*terms))):
         if c:
-            probs[vec.tableau] = Fraction(c * c, vec.norm_sq * g_sq)
-    return SpectralTable._trusted(n, probs)
+            pairs[vec.tableau.second_row] = _reduced(c * c, vec.norm_sq * g_sq)
+    return SpectralTable._trusted(n, pairs)
 
 
 def _acts_by(
@@ -380,12 +381,8 @@ def check_decompose(n_max: int) -> list[CheckResult]:
                         failures.append(f"stay-norm n={n} u={u.second_row} m={m} b={bit}")
                     if sum(map(mul, up_row, up_row)) != p_up * whole_sq:
                         failures.append(f"up-norm n={n} u={u.second_row} m={m} b={bit}")
-                    try:
-                        if not stay.is_zero():
-                            harmonic_preimage(stay, k, tables)
-                        if not up.is_zero():
-                            harmonic_preimage(up, k + 1, tables)
-                    except ValueError:
+                    pieces = [(p, j) for p, j in ((stay, k), (up, k + 1)) if not p.is_zero()]
+                    if any(isinstance(_scaled_preimage(p, j, tables), str) for p, j in pieces):
                         failures.append(f"preimage n={n} u={u.second_row} m={m} b={bit}")
     return [
         _result(
@@ -494,25 +491,27 @@ def check_good(n_max: int) -> list[CheckResult]:
 def check_central(mass_max: int, ratio_max: int, markov_max: int) -> list[CheckResult]:
     """The two-frequency central measure: total mass at levels up to
     ``mass_max``, the kernel against weight ratios up to ``ratio_max``, and
-    the Markov property of consecutive tables up to level ``markov_max``."""
+    the Markov property of consecutive tables up to level ``markov_max``,
+    reading the mass check's tables: each level's is built once per call."""
     mass_fail: list[str] = []
     ratio_fail: list[str] = []
     markov_fail: list[str] = []
+    tables: dict[int, SpectralTable] = {}
     for n in range(1, mass_max + 1):
         try:
-            central_table(n)
+            tables[n] = central_table(n)
         except ValueError as exc:
             mass_fail.append(f"n={n}: {exc}")
     for n in range(0, ratio_max + 1):
         for k in range(n // 2 + 1):
             if central_alpha_transition(n, k) != _central_transition_oracle(n, k):
                 ratio_fail.append(f"n={n} k={k}")
-    shallow = central_table(1) if markov_max > 1 else None
     for n in range(1, markov_max):
-        deeper = central_table(n + 1)
-        if not is_markov(shallow, deeper).ok:
+        for level in (n, n + 1):
+            if level not in tables:
+                tables[level] = central_table(level)
+        if not is_markov(tables[n], tables[n + 1]).ok:
             markov_fail.append(f"n={n}")
-        shallow = deeper
     return [
         _result(
             "central-mass",

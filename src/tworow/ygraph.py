@@ -12,7 +12,6 @@ their fields, and immutable by convention.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from .forms import _index
@@ -206,13 +205,22 @@ class TwoRowTableau:
         return TwoRowTableau._trusted(self.n + 1, self.second_row)
 
 
+def _second_rows(n: int, k: int) -> list[tuple[int, ...]]:
+    """Second rows of the standard tableaux of shape (n - k, k), lexicographic:
+    the j-th entry runs from 2j, past the one before it, up to n - k + j."""
+    rows: list[tuple[int, ...]] = [()]
+    for j in range(1, k + 1):
+        rows = [
+            ps + (p,)
+            for ps in rows
+            for p in range(max(ps[-1] + 1, 2 * j) if ps else 2, n - k + j + 1)
+        ]
+    return rows
+
+
 def enumerate_tableaux(d: TwoRowDiagram) -> list[TwoRowTableau]:
     """Standard tableaux of shape d, lexicographic in the second-row set."""
-    out = []
-    for ps in combinations(range(1, d.n + 1), d.k):
-        if all(p >= 2 * j for j, p in enumerate(ps, start=1)):
-            out.append(TwoRowTableau._trusted(d.n, ps))
-    return out
+    return [TwoRowTableau._trusted(d.n, ps) for ps in _second_rows(d.n, d.k)]
 
 
 def enumerate_all_tableaux(n: int) -> list[TwoRowTableau]:

@@ -708,6 +708,67 @@ def test_verify_fails_on_a_closed_route_off_by_one(
     assert failed == failing
 
 
+def _restricted_counting_one_numerator_twice(restricted):
+    """``SpectralTable.restricted`` reading the first entry of the table
+    twice, so its numerator enters the marginal sums twice."""
+
+    class FirstTwice(dict):
+        def items(self):
+            first, *rest = super().items()
+            return [first, first, *rest]
+
+    def corrupted(table):
+        twice = object.__new__(markov.SpectralTable)
+        twice.level, twice._pairs = table.level, FirstTwice(table._pairs)
+        return restricted(twice)
+
+    return corrupted
+
+
+def _measure_with_a_leaf_unreduced(measure):
+    """``spectral_measure`` storing its first leaf's pair doubled: the same
+    probability, not in lowest terms."""
+
+    def corrupted(*args):
+        table = measure(*args)
+        pairs = dict(table._pairs)
+        row = next(iter(pairs))
+        num, den = pairs[row]
+        pairs[row] = (2 * num, 2 * den)
+        return markov.SpectralTable._trusted(table.level, pairs)
+
+    return corrupted
+
+
+# The integer routes of spectral tables, each corrupted, and the checks of
+# the markov scope that then fail.
+INTEGER_ROUTE_CORRUPTIONS = [
+    (
+        markov.SpectralTable,
+        "restricted",
+        _restricted_counting_one_numerator_twice,
+        ["spectral", "markov-detector"],
+    ),
+    (
+        verify,
+        "spectral_measure",
+        _measure_with_a_leaf_unreduced,
+        ["spectral-vs-paths", "markov-detector"],
+    ),
+]
+
+
+@pytest.mark.parametrize("owner,name,corrupt,failing", INTEGER_ROUTE_CORRUPTIONS)
+def test_verify_fails_on_a_corrupted_integer_route(
+    capsys, monkeypatch, owner, name, corrupt, failing
+):
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov")
+    assert (code, err) == (1, "")
+    failed = [line[5:].split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == failing
+
+
 def _yjm_rows_without_fixed_terms(n, k, l):
     """The gather rows of the transposition sum at level l, with every
     count of the transpositions that fix a monomial set to 0."""
@@ -751,14 +812,14 @@ def test_central_ceilings_are_independent(monkeypatch):
 
 
 def test_central_markov_pairs_reuse_the_deeper_table(monkeypatch):
-    """Each central table of the Markov pairs is built once, the deeper
-    table of one pair serving as the shallower of the next; an empty loop
-    builds none."""
+    """Each central table is built once per call: the Markov pairs read
+    the tables of the mass check, the deeper table of one pair serving as
+    the shallower of the next; an empty loop builds none."""
     levels = []
     real = verify.central_table
     monkeypatch.setattr(verify, "central_table", lambda n: levels.append(n) or real(n))
     assert all(result.ok for result in verify.check_central(12, 10, 9))
-    assert levels == [*range(1, 13), *range(1, 10)]
+    assert levels == [*range(1, 13)]
     levels.clear()
     for markov_max in (0, 1):
         assert all(result.ok for result in verify.check_central(0, 0, markov_max))

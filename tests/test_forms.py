@@ -18,7 +18,7 @@ from tworow.forms import (
     pseudo_monomial,
     psi,
 )
-from tworow.forms import _adjoint, _dense, _expand_pairs, _lift, _table
+from tworow.forms import _adjoint, _dense, _expand_pairs, _lift, _scaled_preimage, _table
 from tworow.gz import full_gz_basis, gz_harmonic
 from tworow.markov import induced_transition
 from tworow.ygraph import enumerate_all_tableaux
@@ -542,6 +542,35 @@ def test_harmonic_preimage_rejects_outsiders():
         harmonic_preimage(f, 2)
     with pytest.raises(ValueError):
         harmonic_preimage(mono(4, 1, 2), 2)  # x1*x2 is not harmonic
+
+
+def test_scaled_preimage_reports_exactly_where_harmonic_preimage_raises():
+    """On every monomial, basis vector and lifted basis vector at n <= 5
+    and every k from -1 to m + 1, ``_scaled_preimage`` returns a reason
+    exactly where ``harmonic_preimage`` raises ``ValueError``, the error's
+    message, the degree and C(n - 2k, m - k) == 0 checks included, and
+    elsewhere C(n - 2k, m - k) times the preimage on the k-subsets."""
+    reasons = set()
+    for n in range(6):
+        for m in range(n + 1):
+            fs = [mono(n, *key) for key in combinations(range(1, n + 1), m)]
+            if 2 * m <= n:
+                fs += [vec.form for vec in full_gz_basis(n, m)]
+                fs += [psi(f, 1) for f in fs[-comb(n, m):] if 2 * (m + 1) <= n]
+            for f in fs:
+                for k in range(-1, f.k + 2):
+                    got = _scaled_preimage(f, k, {})
+                    try:
+                        f0 = harmonic_preimage(f, k)
+                    except ValueError as exc:
+                        assert got == str(exc)
+                        reasons.add(got)
+                        continue
+                    subsets = list(combinations(range(1, n + 1), k))
+                    scale = comb(n - 2 * k, f.k - k)
+                    assert got == [scale * c for c in _dense(f0, subsets)]
+    kinds = ("must lie in", "exceeds half of", "harmonic component", "not a psi-image")
+    assert all(any(kind in reason for reason in reasons) for kind in kinds)
 
 
 @given(forms(), st.data())

@@ -13,6 +13,7 @@ from tworow.gz import closed_norm_sq_in_H, full_gz_basis, gz_harmonic
 from tworow.markov import (
     BitPrefix,
     KernelEntry,
+    MarkovViolation,
     SpectralTable,
     TransitionKernel,
     _threshold_table,
@@ -268,15 +269,17 @@ def test_table_takes_only_exact_rationals(bad):
 
 
 def test_trusted_table_checks_its_mass():
-    half = Fraction(1, 2)
-    table = SpectralTable._trusted(2, {TwoRowTableau(2, ()): half, TwoRowTableau(2, (2,)): half})
+    half = (1, 2)
+    table = SpectralTable._trusted(2, {(): half, (2,): half})
     assert table == SpectralTable(2, table.probs)
+    assert table.probs == {
+        TwoRowTableau(2, ()): Fraction(1, 2),
+        TwoRowTableau(2, (2,)): Fraction(1, 2),
+    }
     with pytest.raises(ValueError, match=r"probabilities sum to 1/2, not 1"):
-        SpectralTable._trusted(2, {TwoRowTableau(2, ()): half})
+        SpectralTable._trusted(2, {(): half})
     with pytest.raises(ValueError, match=r"probabilities sum to 7/6, not 1"):
-        SpectralTable._trusted(
-            2, {TwoRowTableau(2, ()): half, TwoRowTableau(2, (2,)): Fraction(2, 3)}
-        )
+        SpectralTable._trusted(2, {(): half, (2,): (2, 3)})
     with pytest.raises(ValueError, match=r"probabilities sum to 0, not 1"):
         SpectralTable._trusted(2, {})
 
@@ -349,6 +352,12 @@ def _basis_projection(prefix):
 
 def _enumerated_path_products(prefix):
     """Every level-n tableau's path product, 0 once a row is missing."""
+    return SpectralTable(len(prefix), _fraction_path_products(prefix))
+
+
+def _fraction_path_products(prefix):
+    """The positive path products of ``_enumerated_path_products`` as one
+    ``Fraction`` per tableau, with no table built."""
     level = len(prefix)
     rows = kernel_from_prefix(prefix).entries
     probs = {}
@@ -370,7 +379,62 @@ def _enumerated_path_products(prefix):
                 break
         if p:
             probs[u] = p
-    return SpectralTable(level, probs)
+    return probs
+
+
+def _by_shape(entry):
+    u, _ = entry
+    return len(u.second_row), u.second_row
+
+
+def _check_view(table, probs):
+    """The public view of ``table`` against ``probs``, its positive
+    weights as one ``Fraction`` per tableau, summed in ``Fraction``s."""
+    level = table.level
+    assert SpectralTable(level, table.probs) == table
+    items = table.items()
+    assert items == sorted(probs.items(), key=_by_shape)
+    assert all(type(p) is Fraction for _, p in items)
+    assert table.probs == probs
+    assert table.support() == [u for u, _ in items]
+    for u in enumerate_all_tableaux(level):
+        assert table.prob(u) == probs.get(u, 0)
+    # The same second row one level up is another tableau, of weight 0.
+    assert table.prob(TwoRowTableau(level + 1, items[0][0].second_row)) == 0
+    marginal = {}
+    for u, p in probs.items():
+        v = u.restricted()
+        marginal[v] = marginal.get(v, 0) + p
+    assert table.restricted().items() == sorted(marginal.items(), key=_by_shape)
+    assert table.restricted() == SpectralTable(level - 1, marginal)
+    return any(u not in probs for u in enumerate_all_tableaux(level))
+
+
+def test_public_view_matches_fraction_tables():
+    """Every table of every valid prefix up to length 8, by the closed
+    scan, the basis projection and the path products, and the central
+    tables up to level 9, read through ``probs``, ``items``, ``prob``,
+    ``support`` and ``restricted``, equal the tables summed in
+    ``Fraction``s; some tables leave tableaux of their level out."""
+    gaps = 0
+    for prefix in _all_prefixes(8):
+        probs = _fraction_path_products(prefix)
+        key = tuple(t for t, b in enumerate(prefix.bits, start=1) if b)
+        projection = _projection_table(SquareFreeForm(len(prefix), len(key), {key: 1}))
+        for table in (
+            spectral_measure(prefix),
+            projection,
+            path_product_table(kernel_from_prefix(prefix)),
+        ):
+            gaps += _check_view(table, probs)
+    for level in range(1, 10):
+        probs = {
+            u: central_shape_weight(d)
+            for d in enumerate_diagrams(level)
+            for u in enumerate_tableaux(d)
+        }
+        assert not _check_view(central_table(level), probs)
+    assert gaps > 0
 
 
 def test_measure_equals_basis_projection():
@@ -558,14 +622,13 @@ def test_detector_rejects_negative_control():
     t4 = _projection_table(SquareFreeForm(4, 2, {(1, 2): 1, (1, 4): 1}))
     report = is_markov(t4.restricted(), t4)
     assert not report.ok
-    got = [
-        (v.first.second_row, v.second.second_row, v.up, v.first_ratio, v.second_ratio)
-        for v in report.violations
-    ]
-    assert got == [
-        ((2,), (3,), False, Fraction(1, 2), Fraction(9, 10)),
-        ((2,), (3,), True, Fraction(1, 2), Fraction(1, 10)),
-    ]
+    lead, other = TwoRowTableau(3, (2,)), TwoRowTableau(3, (3,))
+    assert report.violations == (
+        MarkovViolation(lead, other, False, Fraction(1, 2), Fraction(9, 10)),
+        MarkovViolation(lead, other, True, Fraction(1, 2), Fraction(1, 10)),
+    )
+    for v in report.violations:
+        assert type(v.first_ratio) is type(v.second_ratio) is Fraction
 
 
 @pytest.mark.parametrize("n,rejected,steps", [(3, 0, 6), (4, 6, 27), (5, 24, 110)])
@@ -588,6 +651,41 @@ def test_two_monomial_forms_are_markov_per_step_not_per_level(n, rejected, steps
     assert rejects == rejected
     assert len(step_pairs) == steps
     assert all(r.ok and r.violations == () for r in step_pairs)
+
+
+def test_integer_routes_build_no_tableau_or_fraction(monkeypatch):
+    """The table producers and the Markov checks work on integer pairs:
+    ``spectral_measure``, ``path_product_table``, ``is_markov`` and
+    ``kernel_matches`` on a passing pair make no ``TwoRowTableau`` and no
+    ``Fraction`` at all, and ``central_table`` one ``Fraction`` per shape.
+    Both counters see what ``items`` builds."""
+    prefix = BitPrefix.alternating(8)
+    kernel = kernel_from_prefix(prefix)
+    shallow = spectral_measure(prefix, 7)
+    counts = {"tableaux": 0, "fractions": 0}
+
+    class CountingTableau(TwoRowTableau):
+        @classmethod
+        def _trusted(cls, n, second_row):
+            counts["tableaux"] += 1
+            return TwoRowTableau._trusted(n, second_row)
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            counts["fractions"] += 1
+            return Fraction(*args)
+
+    monkeypatch.setattr(markov, "TwoRowTableau", CountingTableau)
+    monkeypatch.setattr(markov, "Fraction", CountingFraction)
+    deeper = spectral_measure(prefix)
+    assert deeper == path_product_table(kernel)
+    assert is_markov(shallow, deeper).ok
+    assert kernel_matches(shallow, deeper, kernel)
+    assert counts == {"tableaux": 0, "fractions": 0}
+    central_table(9)
+    assert counts == {"tableaux": 0, "fractions": 5}
+    entries = len(deeper.items())
+    assert counts == {"tableaux": entries, "fractions": 5 + entries}
 
 
 def test_detector_validates_inputs():

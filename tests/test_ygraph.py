@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -123,6 +124,19 @@ def test_tableaux_of_3_2():
     d = TwoRowDiagram(5, 2)
     rows = [u.second_row for u in enumerate_tableaux(d)]
     assert rows == [(2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+
+
+def test_tableaux_are_the_standard_subsets():
+    """Each shape's tableaux are exactly the k-subsets whose j-th entry is
+    at least 2j, in lexicographic order."""
+    for n in range(13):
+        for d in enumerate_diagrams(n):
+            want = [
+                ps
+                for ps in combinations(range(1, n + 1), d.k)
+                if all(p >= 2 * j for j, p in enumerate(ps, start=1))
+            ]
+            assert [u.second_row for u in enumerate_tableaux(d)] == want
 
 
 @given(diagrams(max_n=8))
