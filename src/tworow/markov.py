@@ -17,8 +17,8 @@ closed coefficients and the closed norm, and ``path_product_table`` the
 product of the rows of a kernel its caller passes in and keeps.
 Marginals, equality and cross-multiplied step ratios work on the pairs;
 tableaux and ``Fraction``s are made only when a caller reads them.
-Tables that the module builds itself skip validation (``_trusted``), but
-every table still checks that its mass is exactly 1.
+Tables and kernels that the module builds itself skip validation
+(``_trusted``), but every table still checks that its mass is exactly 1.
 
 The same machinery covers the exchangeable central measure with two equal
 frequencies, whose kernel is level-homogeneous, and exact-arithmetic
@@ -146,11 +146,18 @@ class SpectralTable:
 
     def items(self) -> list[tuple[TwoRowTableau, Fraction]]:
         """Entries sorted by second-row length, then second row."""
-        level, pairs = self.level, self._pairs
+        level = self.level
         return [
-            (TwoRowTableau._trusted(level, row), Fraction(*pairs[row]))
-            for row in sorted(pairs, key=_by_shape)
+            (TwoRowTableau._trusted(level, row), Fraction(num, den))
+            for row, num, den in self.weights()
         ]
+
+    def weights(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """The entries of ``items`` as ``(second_row, num, den)``, each
+        weight num / den in lowest terms, with no tableau or ``Fraction``
+        made."""
+        pairs = self._pairs
+        return ((row, *pairs[row]) for row in sorted(pairs, key=_by_shape))
 
     def support(self) -> list[TwoRowTableau]:
         return [u for u, _ in self.items()]
@@ -214,6 +221,16 @@ class KernelEntry:
         self.p_stay = p_stay
         self.p_up = p_up
 
+    @classmethod
+    def _trusted(cls, bit: int | None, p_stay: Fraction, p_up: Fraction) -> KernelEntry:
+        """Build from a row the module computed itself, unchecked: ``bit``
+        is None, 0 or 1 and the two ``Fraction``s sum to 1."""
+        entry = object.__new__(cls)
+        entry.bit = bit
+        entry.p_stay = p_stay
+        entry.p_up = p_up
+        return entry
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -245,6 +262,15 @@ class TransitionKernel:
                 raise ValueError(f"state k={k} invalid at level {n}")
         self.depth = depth
         self.entries = dict(entries)
+
+    @classmethod
+    def _trusted(cls, depth: int, entries: dict[tuple[int, int], KernelEntry]) -> TransitionKernel:
+        """Build from rows the module computed itself on valid keys, keeping
+        the dict unchecked and uncopied."""
+        kernel = object.__new__(cls)
+        kernel.depth = depth
+        kernel.entries = entries
+        return kernel
 
     def transition(self, n: int, k: int) -> KernelEntry:
         try:
@@ -286,14 +312,15 @@ def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> Transitio
         depth = len(prefix)
     if not 1 <= depth <= len(prefix):
         raise ValueError(f"depth must lie in 1..{len(prefix)}, got {depth}")
+    bits = prefix.bits
     entries: dict[tuple[int, int], KernelEntry] = {}
+    m = 0
     for n in range(1, depth):
-        bit = prefix.bits[n]
-        m = prefix.ones(n)
+        m += bits[n - 1]
+        bit = bits[n]
         for k in range(m + 1):
-            stay, up = induced_transition(n, k, m, bit)
-            entries[(n, k)] = KernelEntry(bit, stay, up)
-    return TransitionKernel(depth, entries)
+            entries[(n, k)] = KernelEntry._trusted(bit, *induced_transition(n, k, m, bit))
+    return TransitionKernel._trusted(depth, entries)
 
 
 def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
@@ -509,9 +536,8 @@ def central_kernel(depth: int) -> TransitionKernel:
     entries: dict[tuple[int, int], KernelEntry] = {}
     for n in range(1, depth):
         for k in range(n // 2 + 1):
-            stay, up = central_alpha_transition(n, k)
-            entries[(n, k)] = KernelEntry(None, stay, up)
-    return TransitionKernel(depth, entries)
+            entries[(n, k)] = KernelEntry._trusted(None, *central_alpha_transition(n, k))
+    return TransitionKernel._trusted(depth, entries)
 
 
 def _up_threshold(p: Fraction) -> int:
@@ -523,7 +549,7 @@ def _up_threshold(p: Fraction) -> int:
 def _threshold_table(kernel: TransitionKernel, depth: int) -> list[list[int | None]]:
     """Up thresholds for levels 1 .. depth - 1, one list per level indexed
     by k = 0 .. n/2: ``_up_threshold`` of each stored row, None where the
-    kernel stores no row, so a walk that reaches one fails its compare."""
+    kernel stores no row, so that a walk which reaches one raises."""
     entries = kernel.entries
     return [
         [
@@ -540,27 +566,77 @@ def _as_rng(rng: random.Random | int) -> random.Random:
     return random.Random(rng)
 
 
+# A walk holds each second-row length, at most depth // 2, in one byte.
+_MAX_WALK_DEPTH = 2 * 255
+
+
 def _check_walks(kernel: TransitionKernel, depth: int, count: int) -> None:
-    if not 1 <= depth <= kernel.depth:
-        raise ValueError(f"depth must lie in 1..{kernel.depth}, got {depth}")
+    deepest = min(kernel.depth, _MAX_WALK_DEPTH)
+    if not 1 <= depth <= deepest:
+        raise ValueError(f"depth must lie in 1..{deepest}, got {depth}")
     if count < 0:
         raise ValueError(f"path count must be nonnegative, got {count}")
 
 
-def _walk(table: list[list[int | None]], rng: random.Random) -> list[int]:
-    getrandbits = rng.getrandbits
-    ks = [0]
-    k = 0
-    try:
-        for n, row in enumerate(table, start=1):
-            if getrandbits(64) < row[k]:
-                k += 1
-            ks.append(k)
-    except (IndexError, TypeError):
-        # An up step past n/2 leaves the kernel's states; None marks a
-        # state the kernel stores no row for.
-        raise _missing_row(n, k) from None
-    return ks
+# Paths walked together: one draw and one pass per level serve a chunk,
+# and a chunk's words (258 KB at depth 64) bound the memory a walk holds.
+# 512 paths walk about as fast per path as 1024, with half the words.
+_CHUNK = 512
+
+
+def _walks(table: list[list[int | None]], rng: random.Random, count: int) -> Iterator[list[bytes]]:
+    """Walk ``count`` paths over ``table`` in chunks of up to ``_CHUNK``,
+    yielding each chunk's states: one ``bytes`` per level 1 .. depth, whose
+    byte p is the second-row length of the chunk's path p there.
+
+    A chunk of c paths takes its words from one ``getrandbits(64 (depth -
+    1) c)``.  CPython fills that from 32-bit words, least significant
+    first, so it is the stream of as many ``getrandbits(64)`` calls: path
+    p's step from level n reads word p (depth - 1) + n - 1.  Each level
+    decides every path at once on top bytes.  With h the top byte of a
+    path's word r and t = min(T >> 56, 255) for its threshold T, h < t
+    gives r < (h + 1) 2^56 <= T, an up step, and h > t gives t = T >> 56
+    and r >= (t + 1) 2^56 > T, a stay.  One subtraction over 16-bit lanes
+    of 256 + t - h leaves 1 in a lane's high byte exactly when h <= t, and
+    0 in its low byte exactly when h == t; only such a tie (about 1 in
+    256) compares the whole word with T.  A state with no stored row, or
+    past n/2, raises ``_missing_row`` at the lowest level a path of the
+    chunk reaches one, smallest k first, before the chunk is yielded."""
+    steps = len(table)
+    stride = 8 * steps
+    # Per level, translate tables from k to t, and to 1 where k has no row.
+    levels = []
+    for n, row in enumerate(table, start=1):
+        tops = bytes([0 if limit is None else min(limit >> 56, 255) for limit in row])
+        gaps = bytes([limit is None for limit in row])
+        levels.append((n, row, tops.ljust(256, b"\0"), gaps.ljust(256, b"\1")))
+    while count:
+        c = min(count, _CHUNK)
+        count -= c
+        words = rng.getrandbits(64 * steps * c).to_bytes(stride * c, "little")
+        high_ones = b"\0\1" * c
+        heads = bytearray(2 * c)
+        ks = bytes(c)
+        states = [ks]
+        for i, (n, row, tops, gaps) in enumerate(levels):
+            if 1 in ks.translate(gaps):
+                raise _missing_row(n, min(k for k in ks if gaps[k]))
+            lanes = bytearray(high_ones)
+            lanes[::2] = ks.translate(tops)
+            heads[::2] = words[8 * i + 7 :: stride]
+            diff = int.from_bytes(lanes, "little") - int.from_bytes(heads, "little")
+            diff = diff.to_bytes(2 * c, "little")
+            up = bytearray(diff[1::2])
+            ties = diff[::2]
+            p = ties.find(0)
+            while p >= 0:
+                w = 8 * (p * steps + i)
+                if int.from_bytes(words[w : w + 8], "little") >= row[ks[p]]:
+                    up[p] = 0
+                p = ties.find(0, p + 1)
+            ks = (int.from_bytes(ks, "little") + int.from_bytes(up, "little")).to_bytes(c, "little")
+            states.append(ks)
+        yield states
 
 
 def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) -> list[int]:
@@ -568,10 +644,9 @@ def sample_path(kernel: TransitionKernel, depth: int, rng: random.Random | int) 
 
     ``rng`` is a Random instance or an integer seed.  Each step consumes
     exactly 64 bits, so traces are reproducible byte for byte under a
-    fixed seed.  Every path sampler goes through one walk over one
-    threshold table, built per call: this is the one walk of
-    ``sample_paths`` with the same arguments, so a lone path pays for the
-    table of every stored row up to ``depth``.
+    fixed seed.  This is the one walk of ``sample_paths`` with the same
+    arguments, so a lone path pays for the threshold table of every
+    stored row up to ``depth``.
     """
     return next(sample_paths(kernel, depth, 1, rng))
 
@@ -582,11 +657,20 @@ def sample_paths(
     """``count`` walks drawn one after another from ``rng``, each the
     second-row length at levels 1 .. depth.  Arguments are checked before
     the first walk is asked for, and the walks share one threshold table,
-    built from the whole kernel before the first walk."""
+    built from the whole kernel before the first walk.
+
+    The walks are drawn in chunks of up to ``_CHUNK``, each from one wide
+    draw that consumes what 64 bits per step of its paths would, so a
+    fully consumed iterator leaves ``rng`` where ``count`` walks one at a
+    time would.  Asking for a chunk's first walk draws the whole chunk:
+    a caller that stops early, or draws from the same ``rng`` between
+    walks, sees ``rng`` advanced past every walk of the chunk.  A state
+    the kernel stores no row for raises when its chunk is drawn, at the
+    lowest level a walk of the chunk reaches one."""
     rng = _as_rng(rng)
     _check_walks(kernel, depth, count)
     table = _threshold_table(kernel, depth)
-    return (_walk(table, rng) for _ in range(count))
+    return (list(ks) for states in _walks(table, rng, count) for ks in zip(*states))
 
 
 def sample_tableau(kernel: TransitionKernel, depth: int, rng: random.Random | int) -> TwoRowTableau:
@@ -602,34 +686,27 @@ def transition_counts(
     """Visit and up counts per (level, k) over ``paths`` sampled walks, in
     order of level, then k, for the states some walk visits.
 
-    The walks count only their up steps.  Visits follow by conservation:
-    every path starts at (1, 0), and a path at (n + 1, k) either stayed at
-    (n, k) or went up from (n, k - 1)."""
+    The walks are those of ``sample_paths`` under ``random.Random(seed)``,
+    drawn chunk by chunk, and a state the kernel stores no row for raises
+    at the lowest level a walk of its chunk reaches one.  Only the visits
+    are counted, one count per level and k.  The ups follow by
+    conservation: a walk never goes down and goes up by at most one, so
+    the walks of length at most k at level n outnumber those at level
+    n + 1 by exactly the ones that went up from (n, k)."""
     _check_walks(kernel, depth, paths)
     table = _threshold_table(kernel, depth)
-    ups = [[0] * len(row) for row in table]
-    levels = list(zip(range(1, depth), table, ups))
-    getrandbits = random.Random(seed).getrandbits
-    try:
-        for _ in range(paths):
-            k = 0
-            for n, limits, went_up in levels:
-                if getrandbits(64) < limits[k]:
-                    went_up[k] += 1
-                    k += 1
-    except (IndexError, TypeError):
-        # An up step past n/2 leaves the kernel's states; None marks a
-        # state the kernel stores no row for.
-        raise _missing_row(n, k) from None
+    visits = [[0] * (n // 2 + 1) for n in range(1, depth + 1)]
+    for states in _walks(table, random.Random(seed), paths):
+        for seen, ks in zip(visits, states):
+            for k in range(len(seen)):
+                seen[k] += ks.count(k)
     counts = {}
-    visits = [paths]
-    for n, went_up in enumerate(ups, start=1):
-        for k, (v, u) in enumerate(zip(visits, went_up)):
+    for n, (here, there) in enumerate(zip(visits, visits[1:]), start=1):
+        ups = 0
+        for k, (v, w) in enumerate(zip(here, there)):
+            ups += v - w
             if v:
-                counts[(n, k)] = (v, u)
-        visits = [v - u for v, u in zip(visits, went_up)] + [0]
-        for k, u in enumerate(went_up, start=1):
-            visits[k] += u
+                counts[(n, k)] = (v, ups)
     return counts
 
 

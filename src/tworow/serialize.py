@@ -81,7 +81,7 @@ def write_measure(
     ``kernel.rows()`` order, with ``bit`` null where the kernel has none
     and each probability a ``{"den", "num"}``; ``table`` is ``{"entries",
     "level"}``, with the entries ``{"den", "num", "second_row"}`` in
-    ``table.items()`` order."""
+    ``table.weights()`` order."""
     handle.write('{\n  "kernel": [')
     sep = "\n"
     for n, k, entry in kernel.rows():
@@ -100,10 +100,10 @@ def write_measure(
     )
     # A table holds mass 1, so it has at least one entry.
     sep = "\n"
-    for u, p in table.items():
+    for row, num, den in table.weights():
         handle.write(
-            f'{sep}      {{\n        "den": "{p.denominator}",\n        "num": "{p.numerator}",'
-            f'\n        "second_row": {_json_ints(u.second_row, 10)}\n      }}'
+            f'{sep}      {{\n        "den": "{den}",\n        "num": "{num}",'
+            f'\n        "second_row": {_json_ints(row, 10)}\n      }}'
         )
         sep = ",\n"
     handle.write(f'\n    ],\n    "level": {table.level}\n  }},\n  "xi": "{prefix}"\n}}\n')

@@ -16,6 +16,9 @@ from tworow.markov import (
     MarkovViolation,
     SpectralTable,
     TransitionKernel,
+    _CHUNK,
+    _MAX_WALK_DEPTH,
+    _missing_row,
     _threshold_table,
     _up_threshold,
     central_alpha_transition,
@@ -232,6 +235,33 @@ def test_kernel_entry_takes_only_exact_rationals(bad):
     assert KernelEntry(1, 1, 0) == KernelEntry(1, Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("prefix", [None, BitPrefix.from_string("0010110100110011" * 4)])
+def test_trusted_kernels_equal_validated_ones(prefix):
+    """The module's own kernels skip validation; rebuilt row by row from the
+    closed probabilities through the public, validating constructors, they
+    are the same kernels at depth 64."""
+    if prefix is None:
+        kernel = central_kernel(64)
+        rows = {
+            (n, k): KernelEntry(None, *central_alpha_transition(n, k))
+            for n in range(1, 64)
+            for k in range(n // 2 + 1)
+        }
+    else:
+        kernel = kernel_from_prefix(prefix)
+        rows = {}
+        for n in range(1, 64):
+            m, bit = prefix.ones(n), prefix.bits[n]
+            for k in range(m + 1):
+                rows[(n, k)] = KernelEntry(bit, *induced_transition(n, k, m, bit))
+    checked = TransitionKernel(64, rows)
+    assert kernel.depth == checked.depth == 64
+    assert list(kernel.entries.items()) == list(checked.entries.items())
+    for entry in kernel.entries.values():
+        assert type(entry.p_stay) is Fraction and type(entry.p_up) is Fraction
+        assert entry.p_stay + entry.p_up == 1
+
+
 def test_transition_kernel_validation():
     good = KernelEntry(None, Fraction(1), Fraction(0))
     with pytest.raises(ValueError):
@@ -395,6 +425,7 @@ def _check_view(table, probs):
     items = table.items()
     assert items == sorted(probs.items(), key=_by_shape)
     assert all(type(p) is Fraction for _, p in items)
+    assert list(table.weights()) == [(u.second_row, p.numerator, p.denominator) for u, p in items]
     assert table.probs == probs
     assert table.support() == [u for u, _ in items]
     for u in enumerate_all_tableaux(level):
@@ -891,15 +922,30 @@ def test_deep_induced_kernel_has_zero_up_rows():
 
 
 class _ScriptedRandom(random.Random):
-    """A Random whose ``getrandbits(64)`` returns the scripted words in order."""
+    """A Random whose ``getrandbits(64 j)`` returns the next j scripted
+    words packed little-endian, first word lowest, as CPython packs the
+    stream of j ``getrandbits(64)`` calls into one wide draw."""
 
     def __init__(self, words):
         super().__init__(0)
         self.words = iter(words)
 
     def getrandbits(self, k):
-        assert k == 64
-        return next(self.words)
+        assert k % 64 == 0
+        words = [next(self.words) for _ in range(k // 64)]
+        return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+def test_one_wide_draw_is_the_stream_of_64_bit_draws(seed):
+    """The walk draws a chunk's words at once and reads them as successive
+    ``getrandbits(64)`` results; an interpreter that packs a wide draw any
+    other way fails here."""
+    for m in (1, 2, 3, 17, 63, 63 * _CHUNK):
+        wide, narrow = random.Random(seed), random.Random(seed)
+        packed = b"".join(narrow.getrandbits(64).to_bytes(8, "little") for _ in range(m))
+        assert wide.getrandbits(64 * m) == int.from_bytes(packed, "little")
+        assert wide.getstate() == narrow.getstate()
 
 
 def _boundary_scripts(kernel, depth):
@@ -960,6 +1006,134 @@ def test_walks_go_up_below_the_threshold_and_stay_at_it(kernel, depth, edges, mo
     monkeypatch.setattr(markov, "random", scripted)
     counts = transition_counts(kernel, depth, len(walks), 0)
     assert list(counts.items()) == list(_counts_of(walks).items())
+
+
+def _tie_scripts(kernel, depth):
+    """Every walk to ``depth`` whose each step reads a word with the top
+    byte t = min(T >> 56, 255) of its row's threshold T: t 2^56 or
+    t 2^56 + 2^56 - 1, each going up exactly when it is below T.  Also the
+    (word, T) pairs met."""
+    scripts, met = [], set()
+    stack = [([0], [])]
+    while stack:
+        ks, words = stack.pop()
+        n = len(ks)
+        if n == depth:
+            scripts.append((ks, words))
+            continue
+        t = _up_threshold(kernel.transition(n, ks[-1]).p_up)
+        for word in (min(t >> 56, 255) << 56, (min(t >> 56, 255) << 56) + 2**56 - 1):
+            met.add((word, t))
+            stack.append((ks + [ks[-1] + (word < t)], words + [word]))
+    return scripts, met
+
+
+@pytest.mark.parametrize(
+    "kernel,depth,both_ways",
+    [
+        (central_kernel(12), 12, True),
+        (kernel_from_prefix(BitPrefix.from_string("001011010011")), 12, True),
+        (_certain_up_kernel(), 4, False),
+    ],
+)
+def test_top_byte_ties_fall_back_to_the_whole_word(kernel, depth, both_ways, monkeypatch):
+    scripts, met = _tie_scripts(kernel, depth)
+    # A row whose tie goes up at t 2^56 and stays at t 2^56 + 2^56 - 1.
+    assert any(low < t <= low + 2**56 - 1 for low, t in met if low % 2**56 == 0) == both_ways
+    if not both_ways:
+        # T = 2^64 goes up at the top word, and T = 0 stays at word 0.
+        assert {(2**64 - 1, 2**64), (0, 0)} <= met
+    walks = [ks for ks, _ in scripts]
+    words = [w for _, script in scripts for w in script]
+    rng = _ScriptedRandom(words)
+    assert list(sample_paths(kernel, depth, len(walks), rng)) == walks
+    assert next(rng.words, None) is None
+    scripted = SimpleNamespace(Random=lambda seed: _ScriptedRandom(words))
+    monkeypatch.setattr(markov, "random", scripted)
+    counts = transition_counts(kernel, depth, len(walks), 0)
+    assert list(counts.items()) == list(_counts_of(walks).items())
+
+
+def _per_step_walk(table, rng):
+    """One walk drawn one ``getrandbits(64)`` per step: up when the word is
+    below the row's threshold."""
+    ks = [0]
+    k = 0
+    try:
+        for n, row in enumerate(table, start=1):
+            if rng.getrandbits(64) < row[k]:
+                k += 1
+            ks.append(k)
+    except (IndexError, TypeError):
+        raise _missing_row(n, k) from None
+    return ks
+
+
+def _per_step_counts(kernel, depth, paths, seed):
+    """``transition_counts`` counted one step at a time over per-step walks."""
+    table = _threshold_table(kernel, depth)
+    rng = random.Random(seed)
+    return _counts_of([_per_step_walk(table, rng) for _ in range(paths)])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 17, 64])
+@pytest.mark.parametrize(
+    "kernel",
+    [central_kernel(64), kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4))],
+    ids=["central", "induced"],
+)
+def test_batched_walks_equal_the_per_step_walk(kernel, depth):
+    table = _threshold_table(kernel, depth)
+    for count in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2500):
+        seed = 1000 * depth + count
+        rng = random.Random(seed)
+        expected = [_per_step_walk(table, rng) for _ in range(count)]
+        assert list(sample_paths(kernel, depth, count, seed)) == expected
+        counts = transition_counts(kernel, depth, count, seed)
+        assert list(counts.items()) == list(_per_step_counts(kernel, depth, count, seed).items())
+
+
+@pytest.mark.parametrize("depth", [2, 17, 64])
+def test_consumed_walks_leave_the_rng_after_every_step(depth):
+    kernel = central_kernel(64)
+    for count in (1, _CHUNK - 1, _CHUNK + 1, 2500):
+        rng = random.Random(count)
+        assert sum(1 for _ in sample_paths(kernel, depth, count, rng)) == count
+        assert rng.getstate() == _drawn(count * (depth - 1), count).getstate()
+
+
+def test_walks_reach_the_longest_second_row_a_byte_holds():
+    # Up at every odd level, so the walk is at k = n // 2 on every level n.
+    up, stay = KernelEntry(None, 0, 1), KernelEntry(None, 1, 0)
+    depth = _MAX_WALK_DEPTH
+    rows = {(n, n // 2): up if n % 2 else stay for n in range(1, depth + 1)}
+    kernel = TransitionKernel(depth + 1, rows)
+    assert list(sample_paths(kernel, depth, 2, 0)) == [[n // 2 for n in range(1, depth + 1)]] * 2
+    assert depth // 2 == 255
+    counts = transition_counts(kernel, depth, 2, 0)
+    assert counts == {(n, n // 2): (2, 2 * (n % 2)) for n in range(1, depth)}
+    message = f"depth must lie in 1..{depth}, got {depth + 1}"
+    with pytest.raises(ValueError, match=message):
+        sample_paths(kernel, depth + 1, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        transition_counts(kernel, depth + 1, 1, 0)
+
+
+def test_a_chunk_raises_at_its_lowest_missing_state_before_yielding():
+    half = KernelEntry(None, Fraction(1, 2), Fraction(1, 2))
+    stay = KernelEntry(None, Fraction(1), Fraction(0))
+    top = 2**64 - 1
+    # Path 0 stays on to (3, 0), which a walk of its own would report;
+    # path 1 goes up to (2, 1), one level lower, so the chunk reports that.
+    kernel = TransitionKernel(4, {(1, 0): half, (2, 0): stay})
+    paths = sample_paths(kernel, 4, 2, _ScriptedRandom([top, 0, 0, 0, 0, 0]))
+    with pytest.raises(ValueError, match=r"level 2, k=1$"):
+        next(paths)
+    # Path 0 at (2, 1) and path 1 at (2, 0), neither stored: the smaller k.
+    kernel = TransitionKernel(4, {(1, 0): half})
+    paths = sample_paths(kernel, 4, 2, _ScriptedRandom([0, 0, 0, top, 0, 0]))
+    with pytest.raises(ValueError, match=r"level 2, k=0$"):
+        next(paths)
 
 
 def _gap_kernels():
