@@ -270,12 +270,6 @@ def divergence(f: SquareFreeForm) -> SquareFreeForm:
     return _sparse(f.n, f.k - 1, table.subsets, _adjoint(table, _dense(f, table.keys)))
 
 
-def is_harmonic(f: SquareFreeForm) -> bool:
-    if f.k == 0:
-        return True
-    return divergence(f).is_zero()
-
-
 def pseudo_monomial(n: int, pairs: Iterable[tuple[int, int]]) -> SquareFreeForm:
     """The product prod_t (x_{i_t} - x_{j_t}) over pairs with distinct indices.
 

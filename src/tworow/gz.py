@@ -53,12 +53,13 @@ level operators X_l = sum_{i<l} (i l) take a similar form: ``yjm_rows``
 gives, for each k-subset, its count of fixing transpositions and a gather
 of the monomials the others carry onto it.
 
-Vectors are kept unnormalized with integer coefficients; their squared
-norms are the closed products ``closed_harmonic_norm_sq``, of one
-``_norm_factor`` per entry, which the spectral scan also uses, and, lifted,
-``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single vectors
-are recomputed on every call, and ``iter_basis`` yields them one at a time,
-so a streamed export such as ``tworow basis`` holds one vector in memory.
+Vectors are kept unnormalized, as the dense ``int`` lists that the
+builder computes and ``serialize.write_basis`` and ``verify`` read; their
+squared norms are the closed products ``closed_harmonic_norm_sq``, of one
+``_norm_factor`` per entry, which the spectral scan also uses, and,
+lifted, ``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single
+vectors are recomputed on every call, and ``iter_basis`` yields them one
+at a time, so a streamed export such as ``tworow basis`` holds one vector.
 """
 
 from __future__ import annotations
@@ -76,15 +77,25 @@ from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
 class GzVector:
-    """A basis vector: tableau label, exact form, closed squared norm.
-    Vectors compare by identity; compare their fields to compare values."""
+    """A basis vector: tableau label, its coefficient on each of ``keys``,
+    the m-subsets in lexicographic order that the vectors of one builder
+    call share, and closed squared norm; ``form`` is built on first read
+    and kept.  Vectors compare by identity; compare fields to compare values."""
 
-    __slots__ = ("tableau", "form", "norm_sq")
+    __slots__ = ("tableau", "coeffs", "keys", "norm_sq", "_form")
 
-    def __init__(self, tableau: TwoRowTableau, form: SquareFreeForm, norm_sq: int):
+    def __init__(self, tableau: TwoRowTableau, coeffs: list[int], keys: list[Key], norm_sq: int):
         self.tableau = tableau
-        self.form = form
+        self.coeffs = coeffs
+        self.keys = keys
         self.norm_sq = norm_sq
+        self._form: SquareFreeForm | None = None
+
+    @property
+    def form(self) -> SquareFreeForm:
+        if self._form is None:
+            self._form = _sparse(self.tableau.n, len(self.keys[0]), self.keys, self.coeffs)
+        return self._form
 
     def __repr__(self) -> str:
         return f"GzVector(tableau={self.tableau!r}, form={self.form!r}, norm_sq={self.norm_sq!r})"
@@ -94,12 +105,11 @@ def gz_harmonic(u: TwoRowTableau, columns: RookColumns | None = None) -> GzVecto
     """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized: the
     coefficient of x_S is the product of the rook factors of u's entries
     at S.  ``columns`` is a ``_rook_columns`` table of u's shape that holds
-    every (p_j, j) of u; by default u builds only its own k columns.  The
-    form's keys are filled in lexicographic order."""
+    every (p_j, j) of u, whose k-subsets the vector shares as its keys; by
+    default u builds only its own k columns."""
     if columns is None:
         columns = _rook_columns(u.n, len(u.second_row), (u,))
-    form = _sparse(u.n, len(u.second_row), columns[0], _dense_harmonic(u, columns))
-    return GzVector(u, form, closed_harmonic_norm_sq(u))
+    return GzVector(u, _dense_harmonic(u, columns), columns[0], closed_harmonic_norm_sq(u))
 
 
 def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
@@ -169,8 +179,8 @@ def _vectors(
     it as ``columns``; by default the call builds its own.  Each
     coefficient sums the dense h_u over the k-subsets of its m-subset: the
     running sum of all gathered slots at the end of the m-subset's C(m, k)
-    slots, differenced.  Nonzero sums are kept in lexicographic key order,
-    which ``serialize.write_basis`` relies on."""
+    slots, differenced.  The vectors share the lift table's m-subsets, or
+    at k == m the rook columns' k-subsets, as their keys."""
     if columns is None:
         columns = _rook_columns(n, k, tableaux)
     if k == m:
@@ -179,8 +189,8 @@ def _vectors(
         return
     table = _lift_table(n, m, k)
     for u in tableaux:
-        form = _sparse(n, m, table.keys, _lift(table, _dense_harmonic(u, columns)))
-        yield GzVector(u, form, closed_norm_sq_in_H(u, m))
+        coeffs = _lift(table, _dense_harmonic(u, columns))
+        yield GzVector(u, coeffs, table.keys, closed_norm_sq_in_H(u, m))
 
 
 def _norm_factor(p: int, j: int) -> int:

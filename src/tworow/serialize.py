@@ -13,7 +13,7 @@ sorted, entries are sorted, lines end with a single newline.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from operator import add
 from typing import Iterable, Sequence, TextIO
 
@@ -26,24 +26,24 @@ def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> 
     sort_keys=True)`` lays it out, one vector at a time, byte for byte.
     Each vector is ``{"norm_sq", "second_row", "terms"}``, each term
     ``{"den", "num", "vars"}``, and ``norm_sq`` a ``{"den", "num"}``.
-    Each vector's ``form.coeffs`` must hold its keys, m-subsets of 1..n,
-    in lexicographic order, as ``iter_basis`` builds them; the terms are
-    written in that order and not sorted again."""
+    Each vector's ``coeffs`` lists its coefficient on every m-subset of
+    1..n in lexicographic order, zeros included, as ``iter_basis`` builds
+    them; its nonzero terms are written in that order."""
     # A term's text is a head that depends only on its coefficient and a
     # tail that depends only on its monomial.  A degree-m basis has C(n, m)
     # monomials and few distinct coefficients, so each piece is laid out
     # once and every term is one concatenation.
-    tails = {
-        key: f'",\n          "vars": {_json_ints(key, 12)}\n        }}'
+    tails = [
+        f'",\n          "vars": {_json_ints(key, 12)}\n        }}'
         for key in combinations(range(1, n + 1), m)
-    }
+    ]
     heads = _TermHeads()
     handle.write(f'{{\n  "m": {m},\n  "n": {n},\n  "vectors": [')
     sep = "\n"
     for vec in vectors:
-        coeffs = vec.form.coeffs
+        coeffs = vec.coeffs
         terms = ",\n        ".join(
-            map(add, map(heads.__getitem__, coeffs.values()), map(tails.__getitem__, coeffs))
+            map(add, map(heads.__getitem__, compress(coeffs, coeffs)), compress(tails, coeffs))
         )
         terms = f"[\n        {terms}\n      ]" if terms else "[]"
         handle.write(
@@ -60,10 +60,8 @@ class _TermHeads(dict):
     laid out on first lookup; ``2`` and ``Fraction(2)`` share one entry."""
 
     def __missing__(self, val: Fraction) -> str:
-        head = self[val] = (
-            f'{{\n          "den": "{val.denominator}",\n          "num": "{val.numerator}'
-        )
-        return head
+        self[val] = f'{{\n          "den": "{val.denominator}",\n          "num": "{val.numerator}'
+        return self[val]
 
 
 def write_measure(

@@ -39,11 +39,11 @@ harmonics as the last block of each basis.  Only ``check_good`` builds
 single vectors, the ones it tests: ``gz_harmonic`` and, for the lifts,
 gz's one vector builder ``_vectors``, all from one table of rook columns
 per good tableau.
-A suite lays out each whole basis, shape block or split it reads once
-per call as ``_dense_rows``, every vector's coefficients over the
-lexicographic subsets with zeros included, so that its oracles run as
-C-level passes over plain lists rather than one Python step per vector
-and monomial.  ``check_decompose`` also keeps one dict of ``forms`` lift
+A suite reads each basis vector as its dense ``coeffs`` and lays out the
+forms it builds, ``act`` images and split pieces, once per call as
+``_dense_rows``, zeros included, so that its oracles run as C-level
+passes over plain lists rather than one Python step per vector and
+monomial.  ``check_decompose`` also keeps one dict of ``forms`` lift
 tables for the call and passes it to every ``decompose_step`` and
 ``forms._scaled_preimage``, so each (n, m, k) it checks is indexed once.
 """
@@ -64,6 +64,7 @@ from .forms import (
     Permutation,
     Scalar,
     SquareFreeForm,
+    _dense,
     _expand_pairs,
     _scaled_preimage,
     act,
@@ -72,6 +73,7 @@ from .forms import (
     psi,
 )
 from .gz import (
+    GzVector,
     YjmRows,
     _rook_columns,
     _vectors,
@@ -140,7 +142,7 @@ def _dense_rows(n: int, k: int, forms: Iterable[SquareFreeForm]) -> list[list[Sc
     """Each degree-k form's coefficients over the k-subsets of 1..n in
     lexicographic order, zeros included."""
     keys = list(combinations(range(1, n + 1), k))
-    return [list(map(form.coeffs.get, keys, repeat(0))) for form in forms]
+    return [_dense(form, keys) for form in forms]
 
 
 def _contents(u: TwoRowTableau) -> list[int]:
@@ -158,7 +160,7 @@ def _yjm_misses(
     contents: Sequence[Sequence[int]],
     rows: Sequence[Sequence[Scalar]],
 ) -> set[int]:
-    """The positions of the degree-k ``_dense_rows`` that some level l's
+    """The positions of the degree-k dense rows that some level l's
     transposition sum, ``levels[l - 1]`` as the ``gz.yjm_rows`` of the
     same n and k, does not scale by the content at l in the ``_contents``
     of the same position.  The rows are read as columns, one per k-subset
@@ -192,8 +194,7 @@ def _projection_table(
         layouts = {}
     columns = layouts.get((n, k))
     if columns is None:
-        rows = _dense_rows(n, k, (vec.form for vec in basis))
-        columns = layouts[n, k] = dict(zip(combinations(range(1, n + 1), k), zip(*rows)))
+        columns = layouts[n, k] = dict(zip(basis[0].keys, zip(*(v.coeffs for v in basis))))
     g_sq = inner(g, g)
     terms = [list(map(mul, repeat(val), columns[key])) for key, val in g.coeffs.items()]
     pairs: dict[Key, tuple[int, int]] = {}
@@ -203,27 +204,25 @@ def _projection_table(
     return SpectralTable._trusted(n, pairs)
 
 
-def _acts_by(
-    matrix: list[list[Fraction]], i: int, forms: Sequence[SquareFreeForm], rows: list[list[Scalar]]
-) -> bool:
-    """Whether (i i+1) sends each of ``forms``, laid out as ``rows`` by
-    ``_dense_rows``, to the combination of them its row of ``matrix`` gives;
-    a matrix of another size fails.  Each row of ``matrix`` is scaled by the
-    lcm of its denominators, so the combination of ``rows`` is compared in
-    integers with that multiple of the form's image under ``act``."""
-    size = len(forms)
+def _acts_by(matrix: list[list[Fraction]], i: int, vectors: Sequence[GzVector]) -> bool:
+    """Whether (i i+1) sends each of ``vectors`` to the combination of them
+    its row of ``matrix`` gives; a matrix of another size fails.  Each row
+    of ``matrix`` is scaled by the lcm of its denominators, so the
+    combination of the vectors' ``coeffs`` is compared in integers with
+    that multiple of the ``_dense_rows`` of a form's image under ``act``."""
+    size = len(vectors)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         return False
-    n, k = forms[0].n, forms[0].k
+    n, k = vectors[0].form.n, vectors[0].form.k
     swap = Permutation.transposition(n, i, i + 1)
-    images = _dense_rows(n, k, (act(swap, form) for form in forms))
+    images = _dense_rows(n, k, (act(swap, vec.form) for vec in vectors))
     for entries, image in zip(matrix, images):
         scale = lcm(*(c.denominator for c in entries))
         combo = [0] * len(image)
-        for c, row in zip(entries, rows):
+        for c, vec in zip(entries, vectors):
             if c:
                 weight = c.numerator * (scale // c.denominator)
-                combo = list(map(add, combo, map(mul, repeat(weight), row)))
+                combo = list(map(add, combo, map(mul, repeat(weight), vec.coeffs)))
         if combo != list(map(mul, repeat(scale), image)):
             return False
     return True
@@ -244,7 +243,7 @@ def _central_transition_oracle(n: int, k: int) -> tuple[Fraction, Fraction]:
 def check_basis(n_max: int) -> list[CheckResult]:
     """Eigenvector property, orthogonality and closed norms of the basis,
     and the closed harmonic vectors against their expansion.  Each full
-    basis is laid out once as ``_dense_rows`` and checked whole; its last
+    basis is checked whole, as the dense ``coeffs`` of its vectors; its last
     block, of shape (n - m, m), holds the harmonic vectors, whose failures
     each level reports before those of its lifted vectors."""
     eig_fail: list[str] = []
@@ -257,7 +256,7 @@ def check_basis(n_max: int) -> list[CheckResult]:
         lifted_norm: list[str] = []
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
-            rows = _dense_rows(n, m, (vec.form for vec in basis))
+            rows = [vec.coeffs for vec in basis]
             levels = [yjm_rows(n, m, l) for l in range(1, n + 1)]
             misses = _yjm_misses(levels, [contents[vec.tableau] for vec in basis], rows)
             for pos, (vec, row) in enumerate(zip(basis, rows)):
@@ -265,7 +264,7 @@ def check_basis(n_max: int) -> list[CheckResult]:
                 normed = vec.norm_sq == sum(map(mul, row, row))
                 if len(ps) == m:
                     vectors += 1
-                    if vec.form != _expanded_harmonic(vec.tableau):
+                    if row != _dense(_expanded_harmonic(vec.tableau), vec.keys):
                         eig_fail.append(f"harmonic {ps} at n={n} differs from its expansion")
                     if pos in misses:
                         eig_fail.append(f"harmonic {ps} at n={n}")
@@ -660,15 +659,13 @@ def check_matrices(n_max: int) -> list[CheckResult]:
         for d in enumerate_diagrams(n):
             bases = []
             for m in range(d.k, min(d.k + 1, n // 2) + 1):
-                forms = [vec.form for vec in full_gz_basis(n, m)
-                         if len(vec.tableau.second_row) == d.k]
-                bases.append((forms, _dense_rows(n, m, forms)))
+                bases.append([v for v in full_gz_basis(n, m) if len(v.tableau.second_row) == d.k])
             closed = {}
             for i in range(1, n):
                 closed[i] = orthogonal_form_matrix(i, d)
-                if not _acts_by(closed[i], i, *bases[0]):
+                if not _acts_by(closed[i], i, bases[0]):
                     agree_fail.append(f"n={n} k={d.k} i={i}")
-                if len(bases) > 1 and not _acts_by(closed[i], i, *bases[1]):
+                if len(bases) > 1 and not _acts_by(closed[i], i, bases[1]):
                     agree_fail.append(f"lifted n={n} k={d.k} i={i}")
             scale = lcm(*(c.denominator for mat in closed.values() for row in mat for c in row))
             mats = {

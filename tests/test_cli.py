@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -594,7 +595,8 @@ def test_verify_fails_on_a_basis_vector_mixed_with_its_neighbour(capsys, monkeyp
         basis = list(cached(n, m))
         if (n, m) == (4, 2):
             vec, neighbour = basis[2], basis[3]
-            basis[2] = gz.GzVector(vec.tableau, vec.form + neighbour.form, vec.norm_sq)
+            mixed_coeffs = [a + b for a, b in zip(vec.coeffs, neighbour.coeffs)]
+            basis[2] = gz.GzVector(vec.tableau, mixed_coeffs, vec.keys, vec.norm_sq)
         return tuple(basis)
 
     monkeypatch.setattr(verify, "full_gz_basis", mixed)
@@ -1016,6 +1018,91 @@ def test_fresh_basis_loses_no_byte(module, tmp_path):
     proc = _fresh(module, [*BASIS_10_5, "--out", str(target)], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == BASIS_10_5_DIGEST
+
+
+PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+
+
+def _cpython(version):
+    """An executable of CPython ``version``, such as ``"3.10"``, from
+    pyenv's versions or as ``python3.10`` on PATH, or None."""
+    candidates = sorted(PYENV_VERSIONS.glob(f"{version}.*/bin/python"))
+    candidates.append(shutil.which(f"python{version}"))
+    probe = "import sys; print(sys.implementation.name, '%d.%d' % sys.version_info[:2])"
+    for exe in filter(None, candidates):
+        try:
+            proc = subprocess.run(
+                [exe, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=30
+            )
+        except OSError:
+            continue
+        if proc.stdout.split() == ["cpython", version]:
+            return str(exe)
+    return None
+
+
+def _supported_versions():
+    """CPython 3.10 to 3.13 and any later 3.x that pyenv holds."""
+    minors = {10, 11, 12, 13}
+    for path in PYENV_VERSIONS.glob("3.*.*"):
+        minor = path.name.split(".")[1]
+        if minor.isdigit() and int(minor) >= 10:
+            minors.add(int(minor))
+    return [f"3.{minor}" for minor in sorted(minors)]
+
+
+RUNNING = "%d.%d" % sys.version_info[:2]
+# Five documents with their golden digests: the default report, the 10/5
+# export, a level-16 measure, and a summary and a trace from one seed.
+INTERPRETER_DOCUMENTS = [
+    (["verify"], VERIFY_DIGEST),
+    (BASIS_10_5, BASIS_10_5_DIGEST),
+    (
+        ["measure", "--xi", "0101010101010101"],
+        {(xi, fmt): d for xi, fmt, d in GOLDEN_MEASURES}["0101010101010101", "json"],
+    ),
+    *((["sample", "--depth", "64", *flags], digest) for flags, digest in GOLDEN_SAMPLES[::2]),
+]
+
+
+@pytest.mark.parametrize("version", [v for v in _supported_versions() if v != RUNNING])
+def test_every_other_supported_interpreter_writes_the_golden_bytes(tmp_path, version):
+    """``python -m tworow`` under each other CPython >= 3.10, with the
+    sources on ``PYTHONPATH``, writes the golden bytes of five documents;
+    a machine without that interpreter skips it."""
+    exe = _cpython(version)
+    if exe is None:
+        pytest.skip(f"no CPython {version} found in {PYENV_VERSIONS} or on PATH")
+    src = Path(__file__).resolve().parent.parent / "src"
+    for argv, digest in INTERPRETER_DOCUMENTS:
+        proc = subprocess.run(
+            [exe, "-m", "tworow", *argv],
+            capture_output=True,
+            env=_buffered_env(src),
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), (version, argv)
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, (version, argv)
+
+
+def test_python_below_the_floor_cannot_import_the_package(tmp_path):
+    """``requires-python`` is ``>=3.10``: under CPython 3.9 the package
+    is found but its import fails, today at the first ``int | Fraction``.
+    Should it ever pass, the floor is stale."""
+    exe = _cpython("3.9")
+    if exe is None:
+        pytest.skip(f"no CPython 3.9 found in {PYENV_VERSIONS} or on PATH")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [exe, "-m", "tworow", "verify"],
+        capture_output=True,
+        env=_buffered_env(src),
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode != 0 and proc.stdout == b""
+    assert b"Error" in proc.stderr and b"No module named tworow" not in proc.stderr
 
 
 @pytest.mark.parametrize("module", DASH_M)

@@ -12,9 +12,9 @@ from tworow.forms import (
     Permutation,
     SquareFreeForm,
     act,
+    divergence,
     harmonic_preimage,
     inner,
-    is_harmonic,
     pseudo_monomial,
     psi,
 )
@@ -129,7 +129,7 @@ def test_empty_second_row_vector():
 @given(tableaux())
 def test_vectors_are_harmonic_with_closed_norm(u):
     vec = gz_harmonic(u)
-    assert is_harmonic(vec.form)
+    assert vec.form.k == 0 or divergence(vec.form).is_zero()
     assert inner(vec.form, vec.form) == vec.norm_sq
     assert vec.norm_sq == closed_harmonic_norm_sq(u)
 
@@ -181,6 +181,29 @@ def test_iter_basis_is_psi_of_the_harmonic():
                 u = vec.tableau
                 lifted = psi(gz_harmonic(u).form, m - len(u.second_row))
                 assert vec.form == lifted, (n, m, u.second_row)
+
+
+DENSE_SIZES = [(n, m) for n in range(9) for m in range(n // 2 + 1)] + [(10, 5)]
+
+
+@pytest.mark.parametrize("n,m", DENSE_SIZES)
+def test_basis_vectors_are_dense_int_lists_over_one_shared_key_list(n, m):
+    """Each vector holds C(n, m) ``int`` coefficients; the vectors of one
+    shape, one ``_vectors`` call, share one ``keys`` list, the m-subsets
+    in lexicographic order; and the form built from them, once, is psi of
+    the tableau's harmonic."""
+    subsets = list(combinations(range(1, n + 1), m))
+    vectors = list(iter_basis(n, m))
+    first = {}
+    for vec in vectors:
+        k = len(vec.tableau.second_row)
+        assert vec.keys is first.setdefault(k, vec).keys
+        assert vec.keys == subsets
+        assert len(vec.coeffs) == comb(n, m)
+        assert all(type(c) is int for c in vec.coeffs)
+        assert vec.form == psi(gz_harmonic(vec.tableau).form, m - k)
+        assert vec.form is vec.form
+    assert sorted(first) == list(range(m + 1))
 
 
 def test_gz_in_H_is_the_iter_basis_vector():
@@ -366,9 +389,10 @@ def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
 
 
 def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch):
-    """``check_basis`` builds no lone vector: each harmonic is the last
-    block of its cached full basis, and each (n, m) is laid out and
-    eigen-checked once, 24 times each for n <= 8."""
+    """``check_basis`` builds no lone vector and lays out no form: each
+    harmonic is the last block of its cached full basis, and each (n, m)
+    is eigen-checked once on its vectors' dense ``coeffs``, 24 times for
+    n <= 8."""
 
     def lone(*args):
         raise AssertionError("check_basis built a lone vector")
@@ -384,13 +408,12 @@ def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch):
 
         return call
 
-    for name in ("gz_harmonic", "_vectors"):
+    for name in ("gz_harmonic", "_vectors", "_dense_rows"):
         monkeypatch.setattr(verify, name, lone)
-    for name in ("_dense_rows", "_yjm_misses"):
-        monkeypatch.setattr(verify, name, counted(name))
+    monkeypatch.setattr(verify, "_yjm_misses", counted("_yjm_misses"))
     results = verify.check_basis(8)
     assert all(r.ok for r in results), results
-    assert calls == {"_dense_rows": 24, "_yjm_misses": 24}
+    assert calls == {"_yjm_misses": 24}
 
 
 def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
@@ -766,10 +789,8 @@ def test_matrices_satisfy_braid_and_commutation():
 
 
 def _shape_vectors(d, m):
-    """The forms of the cached degree-m vectors of the tableaux of shape d,
-    and their ``_dense_rows``."""
-    forms = [vec.form for vec in full_gz_basis(d.n, m) if len(vec.tableau.second_row) == d.k]
-    return forms, _dense_rows(d.n, m, forms)
+    """The cached degree-m vectors of the tableaux of shape d."""
+    return [vec for vec in full_gz_basis(d.n, m) if len(vec.tableau.second_row) == d.k]
 
 
 def test_closed_matrices_act_on_both_bases():
@@ -782,12 +803,12 @@ def test_closed_matrices_act_on_both_bases():
             for m in range(d.k, min(d.k + 1, n // 2) + 1):
                 basis = _shape_vectors(d, m)
                 for i in range(1, n):
-                    assert _acts_by(orthogonal_form_matrix(i, d), i, *basis), (n, d.k, m, i)
+                    assert _acts_by(orthogonal_form_matrix(i, d), i, basis), (n, d.k, m, i)
     d = TwoRowDiagram(5, 2)
     basis = _shape_vectors(d, 2)
     transposed = {i: [list(col) for col in zip(*orthogonal_form_matrix(i, d))] for i in range(1, 5)}
-    assert not all(_acts_by(matrix, i, *basis) for i, matrix in transposed.items())
-    assert not _acts_by(orthogonal_form_matrix(2, d)[:-1], 2, *basis)
+    assert not all(_acts_by(matrix, i, basis) for i, matrix in transposed.items())
+    assert not _acts_by(orthogonal_form_matrix(2, d)[:-1], 2, basis)
 
 
 def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
@@ -816,9 +837,10 @@ def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
 
 
 def test_matrix_check_lays_out_each_shape_degree_once(monkeypatch):
-    """``check_matrices(6)`` lays out each shape's vectors of degree k and
-    k + 1 once, and each transposition's images of them once: n layouts
-    per (shape, degree) at level n, 102 in all."""
+    """``check_matrices(6)`` reads each shape's vectors of degree k and
+    k + 1 as their dense ``coeffs`` and lays out each transposition's
+    images of them once: n - 1 layouts per (shape, degree) at level n, 79
+    in all."""
     levels = []
     real = verify._dense_rows
     monkeypatch.setattr(
@@ -831,8 +853,8 @@ def test_matrix_check_lays_out_each_shape_degree_once(monkeypatch):
         for k in range(n // 2 + 1)
         for _ in range(k, min(k + 1, n // 2) + 1)
     ]
-    assert sorted(levels) == sorted(n for n in degrees for _ in range(n))
-    assert len(levels) == 102
+    assert sorted(levels) == sorted(n for n in degrees for _ in range(n - 1))
+    assert len(levels) == 79
 
 
 def test_matrix_relations_multiply_integers_only(monkeypatch):

@@ -1,22 +1,27 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, and every
-public writer of ``serialize`` is read by another package module.
+public module-level function is read by package code or named in the
+README.
 
 Deleting a function tends to leave its imports behind, folding one path
-into another tends to leave a private helper behind, and moving a command
-to a new writer tends to leave the old one behind with only its tests to
-call it; these guards read each module of ``src/tworow`` with ``ast`` and
-name every imported name that no expression of the module reads, every
-module-level ``_name`` that no module of the package reads, and every
-public function of ``serialize`` that no other module reads.
+into another tends to leave a private helper behind, and moving callers
+to a new route tends to leave the old public function behind with only
+its tests to call it; these guards read each module of ``src/tworow``
+with ``ast`` and name every imported name that no expression of the
+module reads, every module-level ``_name`` that no module of the package
+reads, and every public function that no package code but its own
+``def`` reads and that README.md does not mention.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tworow"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tworow"
+README = ROOT / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,19 +116,22 @@ def test_package_reads_every_private_module_level_name():
     assert unread_private_names(sources) == []
 
 
-def unread_public_functions(sources: dict[str, str], module: str) -> list[str]:
-    """``module.name`` for each public module-level function of ``module``
-    that no other module of ``sources`` reads."""
-    read = set()
-    for other, source in sources.items():
-        if other != module:
-            read |= _read_names(ast.parse(source))
+def unread_public_functions(sources: dict[str, str], readme: str) -> list[str]:
+    """``module.name`` for each public module-level function of ``sources``
+    that no package code other than its own ``def`` reads, as a ``Name``,
+    an attribute or a ``from`` import, and that ``readme`` does not name."""
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    reads = [_read_names(node) for _, node in statements]
+    named = set(re.findall(r"\w+", readme))
     return [
         f"{module}.{node.name}"
-        for node in ast.parse(sources[module]).body
+        for (module, node), own in zip(statements, reads)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
-        and node.name not in read
+        and node.name not in named
+        and not any(node.name in read for read in reads if read is not own)
     ]
 
 
@@ -135,18 +143,28 @@ def test_public_guard_sees_read_and_unread_functions():
             "def write_kept(handle): handle.write(HEADER)\n"
             "def write_by_attribute(handle): pass\n"
             "def trace_to_csv(rows): return write_kept\n"
+            "def documented(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
             "def _helper(): pass\n"
         ),
         "cli": (
             "from .serialize import write_kept\n"
             "from . import serialize\n"
             "serialize.write_by_attribute\n"
+            "def unread(): return cli_helper()\n"
+            "def cli_helper(): pass\n"
         ),
         "other": "def trace_to_csv(): pass\n",
     }
-    assert unread_public_functions(sources, "serialize") == ["serialize.trace_to_csv"]
+    readme = "Call `documented()` for the docs."
+    assert unread_public_functions(sources, readme) == [
+        "serialize.trace_to_csv",
+        "serialize.recursive",
+        "cli.unread",
+        "other.trace_to_csv",
+    ]
 
 
-def test_package_reads_every_public_serialize_function():
+def test_package_reads_every_public_function():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_public_functions(sources, "serialize") == []
+    assert unread_public_functions(sources, README.read_text()) == []

@@ -18,6 +18,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # of the expression given in place of an assignment)
 STATED = [
     ("dim(d)", "9", 9, None),
+    ("vec.coeffs", "15 ints", 15, "len(vec.coeffs)"),
     ("vec.norm_sq", "here 12", 12, None),
     ("gz_in_H(u, 3).form.coeffs[(1, 3, 4)]", "2:", 2, None),
     ("basis = full_gz_basis(4, 2)", "6 vectors", 6, "len(basis)"),

@@ -58,8 +58,8 @@ def _assert_lowest_terms(d, x):
 def test_fraction_roundtrip(x):
     """A fraction written by ``write_basis`` is a bare ``num``/``den``
     object in lowest terms, as a norm and as a coefficient (a zero
-    coefficient is dropped from the form, so it writes no term)."""
-    vec = GzVector(TwoRowTableau(1, ()), SquareFreeForm(1, 0, {(): x}), x)
+    coefficient writes no term)."""
+    vec = GzVector(TwoRowTableau(1, ()), [x], [()], x)
     (obj,) = json.loads(_written(write_basis, 1, 0, [vec]))["vectors"]
     assert set(obj["norm_sq"]) == {"num", "den"}
     _assert_lowest_terms(obj["norm_sq"], x)
@@ -89,7 +89,8 @@ def forms(draw):
 def test_form_roundtrip(f, norm_sq):
     """``write_basis`` spells every coefficient and the norm in lowest
     terms with a positive denominator, and writes the terms in key order."""
-    vec = GzVector(TwoRowTableau(f.n, ()), f, norm_sq)
+    keys = list(combinations(range(1, f.n + 1), f.k))
+    vec = GzVector(TwoRowTableau(f.n, ()), [f.coeffs.get(key, 0) for key in keys], keys, norm_sq)
     (obj,) = json.loads(_written(write_basis, f.n, f.k, [vec]))["vectors"]
     _assert_lowest_terms(obj["norm_sq"], norm_sq)
     keys = [tuple(term["vars"]) for term in obj["terms"]]
@@ -185,15 +186,53 @@ def test_write_basis_empty_lists_and_fractions():
     """Empty documents and term lists, fractional coefficients, ``2`` next
     to ``Fraction(2)`` in one vector and a value repeated across vectors
     all write as ``json.dumps`` lays them out."""
-    u = TwoRowTableau(3, (2,))
-    mixed = {(1,): 2, (2,): Fraction(2), (3,): Fraction(-1, 2)}
+    keys = [(1,), (2,), (3,)]
     vectors = [
-        GzVector(u, SquareFreeForm(3, 1, {(1,): Fraction(-1, 2), (3,): 5}), Fraction(101, 4)),
-        GzVector(TwoRowTableau(3, ()), SquareFreeForm.zero(3, 1), 0),
-        GzVector(TwoRowTableau(3, (3,)), SquareFreeForm(3, 1, mixed), Fraction(2)),
+        GzVector(TwoRowTableau(3, (2,)), [Fraction(-1, 2), 0, 5], keys, Fraction(101, 4)),
+        GzVector(TwoRowTableau(3, ()), [0, 0, 0], keys, 0),
+        GzVector(TwoRowTableau(3, (3,)), [2, Fraction(2), Fraction(-1, 2)], keys, Fraction(2)),
     ]
     for vecs in ([], vectors):
         assert _written(write_basis, 3, 1, vecs) == _json_reference(_basis_doc(3, 1, vecs))
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6), st.just(0))
+
+
+@given(st.data())
+def test_write_basis_writes_the_nonzero_dense_coefficients(data):
+    """Hand-built vectors with zero, negative and ``Fraction`` entries on
+    every m-subset write as ``json.dumps`` lays out their nonzero terms,
+    in key order, next to a reference read straight off the lists."""
+    n = data.draw(st.integers(0, 6))
+    m = data.draw(st.integers(0, n // 2))
+    keys = list(combinations(range(1, n + 1), m))
+    vectors = [
+        GzVector(
+            TwoRowTableau(n, ()),
+            data.draw(st.lists(coefficients, min_size=len(keys), max_size=len(keys))),
+            keys,
+            data.draw(st.fractions()),
+        )
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    doc = {
+        "n": n,
+        "m": m,
+        "vectors": [
+            {
+                "second_row": [],
+                "terms": [
+                    {"vars": list(key), **_fraction(Fraction(c))}
+                    for key, c in zip(keys, vec.coeffs)
+                    if c
+                ],
+                "norm_sq": _fraction(vec.norm_sq),
+            }
+            for vec in vectors
+        ],
+    }
+    assert _written(write_basis, n, m, vectors) == _json_reference(doc)
 
 
 def _measure_doc(prefix, table, kernel, match):
