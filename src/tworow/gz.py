@@ -53,13 +53,14 @@ level operators X_l = sum_{i<l} (i l) take a similar form: ``yjm_rows``
 gives, for each k-subset, its count of fixing transpositions and a gather
 of the monomials the others carry onto it.
 
-Vectors are kept unnormalized, as the dense ``int`` lists that the
+Vectors are kept unnormalized, only as the dense ``int`` lists that the
 builder computes and ``serialize.write_basis`` and ``verify`` read; their
-squared norms are the closed products ``closed_harmonic_norm_sq``, of one
-``_norm_factor`` per entry, which the spectral scan also uses, and,
-lifted, ``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single
-vectors are recomputed on every call, and ``iter_basis`` yields them one
-at a time, so a streamed export such as ``tworow basis`` holds one vector.
+``form`` is a view built anew on each read.  Their squared norms are the
+closed products ``closed_harmonic_norm_sq``, of one ``_norm_factor`` per
+entry, which the spectral scan also uses, and, lifted,
+``closed_norm_sq_in_H``.  Only ``full_gz_basis`` caches; single vectors
+are recomputed on every call, and ``iter_basis`` yields them one at a
+time, so a streamed export such as ``tworow basis`` holds one vector.
 """
 
 from __future__ import annotations
@@ -79,23 +80,21 @@ from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 class GzVector:
     """A basis vector: tableau label, its coefficient on each of ``keys``,
     the m-subsets in lexicographic order that the vectors of one builder
-    call share, and closed squared norm; ``form`` is built on first read
-    and kept.  Vectors compare by identity; compare fields to compare values."""
+    call share, and closed squared norm.  ``coeffs`` is the one copy of the
+    vector: each read of ``form`` builds a fresh ``SquareFreeForm`` view.
+    Vectors compare by identity; compare fields to compare values."""
 
-    __slots__ = ("tableau", "coeffs", "keys", "norm_sq", "_form")
+    __slots__ = ("tableau", "coeffs", "keys", "norm_sq")
 
     def __init__(self, tableau: TwoRowTableau, coeffs: list[int], keys: list[Key], norm_sq: int):
         self.tableau = tableau
         self.coeffs = coeffs
         self.keys = keys
         self.norm_sq = norm_sq
-        self._form: SquareFreeForm | None = None
 
     @property
     def form(self) -> SquareFreeForm:
-        if self._form is None:
-            self._form = _sparse(self.tableau.n, len(self.keys[0]), self.keys, self.coeffs)
-        return self._form
+        return _sparse(self.tableau.n, len(self.keys[0]), self.keys, self.coeffs)
 
     def __repr__(self) -> str:
         return f"GzVector(tableau={self.tableau!r}, form={self.form!r}, norm_sq={self.norm_sq!r})"

@@ -14,20 +14,18 @@ it is checked against live here, private to this module:
   given as the gather rows of ``gz.yjm_rows``, applied to the coefficient
   columns of a whole batch of forms at once; ``check_basis`` builds the
   rows once per cached basis;
-- sums of products of coefficients, ``forms.inner`` for lone forms and
-  ``sum(map(mul, a, b))`` for the dense rows of a laid-out basis or split,
-  against which every closed norm, the orthogonality of every full basis
-  and the norm shares of every split are checked;
+- sums of products of dense coefficient lists, ``sum(map(mul, a, b))``,
+  against which every closed norm, the orthogonality of every full basis,
+  the isometry of every lift and the norm shares of every split are checked;
 - ``forms.psi``: the lift term by term, one index tuple per l-subset of a
   monomial's complement, against which every lifted basis vector is checked;
 - ``_projection_table``: the spectral table of any nonzero form, its inner
   product with every vector of the cached full basis read off the columns
   of its monomials;
 - ``_acts_by``: an adjacent-transposition matrix by its definition, each
-  vector's image under ``forms.act``, times the lcm of its row's
-  denominators, against the integer combination of dense rows that row
-  gives; the relations between the matrices of one shape are checked in
-  integers too, on every matrix times one common denominator;
+  vector's image under ``forms.act`` times the common denominator D of its
+  shape's matrices, against the integer combination of dense coefficients
+  that the row of D times the matrix gives;
 - ``_central_transition_oracle``: the central kernel as ratios of shape
   weights between consecutive levels;
 - ``linalg.harmonic_dim``: harmonic dimensions by exact rank, eliminated
@@ -36,21 +34,20 @@ it is checked against live here, private to this module:
 A whole shape's vectors, at any degree, come only from the cached
 ``gz.full_gz_basis`` that ``check_basis`` certifies; it reads the
 harmonics as the last block of each basis.  Only ``check_good`` builds
-single vectors, the ones it tests: ``gz_harmonic`` and, for the lifts,
-gz's one vector builder ``_vectors``, all from one table of rook columns
-per good tableau.
-A suite reads each basis vector as its dense ``coeffs`` and lays out the
-forms it builds, ``act`` images and split pieces, once per call as
-``_dense_rows``, zeros included, so that its oracles run as C-level
-passes over plain lists rather than one Python step per vector and
-monomial.  ``check_decompose`` also keeps one dict of ``forms`` lift
-tables for the call and passes it to every ``decompose_step`` and
-``forms._scaled_preimage``, so each (n, m, k) it checks is indexed once.
+single vectors, the ones it tests, by gz's one vector builder ``_vectors``
+from one table of rook columns per good tableau.
+A suite compares basis vectors as their dense ``coeffs``, and reads a
+vector's ``form``, a fresh view, once where a ``forms`` route takes one:
+the harmonic for ``psi``, f0 and f for ``decompose_step``, a shape's
+block for ``act``.  What those return is laid out on the keys of the
+vectors or of a lift table, so every oracle runs as C-level list passes.
+``check_decompose`` passes one dict of ``forms`` lift tables to every
+``decompose_step`` and ``forms._scaled_preimage`` of the call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, compress, count, product, repeat
@@ -67,9 +64,9 @@ from .forms import (
     _dense,
     _expand_pairs,
     _scaled_preimage,
+    _table,
     act,
     decompose_step,
-    inner,
     psi,
 )
 from .gz import (
@@ -78,7 +75,6 @@ from .gz import (
     _rook_columns,
     _vectors,
     full_gz_basis,
-    gz_harmonic,
     orthogonal_form_matrix,
     yjm_rows,
 )
@@ -138,13 +134,6 @@ def _expanded_harmonic(u: TwoRowTableau) -> SquareFreeForm:
     return SquareFreeForm._trusted(u.n, len(ps), total)
 
 
-def _dense_rows(n: int, k: int, forms: Iterable[SquareFreeForm]) -> list[list[Scalar]]:
-    """Each degree-k form's coefficients over the k-subsets of 1..n in
-    lexicographic order, zeros included."""
-    keys = list(combinations(range(1, n + 1), k))
-    return [_dense(form, keys) for form in forms]
-
-
 def _contents(u: TwoRowTableau) -> list[int]:
     """The content of the cell of each entry 1..n of u: the eigenvalue of
     each level's transposition sum on the vector of u."""
@@ -195,7 +184,8 @@ def _projection_table(
     columns = layouts.get((n, k))
     if columns is None:
         columns = layouts[n, k] = dict(zip(basis[0].keys, zip(*(v.coeffs for v in basis))))
-    g_sq = inner(g, g)
+    values = list(g.coeffs.values())
+    g_sq = sum(map(mul, values, values))
     terms = [list(map(mul, repeat(val), columns[key])) for key, val in g.coeffs.items()]
     pairs: dict[Key, tuple[int, int]] = {}
     for vec, c in zip(basis, map(sum, zip(*terms))):
@@ -204,26 +194,25 @@ def _projection_table(
     return SpectralTable._trusted(n, pairs)
 
 
-def _acts_by(matrix: list[list[Fraction]], i: int, vectors: Sequence[GzVector]) -> bool:
-    """Whether (i i+1) sends each of ``vectors`` to the combination of them
-    its row of ``matrix`` gives; a matrix of another size fails.  Each row
-    of ``matrix`` is scaled by the lcm of its denominators, so the
-    combination of the vectors' ``coeffs`` is compared in integers with
-    that multiple of the ``_dense_rows`` of a form's image under ``act``."""
-    size = len(vectors)
+# The vectors of one shape at one degree, each with its form.
+Block = list[tuple[GzVector, SquareFreeForm]]
+
+
+def _acts_by(matrix: list[list[int]], scale: int, i: int, block: Block) -> bool:
+    """Whether (i i+1) sends each vector of ``block`` to the combination
+    its row of ``matrix / scale`` gives; a matrix of another size fails.
+    The combination of ``coeffs`` by the integer row is compared with
+    ``scale`` times the image of the vector's form under ``act``."""
+    size = len(block)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         return False
-    n, k = vectors[0].form.n, vectors[0].form.k
-    swap = Permutation.transposition(n, i, i + 1)
-    images = _dense_rows(n, k, (act(swap, vec.form) for vec in vectors))
-    for entries, image in zip(matrix, images):
-        scale = lcm(*(c.denominator for c in entries))
-        combo = [0] * len(image)
-        for c, vec in zip(entries, vectors):
+    swap = Permutation.transposition(block[0][0].tableau.n, i, i + 1)
+    for entries, (vec, form) in zip(matrix, block):
+        combo = [0] * len(vec.coeffs)
+        for c, (other, _) in zip(entries, block):
             if c:
-                weight = c.numerator * (scale // c.denominator)
-                combo = list(map(add, combo, map(mul, repeat(weight), vec.coeffs)))
-        if combo != list(map(mul, repeat(scale), image)):
+                combo = list(map(add, combo, map(mul, repeat(c), other.coeffs)))
+        if combo != list(map(mul, repeat(scale), _dense(act(swap, form), vec.keys))):
             return False
     return True
 
@@ -245,7 +234,8 @@ def check_basis(n_max: int) -> list[CheckResult]:
     and the closed harmonic vectors against their expansion.  Each full
     basis is checked whole, as the dense ``coeffs`` of its vectors; its last
     block, of shape (n - m, m), holds the harmonic vectors, whose failures
-    each level reports before those of its lifted vectors."""
+    each level reports before those of its lifted vectors.  A basis must
+    also have C(n, m) vectors: that many orthogonal ones span the module."""
     eig_fail: list[str] = []
     orth_fail: list[str] = []
     norm_fail: list[str] = []
@@ -256,6 +246,8 @@ def check_basis(n_max: int) -> list[CheckResult]:
         lifted_norm: list[str] = []
         for m in range(n // 2 + 1):
             basis = full_gz_basis(n, m)
+            if len(basis) != comb(n, m):
+                orth_fail.append(f"n={n} m={m}: {len(basis)} vectors, not {comb(n, m)}")
             rows = [vec.coeffs for vec in basis]
             levels = [yjm_rows(n, m, l) for l in range(1, n + 1)]
             misses = _yjm_misses(levels, [contents[vec.tableau] for vec in basis], rows)
@@ -302,35 +294,36 @@ def check_basis(n_max: int) -> list[CheckResult]:
     ]
 
 
-def _basis_forms(n: int) -> dict[tuple[int, Key], SquareFreeForm]:
-    """The form of every cached full-basis vector at level n, by its degree
-    m and its tableau's second row."""
+def _lifts(n: int) -> dict[TwoRowTableau, list[GzVector | None]]:
+    """Each tableau's cached full-basis vectors at level n, of every degree
+    from its k up, with None for one missing from its basis."""
+    cached = {(m, v.tableau): v for m in range(n // 2 + 1) for v in full_gz_basis(n, m)}
     return {
-        (m, vec.tableau.second_row): vec.form
-        for m in range(n // 2 + 1)
-        for vec in full_gz_basis(n, m)
+        u: [cached.get((m, u)) for m in range(len(u.second_row), n // 2 + 1)]
+        for u in enumerate_all_tableaux(n)
     }
 
 
 def check_psi(n_max: int) -> list[CheckResult]:
     """The averaging map scales squared norms by C(n - 2k, m - k), and
     every lifted vector of the cached full basis is psi of its harmonic,
-    the basis's degree-k vector of the same tableau."""
+    the basis's degree-k vector of the same tableau, read as a form once
+    per tableau; a vector missing from its basis fails the check."""
     failures: list[str] = []
     cases = 0
     for n in range(0, n_max + 1):
-        basis = _basis_forms(n)
-        for u in enumerate_all_tableaux(n):
-            k = len(u.second_row)
-            base = basis[k, u.second_row]
-            base_sq = inner(base, base)
-            for m in range(k, n // 2 + 1):
+        for u, lifts in _lifts(n).items():
+            if None in lifts:
+                failures.append(f"n={n}, u={u.second_row}: a basis vector is missing")
+                continue
+            k, base = len(u.second_row), lifts[0]
+            harmonic, base_sq = base.form, sum(map(mul, base.coeffs, base.coeffs))
+            for m, vec in enumerate(lifts, start=k):
                 cases += 1
-                lifted = psi(base, m - k)
-                expect = comb(n - 2 * k, m - k) * base_sq
-                if inner(lifted, lifted) != expect:
+                lifted = _dense(psi(harmonic, m - k), vec.keys)
+                if sum(map(mul, lifted, lifted)) != comb(n - 2 * k, m - k) * base_sq:
                     failures.append(f"n={n}, u={u.second_row}, m={m}")
-                if basis.get((m, u.second_row)) != lifted:
+                if lifted != vec.coeffs:
                     failures.append(f"basis vector n={n}, u={u.second_row}, m={m} is not psi")
     return [
         _result(
@@ -347,20 +340,24 @@ def check_decompose(n_max: int) -> list[CheckResult]:
     """One-level splits: sum, orthogonality, norm ratios, exact preimages,
     of every vector of the cached full bases over its harmonic, the basis
     vector of degree k of the same tableau (``check_psi`` ties the two by
-    ``psi``).  The two pieces and d times the whole, built here from f, are
-    laid out as ``_dense_rows`` and checked as list passes.  The splits and
-    preimages share one dict of lift tables, dropped when the call returns."""
+    ``psi``), each read as a form once; a vector missing from its basis
+    fails the check.  The two pieces and d times the whole, built here from
+    f, are laid out on the keys of the stay piece's preimage table and
+    checked as list passes.  The splits and preimages share one dict of
+    lift tables, dropped when the call returns."""
     failures: list[str] = []
     cases = 0
     tables: LiftTables = {}
     for n in range(1, n_max + 1):
-        basis = _basis_forms(n)
-        for u in enumerate_all_tableaux(n):
+        for u, lifts in _lifts(n).items():
+            if None in lifts:
+                failures.append(f"missing n={n} u={u.second_row}")
+                continue
             k = len(u.second_row)
-            f0 = basis[k, u.second_row]
+            f0 = lifts[0].form
             d = n - 2 * k + 1
-            for m in range(k, n // 2 + 1):
-                f = basis[m, u.second_row]
+            for m, vec in enumerate(lifts, start=k):
+                f = vec.form if m > k else f0
                 for bit in (0, 1):
                     if 2 * (m + bit) > n + 1:
                         continue
@@ -368,7 +365,8 @@ def check_decompose(n_max: int) -> list[CheckResult]:
                     stay, up = decompose_step(f, f0, bit, tables)
                     whole = {key + (n + 1,) * bit: d * c for key, c in f.coeffs.items()}
                     rows = (stay, up, SquareFreeForm._trusted(n + 1, m + bit, whole))
-                    stay_row, up_row, whole_row = _dense_rows(n + 1, m + bit, rows)
+                    keys = _table(tables, n + 1, m + bit, k).keys
+                    stay_row, up_row, whole_row = (_dense(row, keys) for row in rows)
                     if list(map(add, stay_row, up_row)) != whole_row:
                         failures.append(f"sum n={n} u={u.second_row} m={m} b={bit}")
                         continue
@@ -452,20 +450,19 @@ def check_spectral(n_max: int) -> list[CheckResult]:
 def check_good(n_max: int) -> list[CheckResult]:
     """Norms and level ratios for the tableau with second row 2, 4, ..., 2k.
     Its vectors are built alone, not read from the cached bases: one table
-    of rook columns per good tableau feeds its harmonic and every lift."""
+    of rook columns per good tableau feeds every degree m >= k it lifts
+    to, the harmonic itself at m = k."""
     norm_fail: list[str] = []
     ratio_fail: list[str] = []
     for n in range(0, n_max + 1):
         for k in range(n // 2 + 1):
             u = good_tableau(n, k)
             columns = _rook_columns(n, k, (u,))
-            harmonic = gz_harmonic(u, columns).form
-            if inner(harmonic, harmonic) != 2**k:
-                norm_fail.append(f"harmonic n={n} k={k}")
             for m in range(k, n // 2 + 1):
-                lifted = next(_vectors(n, m, k, (u,), columns)).form
-                if inner(lifted, lifted) != 2**k * comb(n - 2 * k, m - k):
-                    norm_fail.append(f"lifted n={n} k={k} m={m}")
+                coeffs = next(_vectors(n, m, k, (u,), columns)).coeffs
+                if sum(map(mul, coeffs, coeffs)) != 2**k * comb(n - 2 * k, m - k):
+                    label = f"lifted n={n} k={k} m={m}" if m > k else f"harmonic n={n} k={k}"
+                    norm_fail.append(label)
                 for bit in (0, 1):
                     if 2 * (m + bit) > n + 1:
                         continue
@@ -650,28 +647,28 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def check_matrices(n_max: int) -> list[CheckResult]:
     """Adjacent-transposition matrices: closed entries act on the shape's
     vectors of degree k and, lifted, k + 1, and satisfy the involution,
-    braid and commutation relations.  The relations are checked in
-    integers on the shape's matrices times their common denominator D:
-    squares against D^2 I, braids at D^3 and commutators at D^2."""
+    braid and commutation relations, all in integers on the shape's
+    matrices times their common denominator D: the action against D times
+    each image, squares against D^2 I, braids at D^3 and commutators at D^2."""
     agree_fail: list[str] = []
     relation_fail: list[str] = []
     for n in range(2, n_max + 1):
         for d in enumerate_diagrams(n):
-            bases = []
-            for m in range(d.k, min(d.k + 1, n // 2) + 1):
-                bases.append([v for v in full_gz_basis(n, m) if len(v.tableau.second_row) == d.k])
-            closed = {}
-            for i in range(1, n):
-                closed[i] = orthogonal_form_matrix(i, d)
-                if not _acts_by(closed[i], i, bases[0]):
-                    agree_fail.append(f"n={n} k={d.k} i={i}")
-                if len(bases) > 1 and not _acts_by(closed[i], i, bases[1]):
-                    agree_fail.append(f"lifted n={n} k={d.k} i={i}")
+            blocks = [
+                [(v, v.form) for v in full_gz_basis(n, m) if len(v.tableau.second_row) == d.k]
+                for m in range(d.k, min(d.k + 1, n // 2) + 1)
+            ]
+            closed = {i: orthogonal_form_matrix(i, d) for i in range(1, n)}
             scale = lcm(*(c.denominator for mat in closed.values() for row in mat for c in row))
             mats = {
                 i: [[c.numerator * (scale // c.denominator) for c in row] for row in mat]
                 for i, mat in closed.items()
             }
+            for i in range(1, n):
+                if not _acts_by(mats[i], scale, i, blocks[0]):
+                    agree_fail.append(f"n={n} k={d.k} i={i}")
+                if len(blocks) > 1 and not _acts_by(mats[i], scale, i, blocks[1]):
+                    agree_fail.append(f"lifted n={n} k={d.k} i={i}")
             size = len(mats[1])
             ident = [[scale * scale if r == c else 0 for c in range(size)] for r in range(size)]
             for i in range(1, n):

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -584,6 +585,46 @@ def test_verify_fails_on_a_corrupted_lift(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--scope", "gz")
     assert (code, err) == (1, "")
     assert out == DROPPED_LIFT_SLOT_REPORT
+
+
+@pytest.mark.usefixtures("fresh_basis_cache")
+def test_verify_fails_on_a_dropped_basis_vector(capsys, monkeypatch):
+    """With the vector of second row (2, 4, 6) left out of the (6, 3)
+    basis, the basis falls one short of C(6, 3), and every suite that
+    reads the vector by its tableau reports it missing instead of raising."""
+    built = gz.iter_basis
+
+    def dropped(n, m):
+        return (v for v in built(n, m) if (n, m, v.tableau.second_row) != (6, 3, (2, 4, 6)))
+
+    monkeypatch.setattr(gz, "iter_basis", dropped)
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL basis-orthogonal: n=6 m=3: 19 vectors, not 20",
+        "FAIL psi-isometry: n=6, u=(2, 4, 6): a basis vector is missing",
+        "FAIL matrices-agree: n=6 k=3 i=1; n=6 k=3 i=2; n=6 k=3 i=3; n=6 k=3 i=4; n=6 k=3 i=5",
+        "FAIL decompose-step: missing n=6 u=(2, 4, 6)",
+        "FAIL spectral: raised probabilities sum to 7/8, not 1",
+    ]
+    assert out.endswith("17 checks, 5 failures\n")
+
+
+@pytest.mark.usefixtures("fresh_basis_cache")
+def test_cached_bases_hold_each_vector_once():
+    """After a cold ``run_scope("all")`` the cached full bases hold each
+    vector only as its dense list: emptying the cache frees at most
+    400 KiB of traced memory, where bases that also kept each vector's
+    form once read freed over 500 KiB."""
+    tracemalloc.start()
+    try:
+        assert all(result.ok for result in verify.run_scope("all"))
+        held = tracemalloc.get_traced_memory()[0]
+        gz.full_gz_basis.cache_clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 100 * 1024 < freed <= 400 * 1024, freed
 
 
 def test_verify_fails_on_a_basis_vector_mixed_with_its_neighbour(capsys, monkeypatch):

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +18,7 @@ from tworow.forms import (
     pseudo_monomial,
     psi,
 )
-from tworow.forms import _lift_table
+from tworow.forms import _dense as _laid_out, _lift_table
 from tworow.gz import (
     closed_harmonic_norm_sq,
     closed_norm_sq_in_H,
@@ -35,6 +35,7 @@ from tworow.ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
     dim,
+    enumerate_all_tableaux,
     enumerate_diagrams,
     enumerate_tableaux,
     good_tableau,
@@ -42,11 +43,24 @@ from tworow.ygraph import (
 from tworow.verify import (
     _acts_by,
     _contents,
-    _dense_rows,
     _expanded_harmonic,
     _mat_mul as _sparse_mat_mul,
     _yjm_misses,
 )
+
+
+@pytest.fixture
+def form_reads(monkeypatch):
+    """The reads of ``GzVector.form`` from here on, counted by tableau."""
+    reads = Counter()
+    view = gz.GzVector.form.fget
+
+    def counted(vec):
+        reads[vec.tableau] += 1
+        return view(vec)
+
+    monkeypatch.setattr(gz.GzVector, "form", property(counted))
+    return reads
 
 
 def mono(n, *indices):
@@ -190,8 +204,8 @@ DENSE_SIZES = [(n, m) for n in range(9) for m in range(n // 2 + 1)] + [(10, 5)]
 def test_basis_vectors_are_dense_int_lists_over_one_shared_key_list(n, m):
     """Each vector holds C(n, m) ``int`` coefficients; the vectors of one
     shape, one ``_vectors`` call, share one ``keys`` list, the m-subsets
-    in lexicographic order; and the form built from them, once, is psi of
-    the tableau's harmonic."""
+    in lexicographic order; and the form built from them is psi of the
+    tableau's harmonic, a fresh view on each read."""
     subsets = list(combinations(range(1, n + 1), m))
     vectors = list(iter_basis(n, m))
     first = {}
@@ -202,7 +216,8 @@ def test_basis_vectors_are_dense_int_lists_over_one_shared_key_list(n, m):
         assert len(vec.coeffs) == comb(n, m)
         assert all(type(c) is int for c in vec.coeffs)
         assert vec.form == psi(gz_harmonic(vec.tableau).form, m - k)
-        assert vec.form is vec.form
+        view, again = vec.form, vec.form
+        assert view == again and view is not again
     assert sorted(first) == list(range(m + 1))
 
 
@@ -322,7 +337,8 @@ def _is_yjm_eigenform(u, form):
     """Whether every level l's transposition sum scales ``form`` by u's
     content at l: ``_yjm_misses`` on the one form."""
     levels = [yjm_rows(form.n, form.k, l) for l in range(1, form.n + 1)]
-    return not _yjm_misses(levels, (_contents(u),), _dense_rows(form.n, form.k, (form,)))
+    row = _laid_out(form, combinations(range(1, form.n + 1), form.k))
+    return not _yjm_misses(levels, (_contents(u),), (row,))
 
 
 @given(tableaux(max_n=6), st.data())
@@ -362,7 +378,7 @@ def test_batched_eigencheck_flags_exactly_the_bumped_vector():
             levels = [yjm_rows(n, m, l) for l in range(1, n + 1)]
             basis = full_gz_basis(n, m)
             contents = [_contents(vec.tableau) for vec in basis]
-            rows = _dense_rows(n, m, (vec.form for vec in basis))
+            rows = [list(vec.coeffs) for vec in basis]
             assert _yjm_misses(levels, contents, rows) == set()
             for pos, row in enumerate(rows):
                 for t in range(len(row)):
@@ -388,8 +404,8 @@ def test_basis_check_builds_each_gather_row_once_per_run(monkeypatch):
         assert built == {key: runs for key in needed}
 
 
-def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch):
-    """``check_basis`` builds no lone vector and lays out no form: each
+def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch, form_reads):
+    """``check_basis`` builds no lone vector and reads no form: each
     harmonic is the last block of its cached full basis, and each (n, m)
     is eigen-checked once on its vectors' dense ``coeffs``, 24 times for
     n <= 8."""
@@ -408,12 +424,28 @@ def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch):
 
         return call
 
-    for name in ("gz_harmonic", "_vectors", "_dense_rows"):
-        monkeypatch.setattr(verify, name, lone)
+    monkeypatch.setattr(verify, "_vectors", lone)
     monkeypatch.setattr(verify, "_yjm_misses", counted("_yjm_misses"))
     results = verify.check_basis(8)
     assert all(r.ok for r in results), results
     assert calls == {"_yjm_misses": 24}
+    assert not form_reads
+
+
+def test_basis_good_and_spectral_checks_read_no_form(form_reads):
+    """``check_basis``, ``check_good`` and ``check_spectral`` compare and
+    sum the squares of dense ``coeffs`` only, so no vector's form is
+    built, where summing the squares of forms in ``check_good`` reads 189."""
+    results = verify.check_basis(8) + verify.check_good(12) + verify.check_spectral(8)
+    assert all(r.ok for r in results), results
+    assert not form_reads
+
+
+def test_psi_check_reads_one_form_per_tableau(form_reads):
+    """``check_psi`` reads each tableau's harmonic as a form once, for
+    ``psi``, and compares every lift with the cached ``coeffs``."""
+    assert all(r.ok for r in verify.check_psi(8))
+    assert form_reads == {u: 1 for n in range(9) for u in enumerate_all_tableaux(n)}
 
 
 def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
@@ -789,8 +821,15 @@ def test_matrices_satisfy_braid_and_commutation():
 
 
 def _shape_vectors(d, m):
-    """The cached degree-m vectors of the tableaux of shape d."""
-    return [vec for vec in full_gz_basis(d.n, m) if len(vec.tableau.second_row) == d.k]
+    """The cached degree-m vectors of the tableaux of shape d, each with
+    its form."""
+    return [(v, v.form) for v in full_gz_basis(d.n, m) if len(v.tableau.second_row) == d.k]
+
+
+def _integral(matrix):
+    """``matrix`` times the lcm D of its denominators, and D."""
+    scale = lcm(*(c.denominator for row in matrix for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in matrix], scale
 
 
 def test_closed_matrices_act_on_both_bases():
@@ -803,12 +842,13 @@ def test_closed_matrices_act_on_both_bases():
             for m in range(d.k, min(d.k + 1, n // 2) + 1):
                 basis = _shape_vectors(d, m)
                 for i in range(1, n):
-                    assert _acts_by(orthogonal_form_matrix(i, d), i, basis), (n, d.k, m, i)
+                    matrix = _integral(orthogonal_form_matrix(i, d))
+                    assert _acts_by(*matrix, i, basis), (n, d.k, m, i)
     d = TwoRowDiagram(5, 2)
     basis = _shape_vectors(d, 2)
     transposed = {i: [list(col) for col in zip(*orthogonal_form_matrix(i, d))] for i in range(1, 5)}
-    assert not all(_acts_by(matrix, i, basis) for i, matrix in transposed.items())
-    assert not _acts_by(orthogonal_form_matrix(2, d)[:-1], 2, basis)
+    assert not all(_acts_by(*_integral(matrix), i, basis) for i, matrix in transposed.items())
+    assert not _acts_by(*_integral(orthogonal_form_matrix(2, d)[:-1]), 2, basis)
 
 
 def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
@@ -836,25 +876,27 @@ def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
     assert not built
 
 
-def test_matrix_check_lays_out_each_shape_degree_once(monkeypatch):
+def test_matrix_check_lays_out_each_shape_degree_once(monkeypatch, form_reads):
     """``check_matrices(6)`` reads each shape's vectors of degree k and
-    k + 1 as their dense ``coeffs`` and lays out each transposition's
-    images of them once: n - 1 layouts per (shape, degree) at level n, 79
-    in all."""
-    levels = []
-    real = verify._dense_rows
-    monkeypatch.setattr(
-        verify, "_dense_rows", lambda n, k, forms: levels.append(n) or real(n, k, forms)
-    )
+    k + 1 as forms once per (shape, degree), not once per transposition:
+    each tableau's form once per degree, 67 reads in all, and each form
+    feeds the n - 1 ``act`` calls of its level, 276 in all."""
+    acts = Counter()
+    real = verify.act
+    monkeypatch.setattr(verify, "act", lambda swap, f: acts.update([f.n]) or real(swap, f))
     assert all(r.ok for r in verify.check_matrices(6))
-    degrees = [
-        n
+    degrees = {
+        u: len(range(k, min(k + 1, n // 2) + 1))
         for n in range(2, 7)
         for k in range(n // 2 + 1)
-        for _ in range(k, min(k + 1, n // 2) + 1)
-    ]
-    assert sorted(levels) == sorted(n for n in degrees for _ in range(n - 1))
-    assert len(levels) == 79
+        for u in enumerate_tableaux(TwoRowDiagram(n, k))
+    }
+    assert form_reads == degrees
+    per_level = Counter()
+    for u, reads in degrees.items():
+        per_level[u.n] += reads
+    assert acts == {n: (n - 1) * reads for n, reads in per_level.items()}
+    assert (sum(form_reads.values()), sum(acts.values())) == (67, 276)
 
 
 def test_matrix_relations_multiply_integers_only(monkeypatch):
@@ -874,10 +916,13 @@ def test_matrix_relations_multiply_integers_only(monkeypatch):
 
 def test_good_check_builds_one_rook_table_per_good_tableau(monkeypatch):
     """``check_good(12)`` builds the rook columns of each of its 49 good
-    tableaux once and feeds them to the harmonic and every lift, where a
-    lone ``gz_harmonic`` and ``gz_in_H`` per vector would build 189."""
+    tableaux once and feeds them to every degree it lifts to, where a lone
+    ``gz_in_H`` per vector would build 189.  Its harmonic is the m = k
+    step of those lifts, built once per good tableau: 49 in all."""
     built = Counter()
     real = gz._rook_columns
+    harmonics = Counter()
+    harmonic = gz.gz_harmonic
 
     def counted(n, k, tableaux):
         built[n, k] += 1
@@ -885,9 +930,11 @@ def test_good_check_builds_one_rook_table_per_good_tableau(monkeypatch):
 
     monkeypatch.setattr(gz, "_rook_columns", counted)
     monkeypatch.setattr(verify, "_rook_columns", counted, raising=False)
+    monkeypatch.setattr(gz, "gz_harmonic", lambda u, c: harmonics.update([u]) or harmonic(u, c))
     assert all(r.ok for r in verify.check_good(12))
     assert built == {(n, k): 1 for n in range(13) for k in range(n // 2 + 1)}
     assert sum(built.values()) == 49
+    assert harmonics == {good_tableau(n, k): 1 for n in range(13) for k in range(n // 2 + 1)}
 
 
 def test_decompose_check_calls_psi_zero_times(monkeypatch):
@@ -895,7 +942,8 @@ def test_decompose_check_calls_psi_zero_times(monkeypatch):
     tail from the dense f0 over a ``LiftTable``, and the check compares the
     pieces as dense rows.  No ``inner`` and no form operator runs either,
     where splits built as forms would call ``psi`` for 177 of the 254 tails
-    and a check on forms would take 903 ``inner`` products."""
+    and a check on forms would take 903 ``inner`` products; ``verify``
+    does not even import ``inner``."""
     for n in range(1, 9):
         for m in range(n // 2 + 1):
             full_gz_basis(n, m)
@@ -910,7 +958,8 @@ def test_decompose_check_calls_psi_zero_times(monkeypatch):
 
     for module in ("tworow.forms", "tworow.verify"):
         monkeypatch.setattr(f"{module}.psi", counted("psi", psi))
-        monkeypatch.setattr(f"{module}.inner", counted("inner", inner))
+    monkeypatch.setattr("tworow.forms.inner", counted("inner", inner))
+    assert not hasattr(verify, "inner")
     for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "embedded", "times_var"):
         monkeypatch.setattr(SquareFreeForm, name, counted(name, getattr(SquareFreeForm, name)))
     assert all(r.ok for r in verify.check_decompose(7))

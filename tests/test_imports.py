@@ -1,16 +1,19 @@
 """Every name a package module imports is used in that module, every
-private module-level name is read somewhere in the package, and every
+private module-level name is read somewhere in the package, every
 public module-level function is read by package code or named in the
-README.
+README, and every ``__slots__`` name of a package class is read as an
+attribute.
 
 Deleting a function tends to leave its imports behind, folding one path
-into another tends to leave a private helper behind, and moving callers
+into another tends to leave a private helper behind, moving callers
 to a new route tends to leave the old public function behind with only
-its tests to call it; these guards read each module of ``src/tworow``
-with ``ast`` and name every imported name that no expression of the
-module reads, every module-level ``_name`` that no module of the package
-reads, and every public function that no package code but its own
-``def`` reads and that README.md does not mention.
+its tests to call it, and dropping a cached field tends to leave its
+slot behind, still assigned; these guards read each module of
+``src/tworow`` with ``ast`` and name every imported name that no
+expression of the module reads, every module-level ``_name`` that no
+module of the package reads, every public function that no package code
+but its own ``def`` reads and that README.md does not mention, and every
+slot that no module reads as an attribute.
 """
 
 import ast
@@ -71,12 +74,12 @@ def private_names(tree: ast.Module) -> list[str]:
 
 def _read_names(tree: ast.Module) -> set[str]:
     """The names ``tree`` reads as a ``Name``, an attribute or a ``from``
-    import."""
+    import; a name or attribute that is only assigned is not read."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(a.name for a in node.names)
@@ -168,3 +171,57 @@ def test_public_guard_sees_read_and_unread_functions():
 def test_package_reads_every_public_function():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_public_functions(sources, README.read_text()) == []
+
+
+def slot_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, slot) for each name in the ``__slots__`` of each class that
+    ``tree`` defines, given as a string or a sequence of strings."""
+    slots = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                names = ast.literal_eval(node.value)
+                names = [names] if isinstance(names, str) else names
+                slots += [(cls.name, name) for name in names]
+    return slots
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """``module.Class.slot`` for each ``__slots__`` name of a class of
+    ``sources`` that no module reads as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_read_names, trees.values()))
+    return [
+        f"{module}.{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name in slot_names(tree)
+        if name not in read
+    ]
+
+
+def test_slot_guard_sees_read_and_unread_slots():
+    sources = {
+        "a": (
+            "class Vector:\n"
+            "    __slots__ = ('coeffs', 'keys', '_form')\n"
+            "    def __init__(self, coeffs, keys):\n"
+            "        self.coeffs = coeffs\n"
+            "        self.keys = keys\n"
+            "        self._form = None\n"
+            "    def first(self):\n"
+            "        return self.keys[0]\n"
+            "class Single:\n"
+            "    __slots__ = 'images'\n"
+        ),
+        "b": "from a import Vector\ndef size(v: Vector) -> int: return len(v.coeffs)\n",
+    }
+    assert unread_slots(sources) == ["a.Vector._form", "a.Single.images"]
+
+
+def test_package_reads_every_slot():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_slots(sources) == []

@@ -19,6 +19,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 STATED = [
     ("dim(d)", "9", 9, None),
     ("vec.coeffs", "15 ints", 15, "len(vec.coeffs)"),
+    ("vec.form", "a fresh SquareFreeForm view", True, "vec.form == vec.form is not vec.form"),
     ("vec.norm_sq", "here 12", 12, None),
     ("gz_in_H(u, 3).form.coeffs[(1, 3, 4)]", "2:", 2, None),
     ("basis = full_gz_basis(4, 2)", "6 vectors", 6, "len(basis)"),
