@@ -116,8 +116,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         counts = transition_counts(kernel, depth, args.count, args.seed)
         rows = []
         for (n, k), (visits, ups) in counts.items():
-            p_up = kernel.transition(n, k).p_up
-            rows.append((n, k, visits, ups, p_up, within_three_sigma(visits, ups, p_up)))
+            row = kernel.transition(n, k)
+            ok = within_three_sigma(visits, ups, row.up, row.den)
+            rows.append((n, k, visits, ups, row.up, row.den, ok))
         write, doc = write_summary, (rows,)
     else:
         paths = sample_paths(kernel, depth, args.count, args.seed)

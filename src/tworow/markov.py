@@ -15,7 +15,8 @@ prefixes once in integers and reduce each leaf with one gcd:
 ``spectral_measure`` carries the partial rook-count sums of ``gz``'s
 closed coefficients and the closed norm, and ``path_product_table`` the
 product of the rows of a kernel its caller passes in and keeps.
-Marginals, equality and cross-multiplied step ratios work on the pairs;
+Marginals, equality and cross-multiplied step ratios work on the pairs,
+and path products and sampler thresholds on a kernel's integer rows;
 tableaux and ``Fraction``s are made only when a caller reads them.
 Tables and kernels that the module builds itself skip validation
 (``_trusted``), but every table still checks that its mass is exactly 1.
@@ -200,9 +201,10 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 class KernelEntry:
     """One transition row: direction bit (None when level-homogeneous, else
     an ``int`` 0 or 1, a ``bool`` or ``float`` raising ``TypeError``) and
-    exact stay/up probabilities, each an ``int`` or a ``Fraction``."""
+    exact stay/up probabilities, each an ``int`` or a ``Fraction``, stored as
+    reduced integers stay + up == den and read back as ``Fraction``s."""
 
-    __slots__ = ("bit", "p_stay", "p_up")
+    __slots__ = ("bit", "stay", "up", "den")
 
     def __init__(self, bit: int | None, p_stay: Fraction, p_up: Fraction):
         if bit is not None and _index(bit) not in (0, 1):
@@ -218,23 +220,33 @@ class KernelEntry:
                 f"got {p_stay}, {p_up}"
             )
         self.bit = bit
-        self.p_stay = p_stay
-        self.p_up = p_up
+        self.stay = stay
+        self.up = up
+        self.den = den
 
     @classmethod
-    def _trusted(cls, bit: int | None, p_stay: Fraction, p_up: Fraction) -> KernelEntry:
+    def _trusted(cls, bit: int | None, stay: int, up: int, den: int) -> KernelEntry:
         """Build from a row the module computed itself, unchecked: ``bit``
-        is None, 0 or 1 and the two ``Fraction``s sum to 1."""
+        is None, 0 or 1 and stay + up == den with up / den in lowest terms."""
         entry = object.__new__(cls)
         entry.bit = bit
-        entry.p_stay = p_stay
-        entry.p_up = p_up
+        entry.stay = stay
+        entry.up = up
+        entry.den = den
         return entry
+
+    @property
+    def p_stay(self) -> Fraction:
+        return Fraction(self.stay, self.den)
+
+    @property
+    def p_up(self) -> Fraction:
+        return Fraction(self.up, self.den)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.bit, self.p_stay, self.p_up) == (other.bit, other.p_stay, other.p_up)
+        return (self.bit, self.up, self.den) == (other.bit, other.up, other.den)
 
     def __hash__(self) -> int:
         return hash((self.bit, self.p_stay, self.p_up))
@@ -299,10 +311,14 @@ def induced_transition(n: int, k: int, m: int, bit: int) -> tuple[Fraction, Frac
         raise ValueError(
             f"next degree {m + bit} exceeds half of {n + 1}, not a valid step"
         )
-    d = n - 2 * k + 1
-    if bit == 0:
-        return Fraction(n - m - k + 1, d), Fraction(m - k, d)
-    return Fraction(m - k + 1, d), Fraction(n - m - k, d)
+    stay, up, den = _induced_row(n, k, m, bit)
+    return Fraction(stay, den), Fraction(up, den)
+
+
+def _induced_row(n: int, k: int, m: int, bit: int) -> tuple[int, int, int]:
+    """``induced_transition`` unchecked, as reduced integers (stay, up, den)."""
+    up, den = _reduced(m - k if bit == 0 else n - m - k, n - 2 * k + 1)
+    return den - up, up, den
 
 
 def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> TransitionKernel:
@@ -319,7 +335,7 @@ def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> Transitio
         m += bits[n - 1]
         bit = bits[n]
         for k in range(m + 1):
-            entries[(n, k)] = KernelEntry._trusted(bit, *induced_transition(n, k, m, bit))
+            entries[(n, k)] = KernelEntry._trusted(bit, *_induced_row(n, k, m, bit))
     return TransitionKernel._trusted(depth, entries)
 
 
@@ -385,12 +401,7 @@ def path_product_table(kernel: TransitionKernel) -> SpectralTable:
     path.  Only paths through stored rows and nonzero steps are walked;
     every other tableau has weight 0.  Each path carries an integer
     numerator and denominator, reduced once at its leaf."""
-    level = kernel.depth
-    # A row's two probabilities share their denominator (``KernelEntry``).
-    rows = {
-        key: (entry.p_stay.numerator, entry.p_up.numerator, entry.p_stay.denominator)
-        for key, entry in kernel.entries.items()
-    }
+    level, rows = kernel.depth, kernel.entries
     pairs: dict[tuple[int, ...], tuple[int, int]] = {}
     stack: list[tuple[int, int, tuple[int, ...], int, int]] = [(1, 0, (), 1, 1)]
     while stack:
@@ -401,12 +412,11 @@ def path_product_table(kernel: TransitionKernel) -> SpectralTable:
         row = rows.get((t, k))
         if row is None:
             continue
-        stay, up, d = row
-        den *= d
-        if stay:
-            stack.append((t + 1, k, second, num * stay, den))
-        if up:
-            stack.append((t + 1, k + 1, second + (t + 1,), num * up, den))
+        den *= row.den
+        if row.stay:
+            stack.append((t + 1, k, second, num * row.stay, den))
+        if row.up:
+            stack.append((t + 1, k + 1, second + (t + 1,), num * row.up, den))
     return SpectralTable._trusted(level, pairs)
 
 
@@ -474,8 +484,8 @@ def kernel_matches(
     """Check that the observed step ratios equal the kernel's rows exactly."""
     for row in sorted(table._pairs, key=len):
         entry = kernel.transition(table.level, len(row))
-        for (num, den), want in zip(_step_ratios(table, deeper, row), (entry.p_stay, entry.p_up)):
-            if num * want.denominator != want.numerator * den:
+        for (num, den), want in zip(_step_ratios(table, deeper, row), (entry.stay, entry.up)):
+            if num * entry.den != want * den:
                 return False
     return True
 
@@ -525,8 +535,14 @@ def central_alpha_transition(n: int, k: int) -> tuple[Fraction, Fraction]:
     ((n - 2k + 2) / (2(n - 2k + 1)), (n - 2k) / (2(n - 2k + 1)))."""
     if not 0 <= 2 * k <= n:
         raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
-    d = 2 * (n - 2 * k + 1)
-    return Fraction(n - 2 * k + 2, d), Fraction(n - 2 * k, d)
+    stay, up, den = _central_row(n, k)
+    return Fraction(stay, den), Fraction(up, den)
+
+
+def _central_row(n: int, k: int) -> tuple[int, int, int]:
+    """``central_alpha_transition`` unchecked, as reduced integers (stay, up, den)."""
+    up, den = _reduced(n - 2 * k, 2 * (n - 2 * k + 1))
+    return den - up, up, den
 
 
 def central_kernel(depth: int) -> TransitionKernel:
@@ -536,14 +552,14 @@ def central_kernel(depth: int) -> TransitionKernel:
     entries: dict[tuple[int, int], KernelEntry] = {}
     for n in range(1, depth):
         for k in range(n // 2 + 1):
-            entries[(n, k)] = KernelEntry._trusted(None, *central_alpha_transition(n, k))
+            entries[(n, k)] = KernelEntry._trusted(None, *_central_row(n, k))
     return TransitionKernel._trusted(depth, entries)
 
 
-def _up_threshold(p: Fraction) -> int:
-    """ceil(p * 2^64): for every 64-bit r, r < T exactly when
+def _up_threshold(num: int, den: int) -> int:
+    """ceil(num 2^64 / den): for every 64-bit r, r < T exactly when
     r * den < num * 2^64, so one int compare decides a step."""
-    return -((-p.numerator << 64) // p.denominator)
+    return -((-num << 64) // den)
 
 
 def _threshold_table(kernel: TransitionKernel, depth: int) -> list[list[int | None]]:
@@ -553,7 +569,7 @@ def _threshold_table(kernel: TransitionKernel, depth: int) -> list[list[int | No
     entries = kernel.entries
     return [
         [
-            None if (n, k) not in entries else _up_threshold(entries[n, k].p_up)
+            None if (row := entries.get((n, k))) is None else _up_threshold(row.up, row.den)
             for k in range(n // 2 + 1)
         ]
         for n in range(1, depth)
@@ -710,9 +726,9 @@ def transition_counts(
     return counts
 
 
-def within_three_sigma(visits: int, ups: int, p: Fraction) -> bool:
-    """Exact integer test of |ups - visits p|^2 <= 9 visits p (1 - p)."""
-    num, den = p.numerator, p.denominator
+def within_three_sigma(visits: int, ups: int, num: int, den: int) -> bool:
+    """Exact integer test of |ups - visits p|^2 <= 9 visits p (1 - p) for
+    p = num / den, den > 0: both sides times den^2."""
     lhs = (ups * den - visits * num) ** 2
     rhs = 9 * visits * num * (den - num)
     return lhs <= rhs

@@ -46,8 +46,9 @@ def write_basis(handle: TextIO, n: int, m: int, vectors: Iterable[GzVector]) -> 
             map(add, map(heads.__getitem__, compress(coeffs, coeffs)), compress(tails, coeffs))
         )
         terms = f"[\n        {terms}\n      ]" if terms else "[]"
+        norm = vec.norm_sq
         handle.write(
-            f'{sep}    {{\n      "norm_sq": {_json_fraction(vec.norm_sq, 8)},'
+            f'{sep}    {{\n      "norm_sq": {_json_pair(norm.numerator, norm.denominator, 8)},'
             f'\n      "second_row": {_json_ints(vec.tableau.second_row, 8)},'
             f'\n      "terms": {terms}\n    }}'
         )
@@ -86,8 +87,8 @@ def write_measure(
         bit = "null" if entry.bit is None else entry.bit
         handle.write(
             f'{sep}    {{\n      "bit": {bit},\n      "k": {k},\n      "n": {n},'
-            f'\n      "p_stay": {_json_fraction(entry.p_stay, 8)},'
-            f'\n      "p_up": {_json_fraction(entry.p_up, 8)}\n    }}'
+            f'\n      "p_stay": {_json_pair(entry.stay, entry.den, 8)},'
+            f'\n      "p_up": {_json_pair(entry.up, entry.den, 8)}\n    }}'
         )
         sep = ",\n"
     close = "]" if sep == "\n" else "\n  ]"
@@ -107,11 +108,11 @@ def write_measure(
     handle.write(f'\n    ],\n    "level": {table.level}\n  }},\n  "xi": "{prefix}"\n}}\n')
 
 
-def _json_fraction(x: Fraction, indent: int) -> str:
-    """``{"den", "num"}`` of x as ``json.dumps(indent=2)`` lays it out with
-    its keys at ``indent`` spaces."""
+def _json_pair(num: int, den: int, indent: int) -> str:
+    """``{"den", "num"}`` of num / den, given in lowest terms, as
+    ``json.dumps(indent=2)`` lays it out with its keys at ``indent`` spaces."""
     pad = " " * indent
-    return f'{{\n{pad}"den": "{x.denominator}",\n{pad}"num": "{x.numerator}"\n{pad[:-2]}}}'
+    return f'{{\n{pad}"den": "{den}",\n{pad}"num": "{num}"\n{pad[:-2]}}}'
 
 
 def _json_ints(values: Sequence[int], indent: int) -> str:
@@ -131,10 +132,7 @@ def write_kernel(handle: TextIO, kernel: TransitionKernel) -> None:
     handle.write("n,k,bit,p_stay_num,p_stay_den,p_up_num,p_up_den\n")
     for n, k, entry in kernel.rows():
         bit = "" if entry.bit is None else entry.bit
-        handle.write(
-            f"{n},{k},{bit},{entry.p_stay.numerator},{entry.p_stay.denominator},"
-            f"{entry.p_up.numerator},{entry.p_up.denominator}\n"
-        )
+        handle.write(f"{n},{k},{bit},{entry.stay},{entry.den},{entry.up},{entry.den}\n")
 
 
 def write_trace(handle: TextIO, depth: int, paths: Iterable[list[int]]) -> None:
@@ -155,11 +153,11 @@ def write_trace(handle: TextIO, depth: int, paths: Iterable[list[int]]) -> None:
 
 
 def write_summary(
-    handle: TextIO, rows: Iterable[tuple[int, int, int, int, Fraction, bool]]
+    handle: TextIO, rows: Iterable[tuple[int, int, int, int, int, int, bool]]
 ) -> None:
     """Write the sample summary CSV to handle: the header
     ``n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok``, then one line
-    per ``(n, k, trials, ups, p_up, ok)`` row, with ok as 1 or 0."""
+    per ``(n, k, trials, ups, up, den, ok)`` row, p_up = up / den, ok 1 or 0."""
     handle.write("n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok\n")
-    for n, k, trials, ups, p_up, ok in rows:
-        handle.write(f"{n},{k},{trials},{ups},{p_up.numerator},{p_up.denominator},{int(ok)}\n")
+    for n, k, trials, ups, up, den, ok in rows:
+        handle.write(f"{n},{k},{trials},{ups},{up},{den},{int(ok)}\n")

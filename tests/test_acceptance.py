@@ -97,8 +97,8 @@ def test_criterion_09_sampler_frequencies_and_reproducibility():
         counts = transition_counts(kernel, depth, paths, seed)
         assert sum(v for (lev, _), (v, _) in counts.items() if lev == 1) == paths
         for (n, k), (visits, ups) in counts.items():
-            p_up = kernel.transition(n, k).p_up
-            assert within_three_sigma(visits, ups, p_up), (n, k, visits, ups, p_up)
+            row = kernel.transition(n, k)
+            assert within_three_sigma(visits, ups, row.up, row.den), (n, k, visits, ups, row.p_up)
 
     def trace(kernel):
         rng = random.Random(seed)

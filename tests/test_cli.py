@@ -1127,6 +1127,53 @@ def test_every_other_supported_interpreter_writes_the_golden_bytes(tmp_path, ver
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, (version, argv)
 
 
+# Prints, on stderr after the call's stdout, how many ``Fraction``s it
+# constructed: all of them on 3.10 and 3.11, where arithmetic results go
+# through ``Fraction.__new__`` too.
+FRACTION_PROBE = """
+import sys
+from fractions import Fraction
+made = 0
+new = Fraction.__new__
+def counting(cls, *args, **kwargs):
+    global made
+    made += 1
+    return new(cls, *args, **kwargs)
+Fraction.__new__ = counting
+from tworow.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(made, file=sys.stderr)
+sys.exit(code)
+"""
+
+FRACTION_FREE_DOCUMENTS = [
+    (BASIS_10_5, BASIS_10_5_DIGEST),
+    *((["measure", "--xi", xi, "--format", fmt], d) for xi, fmt, d in GOLDEN_MEASURES[6:8]),
+    *((["sample", "--depth", "64", *flags], digest) for flags, digest in GOLDEN_SAMPLES),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    FRACTION_FREE_DOCUMENTS,
+    ids=["basis", "measure-json", "measure-csv", *(f"sample-{i}" for i in range(4))],
+)
+def test_exports_make_no_fraction(tmp_path, argv, digest):
+    """``basis``, ``measure`` and ``sample`` work on integers from the
+    closed formulas to the writers: a fresh process writes the golden
+    bytes without constructing a single ``Fraction``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FRACTION_PROBE, *argv],
+        capture_output=True,
+        env=_buffered_env(src),
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"0\n"), argv
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+
 def test_python_below_the_floor_cannot_import_the_package(tmp_path):
     """``requires-python`` is ``>=3.10``: under CPython 3.9 the package
     is found but its import fails, today at the first ``int | Fraction``.

@@ -5,7 +5,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tworow import gz, markov
 from tworow.forms import SquareFreeForm, psi
@@ -832,7 +832,7 @@ def unit_fractions(draw):
 
 @given(unit_fractions(), st.integers(min_value=0, max_value=2**64 - 1))
 def test_up_threshold_is_the_fraction_compare(p, r_random):
-    t = _up_threshold(p)
+    t = _up_threshold(p.numerator, p.denominator)
     assert 0 <= t <= 2**64
     for r in (0, t - 1, t, 2**64 - 1, r_random):
         if 0 <= r < 2**64:
@@ -840,10 +840,10 @@ def test_up_threshold_is_the_fraction_compare(p, r_random):
 
 
 def test_up_threshold_endpoints():
-    assert _up_threshold(Fraction(0)) == 0
-    assert _up_threshold(Fraction(1)) == 2**64
-    assert _up_threshold(Fraction(1, 2)) == 2**63
-    assert _up_threshold(Fraction(1, 3)) == 2**64 // 3 + 1
+    assert _up_threshold(0, 1) == 0
+    assert _up_threshold(1, 1) == 2**64
+    assert _up_threshold(1, 2) == 2**63
+    assert _up_threshold(1, 3) == 2**64 // 3 + 1
 
 
 @pytest.mark.parametrize(
@@ -851,17 +851,29 @@ def test_up_threshold_endpoints():
     [
         (central_kernel(64), False),
         (kernel_from_prefix(BitPrefix.from_string("0010110100110011" * 4)), True),
+        (kernel_from_prefix(BitPrefix.alternating(64)), False),
+        (kernel_from_prefix(BitPrefix.from_string("0011" * 16)), True),
     ],
 )
 def test_threshold_table_holds_every_stored_row_and_none_elsewhere(kernel, gaps):
+    """Each stored row's threshold is ceil(up 2^64 / den): 0 <= T den -
+    up 2^64 < den, and it equals the ``Fraction`` compare's bound."""
     table = _threshold_table(kernel, 64)
     assert len(table) == 63
+    seen = 0
     for n, row in enumerate(table, start=1):
         assert len(row) == n // 2 + 1
         for k, limit in enumerate(row):
             entry = kernel.entries.get((n, k))
-            assert limit == (None if entry is None else _up_threshold(entry.p_up))
+            if entry is None:
+                assert limit is None
+                continue
+            seen += 1
+            p = entry.p_up
+            assert limit == _up_threshold(p.numerator, p.denominator)
+            assert 0 <= limit * entry.den - (entry.up << 64) < entry.den
     assert any(None in row for row in table) == gaps
+    assert seen == len(kernel.entries)
 
 
 def _reference_walks(kernel, depth, paths, seed):
@@ -960,7 +972,8 @@ def _boundary_scripts(kernel, depth):
         if n == depth:
             scripts.append((ks, words))
             continue
-        t = _up_threshold(kernel.transition(n, ks[-1]).p_up)
+        row = kernel.transition(n, ks[-1])
+        t = _up_threshold(row.up, row.den)
         met.add(t)
         if t < 2**64:
             stack.append((ks + [ks[-1]], words + [t]))
@@ -1021,7 +1034,8 @@ def _tie_scripts(kernel, depth):
         if n == depth:
             scripts.append((ks, words))
             continue
-        t = _up_threshold(kernel.transition(n, ks[-1]).p_up)
+        row = kernel.transition(n, ks[-1])
+        t = _up_threshold(row.up, row.den)
         for word in (min(t >> 56, 255) << 56, (min(t >> 56, 255) << 56) + 2**56 - 1):
             met.add((word, t))
             stack.append((ks + [ks[-1] + (word < t)], words + [word]))
@@ -1292,16 +1306,38 @@ def test_transition_counts_track_frequencies():
     kern = kernel_from_prefix(BitPrefix.alternating(12))
     counts = transition_counts(kern, 12, 4000, seed=11)
     for (n, k), (visits, ups) in counts.items():
-        p_up = kern.transition(n, k).p_up
-        assert within_three_sigma(visits, ups, p_up)
+        row = kern.transition(n, k)
+        assert within_three_sigma(visits, ups, row.up, row.den)
 
 
 def test_within_three_sigma_boundary_is_exact():
-    half = Fraction(1, 2)
-    assert within_three_sigma(100, 35, half)
-    assert within_three_sigma(100, 65, half)
-    assert not within_three_sigma(100, 34, half)
-    assert not within_three_sigma(100, 66, half)
-    assert within_three_sigma(0, 0, half)
-    assert within_three_sigma(77, 0, Fraction(0))
-    assert within_three_sigma(77, 77, Fraction(1))
+    assert within_three_sigma(100, 35, 1, 2)
+    assert within_three_sigma(100, 65, 1, 2)
+    assert not within_three_sigma(100, 34, 1, 2)
+    assert not within_three_sigma(100, 66, 1, 2)
+    assert within_three_sigma(0, 0, 1, 2)
+    assert within_three_sigma(77, 0, 0, 1)
+    assert within_three_sigma(77, 77, 1, 1)
+
+
+@st.composite
+def _sigma_cases(draw):
+    visits = draw(st.integers(min_value=0, max_value=10**6))
+    p = draw(unit_fractions())
+    return visits, draw(st.integers(min_value=0, max_value=visits)), p
+
+
+@given(_sigma_cases())
+@example((100, 35, Fraction(1, 2)))
+@example((100, 65, Fraction(1, 2)))
+@example((100, 34, Fraction(1, 2)))
+@example((100, 66, Fraction(1, 2)))
+@example((0, 0, Fraction(1, 2)))
+@example((77, 0, Fraction(0)))
+@example((77, 77, Fraction(1)))
+@example((77, 76, Fraction(1)))
+def test_within_three_sigma_is_the_fraction_inequality(case):
+    """On integers, the test is (u - v p)^2 <= 9 v p (1 - p) exactly."""
+    visits, ups, p = case
+    expect = (ups - visits * p) ** 2 <= 9 * visits * p * (1 - p)
+    assert within_three_sigma(visits, ups, p.numerator, p.denominator) == expect

@@ -426,8 +426,8 @@ def test_write_trace_writes_each_path_before_drawing_the_next():
 
 def test_summary_csv():
     rows = [
-        (1, 0, 1000, 497, Fraction(1, 2), True),
-        (2, 0, 1000, 700, Fraction(1, 3), False),
+        (1, 0, 1000, 497, 1, 2, True),
+        (2, 0, 1000, 700, 1, 3, False),
     ]
     assert _written(write_summary, rows) == (
         "n,k,trials,observed_up,p_up_num,p_up_den,sigma_ok\n"

@@ -15,28 +15,39 @@ from tworow.markov import BitPrefix, KernelEntry, MarkovReport, MarkovViolation,
 from tworow.verify import CheckResult
 from tworow.ygraph import Cell, TwoRowDiagram, TwoRowTableau
 
-# (class, field values, another value of the same class, repr)
+# (class, field values by name, another value of the same class, repr)
 VALUES = [
-    (TwoRowDiagram, (4, 1), (4, 2), "TwoRowDiagram(n=4, k=1)"),
-    (Cell, (2, 3), (1, 3), "Cell(row=2, col=3)"),
-    (TwoRowTableau, (5, (2, 4)), (5, (2, 5)), "TwoRowTableau(n=5, second_row=(2, 4))"),
-    (TwoRowTableau, (0, ()), (1, ()), "TwoRowTableau(n=0, second_row=())"),
-    (BitPrefix, ((0, 1, 0),), ((0, 0, 1),), "BitPrefix(bits=(0, 1, 0))"),
+    (TwoRowDiagram, {"n": 4, "k": 1}, (4, 2), "TwoRowDiagram(n=4, k=1)"),
+    (Cell, {"row": 2, "col": 3}, (1, 3), "Cell(row=2, col=3)"),
+    (
+        TwoRowTableau,
+        {"n": 5, "second_row": (2, 4)},
+        (5, (2, 5)),
+        "TwoRowTableau(n=5, second_row=(2, 4))",
+    ),
+    (TwoRowTableau, {"n": 0, "second_row": ()}, (1, ()), "TwoRowTableau(n=0, second_row=())"),
+    (BitPrefix, {"bits": (0, 1, 0)}, ((0, 0, 1),), "BitPrefix(bits=(0, 1, 0))"),
     (
         KernelEntry,
-        (0, Fraction(2, 3), Fraction(1, 3)),
+        {"bit": 0, "p_stay": Fraction(2, 3), "p_up": Fraction(1, 3)},
         (1, Fraction(2, 3), Fraction(1, 3)),
         "KernelEntry(bit=0, p_stay=Fraction(2, 3), p_up=Fraction(1, 3))",
     ),
-    (KernelEntry, (None, 1, 0), (None, 0, 1), "KernelEntry(bit=None, p_stay=1, p_up=0)"),
+    # A row given as ints reads back as Fractions, as a module-built row does.
+    (
+        KernelEntry,
+        {"bit": None, "p_stay": 1, "p_up": 0},
+        (None, 0, 1),
+        "KernelEntry(bit=None, p_stay=Fraction(1, 1), p_up=Fraction(0, 1))",
+    ),
 ]
 
 
 @pytest.mark.parametrize("cls, fields, other, text", VALUES)
 def test_values_compare_and_hash_by_fields(cls, fields, other, text):
-    a, b = cls(*fields), cls(*fields)
+    a, b = cls(**fields), cls(**fields)
     assert a == b and not a != b
-    assert hash(a) == hash(b) == hash(fields)
+    assert hash(a) == hash(b) == hash(tuple(fields.values()))
     assert cls(*other) != a
     assert len({a, b, cls(*other)}) == 2
     assert repr(a) == text
@@ -45,13 +56,21 @@ def test_values_compare_and_hash_by_fields(cls, fields, other, text):
 @pytest.mark.parametrize("cls, fields, other, text", VALUES)
 def test_values_never_equal_another_class(cls, fields, other, text):
     """Not even a named tuple with the same class name, fields and repr."""
-    a = cls(*fields)
-    names = cls.__slots__
-    lookalike = namedtuple(cls.__name__, names)(*fields)
+    a = cls(**fields)
+    values = tuple(getattr(a, f) for f in fields)
+    lookalike = namedtuple(cls.__name__, fields)(*values)
     assert repr(lookalike) == repr(a)
     assert a != lookalike and lookalike != a
     assert a.__eq__(lookalike) is NotImplemented
-    assert a != fields and a != tuple(getattr(a, f) for f in names)
+    assert a != tuple(fields.values()) and a != values
+
+
+def test_kernel_entry_probabilities_are_read_only():
+    entry = KernelEntry(0, Fraction(2, 3), Fraction(1, 3))
+    for name in ("p_stay", "p_up"):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, Fraction(1, 2))
+    assert (entry.p_stay, entry.p_up) == (Fraction(2, 3), Fraction(1, 3))
 
 
 def test_list_fields_are_stored_as_tuples():
