@@ -60,7 +60,7 @@ def _scalar(x: object) -> Scalar:
     return x
 
 
-def _int_if_integral(x: Fraction) -> Scalar:
+def _int_if_integral(x: Scalar) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
@@ -70,6 +70,34 @@ def _index(x: object) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"indices must be int, got {type(x).__name__}: {x!r}")
     return x
+
+
+class _Value:
+    """The policy of the package's ``__slots__`` value classes: equal only
+    to an instance of the same class with equal ``_fields``, hashed by the
+    tuple of them, printed as ``Class(field=value, ...)``.  ``_fields``
+    defaults to the class's slots."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class SquareFreeForm:
@@ -103,9 +131,9 @@ class SquareFreeForm:
                 raise ValueError(f"monomial indices must increase: {key}")
             if key and (key[0] < 1 or key[-1] > n):
                 raise ValueError(f"monomial indices must lie in 1..{n}: {key}")
-            val = Fraction(_scalar(raw_val))
+            val = _int_if_integral(_scalar(raw_val))
             if val:
-                clean[key] = _int_if_integral(val)
+                clean[key] = val
         self.coeffs = clean
 
     @classmethod

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterator, NamedTuple
 
-from .forms import _index, _scalar
+from .forms import _index, _scalar, _Value
 from .gz import _norm_factor
 from .ygraph import (
     TwoRowDiagram,
@@ -44,7 +44,7 @@ from .ygraph import (
 )
 
 
-class BitPrefix:
+class BitPrefix(_Value):
     """A direction sequence: ``int`` bits 0 or 1, with at most t/2 ones in
     every prefix; a ``bool`` or ``float`` bit raises ``TypeError``.  Any
     sequence of bits is stored as a tuple."""
@@ -63,17 +63,6 @@ class BitPrefix:
                     f"prefix of length {t} has {ones} ones, more than half"
                 )
         self.bits = bits
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
-    def __repr__(self) -> str:
-        return f"BitPrefix(bits={self.bits!r})"
 
     @classmethod
     def from_string(cls, s: str) -> BitPrefix:
@@ -107,18 +96,14 @@ class SpectralTable:
 
     def __init__(self, level: int, probs: dict[TwoRowTableau, Fraction]):
         pairs: dict[tuple[int, ...], tuple[int, int]] = {}
-        total = Fraction(0)
         for u, p in probs.items():
             if u.n != level:
                 raise ValueError(f"tableau {u} does not live at level {level}")
-            p = Fraction(_scalar(p))
-            if p < 0:
+            if _scalar(p) < 0:
                 raise ValueError(f"negative probability {p} at {u}")
-            total += p
             if p:
                 pairs[u.second_row] = (p.numerator, p.denominator)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_mass(pairs)
         self.level = level
         self._pairs = pairs
 
@@ -126,12 +111,8 @@ class SpectralTable:
     def _trusted(cls, level: int, pairs: dict[tuple[int, ...], tuple[int, int]]) -> SpectralTable:
         """Build from positive ``(num, den)`` pairs in lowest terms on second
         rows known to be standard at ``level``, keeping the dict unchecked.
-        The mass must still be exactly 1: the numerators, each brought to
-        the lcm of the denominators, must sum to that lcm."""
-        common = lcm(*(den for _, den in pairs.values()))
-        total = sum(num * (common // den) for num, den in pairs.values())
-        if total != common:
-            raise ValueError(f"probabilities sum to {Fraction(total, common)}, not 1")
+        The mass must still be exactly 1."""
+        _check_mass(pairs)
         table = object.__new__(cls)
         table.level = level
         table._pairs = pairs
@@ -188,6 +169,16 @@ class SpectralTable:
         return f"SpectralTable(level={self.level}, {{{entries}}})"
 
 
+def _check_mass(pairs: dict[tuple[int, ...], tuple[int, int]]) -> None:
+    """Raise unless the ``(num, den)`` pairs in lowest terms sum to 1: the
+    numerators, each brought to the lcm of the denominators, must sum to
+    that lcm."""
+    common = lcm(*(den for _, den in pairs.values()))
+    total = sum(num * (common // den) for num, den in pairs.values())
+    if total != common:
+        raise ValueError(f"probabilities sum to {Fraction(total, common)}, not 1")
+
+
 def _by_shape(row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return len(row), row
 
@@ -198,13 +189,15 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-class KernelEntry:
+class KernelEntry(_Value):
     """One transition row: direction bit (None when level-homogeneous, else
     an ``int`` 0 or 1, a ``bool`` or ``float`` raising ``TypeError``) and
     exact stay/up probabilities, each an ``int`` or a ``Fraction``, stored as
-    reduced integers stay + up == den and read back as ``Fraction``s."""
+    reduced integers stay + up == den and read back as ``Fraction``s.  Rows
+    compare, hash and print by bit and those two ``Fraction``s."""
 
     __slots__ = ("bit", "stay", "up", "den")
+    _fields = ("bit", "p_stay", "p_up")
 
     def __init__(self, bit: int | None, p_stay: Fraction, p_up: Fraction):
         if bit is not None and _index(bit) not in (0, 1):
@@ -242,17 +235,6 @@ class KernelEntry:
     @property
     def p_up(self) -> Fraction:
         return Fraction(self.up, self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.bit, self.up, self.den) == (other.bit, other.up, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.bit, self.p_stay, self.p_up))
-
-    def __repr__(self) -> str:
-        return f"KernelEntry(bit={self.bit!r}, p_stay={self.p_stay!r}, p_up={self.p_up!r})"
 
 
 def _missing_row(n: int, k: int) -> ValueError:

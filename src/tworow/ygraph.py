@@ -5,8 +5,9 @@ Level n of the two-row branching graph holds the shapes (n - k, k) for
 set of entries sitting in its second row, so tableaux are stored as the
 strictly increasing tuple of those entries.
 
-Shapes, cells and tableaux are ``__slots__`` value classes: equal exactly
-when they are of the same class with equal fields, hashed by the tuple of
+Shapes, cells and tableaux are ``__slots__`` value classes that take
+``==``, ``hash`` and ``repr`` from ``forms._Value``: equal exactly when
+they are of the same class with equal fields, hashed by the tuple of
 their fields, and immutable by convention.
 """
 
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .forms import _index
+from .forms import _index, _Value
 
 
-class TwoRowDiagram:
+class TwoRowDiagram(_Value):
     """Shape (n - k, k): n cells in total, k of them in the second row;
     ``n`` and ``k`` are ``int`` and not ``bool``, else ``TypeError``."""
 
@@ -33,17 +34,6 @@ class TwoRowDiagram:
         self.n = n
         self.k = k
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k))
-
-    def __repr__(self) -> str:
-        return f"TwoRowDiagram(n={self.n!r}, k={self.k!r})"
-
     @property
     def rows(self) -> tuple[int, int]:
         return (self.n - self.k, self.k)
@@ -54,7 +44,7 @@ class TwoRowDiagram:
         return first + second
 
 
-class Cell:
+class Cell(_Value):
     """A box of a diagram, with 1-based row and column, each an ``int``
     and not a ``bool``, else ``TypeError``."""
 
@@ -69,17 +59,6 @@ class Cell:
             raise ValueError(f"column must be >= 1, got {col}")
         self.row = row
         self.col = col
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.row == other.row and self.col == other.col
-
-    def __hash__(self) -> int:
-        return hash((self.row, self.col))
-
-    def __repr__(self) -> str:
-        return f"Cell(row={self.row!r}, col={self.col!r})"
 
     @property
     def content(self) -> int:
@@ -114,7 +93,7 @@ def hook_length(d: TwoRowDiagram, cell: Cell) -> int:
     return b - cell.col + 1
 
 
-class TwoRowTableau:
+class TwoRowTableau(_Value):
     """A standard tableau with at most two rows.
 
     ``second_row`` lists the entries placed in the second row, in increasing
@@ -156,17 +135,6 @@ class TwoRowTableau:
         u.n = n
         u.second_row = second_row
         return u
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.second_row == other.second_row
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.second_row))
-
-    def __repr__(self) -> str:
-        return f"TwoRowTableau(n={self.n!r}, second_row={self.second_row!r})"
 
     @property
     def shape(self) -> TwoRowDiagram:

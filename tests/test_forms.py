@@ -115,6 +115,26 @@ def test_only_exact_rationals_are_scalars(bad):
     assert all(type(c) is int for c in flagged.coeffs.values())
 
 
+def test_construction_makes_no_fraction(monkeypatch):
+    """The constructor stores each coefficient as given, an integral
+    ``Fraction`` or a ``bool`` as ``int``, without building a ``Fraction``."""
+    made = []
+    new = Fraction.__new__
+    half, three = Fraction(1, 2), Fraction(3, 1)
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    f = SquareFreeForm(4, 1, {(1,): 2, (2,): True, (3,): three, (4,): half})
+    monkeypatch.undo()
+    assert made == []
+    assert [(c, type(c)) for _, c in f.terms()] == [(2, int), (1, int), (3, int), (half, Fraction)]
+    assert f.coeffs[(4,)] is half
+    assert repr(f) == "SquareFreeForm(4, 1, (2)*x1 + (1)*x2 + (3)*x3 + (1/2)*x4)"
+
+
 def test_arithmetic_known_values():
     f = mono(3, 1) - mono(3, 2)
     g = 2 * f - f

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, every
 public module-level function is read by package code or named in the
-README, and every ``__slots__`` name of a package class is read as an
-attribute.
+README, every ``__slots__`` name of a package class is read as an
+attribute, and no class but ``forms._Value`` and a few named exemptions
+writes its own ``__eq__``, ``__hash__`` or ``__repr__``.
 
 Deleting a function tends to leave its imports behind, folding one path
 into another tends to leave a private helper behind, moving callers
@@ -13,7 +14,9 @@ slot behind, still assigned; these guards read each module of
 expression of the module reads, every module-level ``_name`` that no
 module of the package reads, every public function that no package code
 but its own ``def`` reads and that README.md does not mention, and every
-slot that no module reads as an attribute.
+slot that no module reads as an attribute.  A value class that writes
+its own comparison, hash or repr beside the shared one tends to drift
+from it, so a last guard names every class that defines one.
 """
 
 import ast
@@ -225,3 +228,58 @@ def test_slot_guard_sees_read_and_unread_slots():
 def test_package_reads_every_slot():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_slots(sources) == []
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__repr__"}
+
+# The classes that may define a value method, each with its reason.
+OWN_VALUE_METHODS = {
+    "forms._Value": "the one policy of the package's value classes",
+    "forms.SquareFreeForm": "unhashable, and prints its terms",
+    "forms.Permutation": "prints its images bare, and its == admits subclasses",
+    "gz.GzVector": "compares by identity, and prints its form",
+    "markov.SpectralTable": "unhashable, and prints its entries",
+}
+
+
+def value_method_classes(sources: dict[str, str]) -> list[str]:
+    """``module.Class`` for each class of ``sources`` whose body binds
+    ``__eq__``, ``__hash__`` or ``__repr__``, by ``def`` or assignment."""
+    found = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bound = set()
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    bound.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            if bound & VALUE_METHODS:
+                found.append(f"{module}.{cls.name}")
+    return found
+
+
+def test_value_method_guard_sees_each_way_to_bind_one():
+    sources = {
+        "a": (
+            "class Plain:\n"
+            "    __slots__ = ('n',)\n"
+            "    def __str__(self): return str(self.n)\n"
+            "class Hashed:\n"
+            "    def __hash__(self): return 0\n"
+            "class Unhashable:\n"
+            "    __hash__ = None\n"
+            "class Outer:\n"
+            "    class Inner:\n"
+            "        __repr__ = object.__repr__\n"
+        ),
+        "b": "class Compared:\n    def __eq__(self, other): return True\n",
+    }
+    assert value_method_classes(sources) == ["a.Hashed", "a.Unhashable", "a.Inner", "b.Compared"]
+
+
+def test_value_classes_take_their_methods_from_one_base():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(value_method_classes(sources)) == sorted(OWN_VALUE_METHODS)

@@ -290,6 +290,30 @@ def test_table_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ({}, "probabilities sum to 0, not 1"),
+        ({(2, ()): Fraction(1, 2)}, "probabilities sum to 1/2, not 1"),
+        ({(2, ()): 1, (2, (2,)): Fraction(1, 2)}, "probabilities sum to 3/2, not 1"),
+        (
+            {(2, ()): 2, (2, (2,)): -1},
+            "negative probability -1 at TwoRowTableau(n=2, second_row=(2,))",
+        ),
+        (
+            {(2, ()): 2, (3, ()): -1},
+            "tableau TwoRowTableau(n=3, second_row=()) does not live at level 2",
+        ),
+    ],
+)
+def test_table_errors_check_entries_before_the_mass(probs, message):
+    """Each entry's level and sign come before the exact mass, which an
+    empty table reads as 0."""
+    with pytest.raises(ValueError) as info:
+        SpectralTable(2, {TwoRowTableau(n, row): p for (n, row), p in probs.items()})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bad", [1.0, "1", Decimal(1)])
 def test_table_takes_only_exact_rationals(bad):
     u = TwoRowTableau(1, ())

@@ -208,3 +208,58 @@ def test_kernel_entry_accepts_exactly_nonnegative_pairs_summing_to_one(pair):
         assert str(info.value) == (
             f"probabilities must be nonnegative and sum to 1, got {p_stay}, {p_up}"
         )
+
+
+def _ballot(flips: list[bool]) -> tuple[int, ...]:
+    """The direction sequence that takes each flip as a 1 unless that would
+    put more ones than zeros in the prefix."""
+    bits, ones = [], 0
+    for t, flip in enumerate(flips, start=1):
+        bit = int(flip and 2 * (ones + 1) <= t)
+        ones += bit
+        bits.append(bit)
+    return tuple(bits)
+
+
+def _unchecked(cls, **slots):
+    """A value built as the ``_trusted`` fast paths build theirs: no
+    ``__init__``, each slot set as given."""
+    value = object.__new__(cls)
+    for name, field in slots.items():
+        setattr(value, name, field)
+    return value
+
+
+@given(
+    st.lists(st.booleans(), max_size=12),
+    st.sampled_from([None, 0, 1]),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+)
+@example([], None, Fraction(0))
+@example([False, True, True], 1, Fraction(1))
+def test_every_route_to_a_value_gives_one_value(flips, bit, p_up):
+    """The public constructor and the unchecked route agree on ``==``,
+    ``hash`` and ``repr``, as do ``Fraction`` and ``int`` kernel rows."""
+    bits = _ballot(flips)
+    n, row = len(bits), tuple(t for t, b in enumerate(bits, start=1) if b)
+    tableau = TwoRowTableau(n, row)
+    p_stay = 1 - p_up
+    routes = [
+        (TwoRowDiagram(n, len(row)), _unchecked(TwoRowDiagram, n=n, k=len(row))),
+        (tableau, TwoRowTableau._trusted(n, row)),
+        (BitPrefix(bits), _unchecked(BitPrefix, bits=bits)),
+        (
+            KernelEntry(bit, p_stay, p_up),
+            KernelEntry._trusted(bit, p_stay.numerator, p_up.numerator, p_up.denominator),
+        ),
+    ]
+    for entry in range(1, n + 1):
+        cell = tableau.cell_of(entry)
+        routes.append((cell, _unchecked(Cell, row=cell.row, col=cell.col)))
+    if p_up.denominator == 1:
+        routes.append((KernelEntry(bit, p_stay, p_up), KernelEntry(bit, int(p_stay), int(p_up))))
+    for checked, other in routes:
+        assert checked is not other
+        assert checked == other and other == checked
+        assert hash(checked) == hash(other)
+        assert repr(checked) == repr(other)
