@@ -245,7 +245,9 @@ def yjm_rows(n: int, k: int, l: int) -> YjmRows:
 
     A transposition moves x_T only when exactly one of i and l lies in T.
     If l is in T, the sources are T - l + i for each i < l not in T;
-    otherwise they are T - i + l for each i < l in T.  Positions index a
+    otherwise they are T - i + l for each i < l in T.  Either way a source
+    keeps the entries of T above l and changes only the part below it,
+    which is sorted again.  Positions index a
     dense list of coefficients in the same order, and each getter also reads
     the slot one past the k-subsets, which callers keep at 0, so it returns
     a tuple even with no source.
@@ -256,21 +258,14 @@ def yjm_rows(n: int, k: int, l: int) -> YjmRows:
     rows = []
     for key in subsets:
         at = bisect_left(key, l)  # entries of key below l
-        low = key[:at]
-        if at < k and key[at] == l:
-            fixed = at
-            high = key[at + 1:]
-            sources = []
-            q = 0
-            for i in range(1, l):
-                if q < at and low[q] == i:
-                    q += 1
-                else:
-                    sources.append(position[low[:q] + (i,) + low[q:] + high])
+        low, high = key[:at], key[at:]
+        if high[:1] == (l,):
+            fixed, high = at, high[1:]
+            lows = [tuple(sorted(low + (i,))) for i in range(1, l) if i not in low]
         else:
-            fixed = l - 1 - at
-            high = (l,) + key[at:]
-            sources = [position[low[:q] + low[q + 1:] + high] for q in range(at)]
+            fixed, high = l - 1 - at, (l,) + high
+            lows = [low[:q] + low[q + 1:] for q in range(at)]
+        sources = [position[s + high] for s in lows]
         rows.append((key, fixed, itemgetter(pad, *sources or (pad,))))
     return rows
 

@@ -3,8 +3,8 @@
 The divergence from degree k down to degree k - 1 is an integer matrix with
 a 0/1 entry for each containment J subset I.  It is built sparse, one map
 column -> 1 per row over the containments alone, and its kernel dimension
-is found by Gaussian elimination modulo the prime 32749 on those sparse
-rows, each pivoting on its last column: on these matrices
+is found by Gaussian elimination over the one field GF(p), p = 32749, on
+those sparse rows, each pivoting on its last column: on these matrices
 the pivot rows then fill in far less than with first-column pivots (1667
 entries against 5600 at n = 10, k = 4).  The prime lies below 2^15, so
 every product in the elimination stays below 2^30, within one digit of
@@ -13,50 +13,45 @@ a Python int.
 The certificate stays exact.  Rank mod p never exceeds the rank over the
 rationals, so a full rank mod p is a full rank over Q.  And by R. M.
 Wilson's diagonal form of the inclusion matrices (1990), the matrix of
-(k-1)-subsets against k-subsets has full rank mod p whenever p > k, which
-covers every k <= 8 of the documented bounds.  Should the rank still drop
-mod p, the computation falls back to exact rational elimination on the
-same sparse rows.
+(k-1)-subsets against k-subsets has full rank mod p whenever p > k, so
+one elimination mod p, with no rational fallback, certifies every k that
+``harmonic_dim`` accepts; it rejects k >= p, the one range that
+certificate does not cover.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 _PRIME = 32749
 
 
-def _rank(rows: Iterable[Mapping[int, int]], p: int | None = None) -> int:
-    """Rank by Gaussian elimination over GF(p), or over the rationals when
-    p is None, of integer rows given as sparse maps column -> value;
-    columns left out, and values that vanish mod p, are zero.
+def _rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over GF(p), p = ``_PRIME``, of integer rows given as sparse
+    maps column -> value; columns left out, and values that vanish mod p,
+    are zero.
 
     Each row is reduced at its last column by that column's pivot row
     until it is zero or ends in a column without a pivot, where it becomes
     that column's pivot row, scaled to end with 1; the rank is the number
     of pivots.
     """
-    pivots: dict[int, dict[int, int | Fraction]] = {}
+    p = _PRIME
+    pivots: dict[int, dict[int, int]] = {}
     for sparse in rows:
-        if p is None:
-            row = {c: Fraction(v) for c, v in sparse.items() if v}
-        else:
-            row = {c: v % p for c, v in sparse.items() if v % p}
+        row = {c: v % p for c, v in sparse.items() if v % p}
         while row:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = 1 / row[col] if p is None else pow(row[col], p - 2, p)
-                pivots[col] = {c: v * inv if p is None else v * inv % p for c, v in row.items()}
+                inv = pow(row[col], p - 2, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
                 break
             factor = row[col]
             for c, v in pivot.items():
-                val = row.get(c, 0) - factor * v
-                if p is not None:
-                    val %= p
+                val = (row.get(c, 0) - factor * v) % p
                 if val:
                     row[c] = val
                 else:
@@ -79,15 +74,13 @@ def divergence_matrix(n: int, k: int) -> list[dict[int, int]]:
 
 
 def harmonic_dim(n: int, k: int) -> int:
-    """Kernel dimension of the degree-k divergence, computed from rank."""
+    """Kernel dimension of the degree-k divergence, computed from its rank
+    mod ``_PRIME``, which Wilson's theorem makes the rank over Q for every
+    k below the prime."""
     if not 0 <= 2 * k <= n:
         raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+    if k >= _PRIME:
+        raise ValueError(f"rank mod {_PRIME} certifies only k < {_PRIME}, got k={k}")
     if k == 0:
         return 1
-    rows = divergence_matrix(n, k)
-    ncols = comb(n, k)
-    rank = _rank(rows, _PRIME)
-    if rank < len(rows):
-        # Rank can only drop mod p, so a deficit needs exact confirmation.
-        rank = _rank(rows)
-    return ncols - rank
+    return comb(n, k) - _rank(divergence_matrix(n, k))

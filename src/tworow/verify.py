@@ -29,7 +29,7 @@ it is checked against live here, private to this module:
 - ``_central_transition_oracle``: the central kernel as ratios of shape
   weights between consecutive levels;
 - ``linalg.harmonic_dim``: harmonic dimensions by exact rank, eliminated
-  on the sparse rows of the divergence.
+  mod one prime on the sparse rows of the divergence.
 
 A whole shape's vectors, at any degree, come only from the cached
 ``gz.full_gz_basis`` that ``check_basis`` certifies; it reads the
@@ -630,18 +630,10 @@ def check_dimensions(n_max: int) -> list[CheckResult]:
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of square matrices, multiplying only nonzero entries: a
-    row of an adjacent-transposition matrix has at most two."""
-    b_rows = [[(c, w) for c, w in enumerate(row) if w] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * len(b)
-        for t, v in enumerate(row):
-            if v:
-                for c, w in b_rows[t]:
-                    acc[c] += v * w
-        out.append(acc)
-    return out
+    """The product of square matrices, each entry a row of a against a
+    column of b."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 def check_matrices(n_max: int) -> list[CheckResult]:

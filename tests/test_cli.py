@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tworow import cli, gz, markov, verify
+from tworow import cli, gz, linalg, markov, verify
 from tworow.cli import main
 
 
@@ -726,6 +726,20 @@ def test_verify_fails_on_an_inflated_harmonic_dimension(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert "FAIL harmonic-dimension: n=0 k=0: rank gives 2; " in out
     assert "PASS matrices-relations: " in out
+
+
+def test_verify_fails_module_filling_on_a_rank_one_pivot_short(capsys, monkeypatch):
+    """The witness for ``module-filling``: with ``linalg._rank`` one pivot
+    short on every nonzero rank, every harmonic dimension from k = 1 on is
+    one too large, and the pieces overfill each module they add up to."""
+    rank = linalg._rank
+    monkeypatch.setattr(linalg, "_rank", lambda rows: max(rank(rows) - 1, 0))
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz")
+    assert (code, err) == (1, "")
+    failed = [line[5:].split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["harmonic-dimension", "module-filling"]
+    assert "FAIL harmonic-dimension: n=2 k=1: rank gives 2; " in out
+    assert "FAIL module-filling: n=2 m=1; " in out
 
 
 # Closed routes that verify checks, each off by one, and the checks of

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,7 +45,7 @@ from tworow.verify import (
     _acts_by,
     _contents,
     _expanded_harmonic,
-    _mat_mul as _sparse_mat_mul,
+    _mat_mul as _verify_mat_mul,
     _yjm_misses,
 )
 
@@ -624,19 +625,13 @@ def test_harmonic_dims():
     assert harmonic_dim(8, 4) == dim(TwoRowDiagram(8, 4))
 
 
-def test_harmonic_dim_confirms_a_rank_drop_mod_p_over_the_rationals(monkeypatch):
-    """Mod 2 the divergence loses rank at 9 of the 16 (n, k) with n <= 8
-    and 1 <= k <= n/2; ``harmonic_dim`` then eliminates again over the
-    rationals and still returns C(n, k) - C(n, k - 1)."""
-    calls = []
-    real = linalg._rank
+def test_harmonic_dim_rejects_the_degrees_its_prime_does_not_certify(monkeypatch):
+    """Wilson's full-rank certificate mod p covers only k < p, so at
+    p = 2 ``harmonic_dim`` still answers k = 1 and rejects k = 2."""
     monkeypatch.setattr(linalg, "_PRIME", 2)
-    monkeypatch.setattr(linalg, "_rank", lambda rows, p=None: calls.append(p) or real(rows, p))
-    for n in range(9):
-        for k in range(1, n // 2 + 1):
-            assert harmonic_dim(n, k) == comb(n, k) - comb(n, k - 1)
-    assert calls.count(2) == 16
-    assert calls.count(None) == 9
+    assert harmonic_dim(4, 1) == 3
+    with pytest.raises(ValueError, match="certifies only k < 2"):
+        harmonic_dim(4, 2)
 
 
 def _sparse(rows):
@@ -650,14 +645,16 @@ def _dense(rows, ncols):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
-def test_rank_over_both_fields():
-    rows = _sparse([[2, 4, 0], [1, 2, 0], [0, 0, 7]])
-    assert _rank(rows) == 2
-    assert _rank(rows, 7) == 1
-    for n in range(2, 8):
-        for k in range(1, n // 2 + 1):
-            rows = divergence_matrix(n, k)
-            assert _rank(rows) == _rank(rows, _PRIME) == len(rows)
+def test_rank_over_both_fields(monkeypatch):
+    """Mod 32749 and mod 7; by Wilson's theorem every divergence matrix
+    with k < 7 has full rank mod 7 as well."""
+    for p, rank in ((_PRIME, 2), (7, 1)):
+        monkeypatch.setattr(linalg, "_PRIME", p)
+        assert _rank(_sparse([[2, 4, 0], [1, 2, 0], [0, 0, 7]])) == rank
+        for n in range(2, 8):
+            for k in range(1, n // 2 + 1):
+                rows = divergence_matrix(n, k)
+                assert _rank(rows) == len(rows)
 
 
 def test_divergence_matrix_is_the_containment_matrix():
@@ -673,9 +670,9 @@ def test_divergence_matrix_is_the_containment_matrix():
             assert all(set(row.values()) == {1} and list(row) == sorted(row) for row in rows)
 
 
-def _dense_rank(rows, p=None):
-    """Rank by column-by-column elimination on dense rows."""
-    work = [[Fraction(v) if p is None else v % p for v in row] for row in rows]
+def _dense_rank(rows, p):
+    """Rank mod p by column-by-column elimination on dense rows."""
+    work = [[v % p for v in row] for row in rows]
     rank = 0
     for col in range(len(work[0]) if work else 0):
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
@@ -683,11 +680,10 @@ def _dense_rank(rows, p=None):
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         lead = work[rank]
-        inv = 1 / lead[col] if p is None else pow(lead[col], p - 2, p)
+        inv = pow(lead[col], p - 2, p)
         for r in range(rank + 1, len(work)):
             factor = work[r][col] * inv
-            work[r] = [v - factor * lv if p is None else (v - factor * lv) % p
-                       for v, lv in zip(work[r], lead)]
+            work[r] = [(v - factor * lv) % p for v, lv in zip(work[r], lead)]
         rank += 1
     return rank
 
@@ -711,17 +707,19 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_sparse_rank_matches_dense_elimination(matrix):
     ncols, rows = matrix
-    for p in (None, 7, _PRIME):
-        assert _rank(rows, p) == _dense_rank(_dense(rows, ncols), p)
+    for p in (7, _PRIME):
+        with patch.object(linalg, "_PRIME", p):
+            assert _rank(rows) == _dense_rank(_dense(rows, ncols), p)
 
 
-def test_sparse_rank_on_full_deficient_and_mod_7_deficient_matrices():
+def test_sparse_rank_on_full_deficient_and_mod_7_deficient_matrices(monkeypatch):
     full = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
     deficient = full + [[1, 0, 0, 1]]  # rows 1 - 2 + 3
     mod_7 = [[1, 2], [3, 13]]  # determinant 7
-    for rows, ranks in ((full, (3, 3, 3)), (deficient, (3, 3, 3)), (mod_7, (2, 1, 2))):
-        for p, rank in zip((None, 7, _PRIME), ranks):
-            assert _rank(_sparse(rows), p) == _dense_rank(rows, p) == rank
+    for rows, ranks in ((full, (3, 3)), (deficient, (3, 3)), (mod_7, (1, 2))):
+        for p, rank in zip((7, _PRIME), ranks):
+            monkeypatch.setattr(linalg, "_PRIME", p)
+            assert _rank(_sparse(rows)) == _dense_rank(rows, p) == rank
 
 
 def test_harmonic_dim_validation():
@@ -781,8 +779,8 @@ def _identity(size):
 
 
 def test_sparse_mat_mul_matches_dense():
-    """On random integer and fraction matrices with about half of the
-    entries zero."""
+    """``verify._mat_mul`` against the reference product, on random
+    integer and fraction matrices with about half of the entries zero."""
     rng = random.Random(0)
 
     def entry():
@@ -798,7 +796,7 @@ def test_sparse_mat_mul_matches_dense():
     for size in range(1, 7):
         for _ in range(20):
             a, b = matrix(size), matrix(size)
-            assert _sparse_mat_mul(a, b) == _mat_mul(a, b)
+            assert _verify_mat_mul(a, b) == _mat_mul(a, b)
 
 
 def test_matrices_are_involutions():

@@ -2,8 +2,9 @@
 private module-level name is read somewhere in the package, every
 public module-level function is read by package code or named in the
 README, every ``__slots__`` name of a package class is read as an
-attribute, and no class but ``forms._Value`` and a few named exemptions
-writes its own ``__eq__``, ``__hash__`` or ``__repr__``.
+attribute, no class but ``forms._Value`` and a few named exemptions
+writes its own ``__eq__``, ``__hash__`` or ``__repr__``, and every
+package name a docstring quotes still exists.
 
 Deleting a function tends to leave its imports behind, folding one path
 into another tends to leave a private helper behind, moving callers
@@ -16,7 +17,11 @@ module of the package reads, every public function that no package code
 but its own ``def`` reads and that README.md does not mention, and every
 slot that no module reads as an attribute.  A value class that writes
 its own comparison, hash or repr beside the shared one tends to drift
-from it, so a last guard names every class that defines one.
+from it, so another guard names every class that defines one.  And a
+docstring that quotes a helper outlives the helper, so a last guard
+names each ``module.name`` of a package module, and each ``_name``,
+quoted in double backticks in a package docstring, that no package
+module or class binds.
 """
 
 import ast
@@ -283,3 +288,78 @@ def test_value_method_guard_sees_each_way_to_bind_one():
 def test_value_classes_take_their_methods_from_one_base():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert sorted(value_method_classes(sources)) == sorted(OWN_VALUE_METHODS)
+
+
+# A quoted package name: ``module.name``, or a private ``_name`` (dunders
+# aside), in double backticks.
+DOC_REFERENCE = re.compile(r"``(\w+)\.(\w+)``|``((?!__)_\w+)``")
+
+
+def _bound(body: list[ast.stmt]) -> set[str]:
+    """The names a module or class body binds by ``def``, ``class``,
+    assignment or import, and the names of its ``__slots__``."""
+    bound = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            bound.update(names)
+            if "__slots__" in names:
+                slots = ast.literal_eval(node.value)
+                bound.update([slots] if isinstance(slots, str) else slots)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+    return bound
+
+
+def unresolved_doc_references(sources: dict[str, str]) -> list[str]:
+    """``module: reference`` for each quoted name of a docstring of
+    ``sources`` that is either ``owner.name`` with ``owner`` one of
+    ``sources`` that binds no ``name`` at its top level, or a ``_name``
+    that no module or class of ``sources`` binds."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    top = {module: _bound(tree.body) for module, tree in trees.items()}
+    anywhere = set().union(*top.values()).union(
+        *(_bound(node.body) for tree in trees.values() for node in ast.walk(tree)
+          if isinstance(node, ast.ClassDef))
+    )
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    missing = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            doc = ast.get_docstring(node) if isinstance(node, documented) else None
+            for owner, name, private in DOC_REFERENCE.findall(doc or ""):
+                if owner in top and name not in top[owner]:
+                    missing.append(f"{module}: {owner}.{name}")
+                elif private and private not in anywhere:
+                    missing.append(f"{module}: {private}")
+    return missing
+
+
+def test_doc_reference_guard_sees_bound_and_missing_names():
+    sources = {
+        "a": (
+            '"""Names ``b.helper``, ``b.gone``, ``os._exit`` and ``_LIMIT``."""\n'
+            "_LIMIT = 3\n"
+            "class Box:\n"
+            '    """Holds ``_slot`` and ``_cached``, built by ``_make``."""\n'
+            "    __slots__ = ('_slot',)\n"
+            "    @classmethod\n"
+            "    def _make(cls): pass\n"
+        ),
+        "b": (
+            "from a import _LIMIT\n"
+            "def helper():\n"
+            '    """Reads ``a._LIMIT`` and ``a.Box``; ``_deleted`` is gone,\n'
+            '    ``__slots__`` is a dunder and ``kernel.depth`` names no module."""\n'
+        ),
+    }
+    assert unresolved_doc_references(sources) == ["a: b.gone", "a: _cached", "b: _deleted"]
+
+
+def test_package_docstrings_quote_only_bound_names():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unresolved_doc_references(sources) == []
