@@ -35,8 +35,9 @@ its lifted vectors; the adjoint of psi is the same over the transpose,
 and the divergence is that adjoint at (n, k, k - 1).  ``psi`` itself
 stays the term-by-term lift.  The harmonicity and lift checks of
 ``decompose_step`` and ``harmonic_preimage`` and the split's tail run
-this way, on dense lists; a caller with many forms passes one dict of
-tables to every call, so each is built once.
+this way, on dense lists.  Only ``decompose_step`` and
+``_scaled_preimage`` share a caller's lift tables: a caller with many
+forms passes one dict of tables to every call, so each is built once.
 """
 
 from __future__ import annotations
@@ -248,11 +249,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"point must lie in 1..{self.n}, got {i}")
-        return self.images[i - 1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -533,9 +529,7 @@ def _scaled_preimage(f: SquareFreeForm, k: int, tables: LiftTables) -> list[Scal
     return g
 
 
-def harmonic_preimage(
-    f: SquareFreeForm, k: int, tables: LiftTables | None = None
-) -> SquareFreeForm:
+def harmonic_preimage(f: SquareFreeForm, k: int) -> SquareFreeForm:
     """Recover the harmonic f0 with psi(f0, m - k) == f, or raise.
 
     On the psi-image of the degree-k harmonic subspace, following psi with
@@ -544,11 +538,11 @@ def harmonic_preimage(
     before the division, as g harmonic with psi(g, m - k) == C * f, so
     forms outside the image are rejected rather than mangled and integral
     forms are checked in integers.  The adjoint, the divergence and the
-    lift are each one gather of a ``LiftTable`` from ``tables``, shared
-    as in ``decompose_step``.
+    lift are each one gather of a ``LiftTable``.  Only ``decompose_step``
+    and ``_scaled_preimage`` share a caller's tables, so this call builds
+    its own.
     """
-    if tables is None:
-        tables = {}
+    tables: LiftTables = {}
     g = _scaled_preimage(f, k, tables)
     if isinstance(g, str):
         raise ValueError(g)

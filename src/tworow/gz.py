@@ -32,9 +32,10 @@ below p_j, and whether p_j lies in S: it is one of the 2k + 2 values of
 computes that code once per entry value p for every k-subset, in
 lexicographic order, and maps it to one column of factors for each (p, j)
 that the given tableaux hold; the dense harmonic of u is the elementwise
-product of its k columns.  The same factorisation lets
-``markov.spectral_measure`` sum the terms of one monomial for every tableau
-at once, in one scan over the entries 1, .., n.
+product of its k columns.  ``markov.spectral_measure`` reads the same
+``_rook_factors``, split by the parity of the code, to sum the terms of
+one monomial for every tableau at once, in one scan over the entries
+1, .., n.
 
 So the lifted vector sums h_u over the k-subsets of each m-subset, and that
 index structure depends only on (n, m, k), not on u.  ``_lift_table``,

@@ -31,10 +31,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, mul
 from typing import Iterator, NamedTuple
 
 from .forms import _index, _scalar, _Value
-from .gz import _norm_factor
+from .gz import _norm_factor, _rook_factors
 from .ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
@@ -90,7 +91,7 @@ class BitPrefix(_Value):
 
 class SpectralTable:
     """An exact probability table on the standard tableaux of one level.
-    ``probs`` is read-only: a new dict, in ``items`` order, on each access."""
+    ``probs`` is read-only: a new dict, in ``weights`` order, on each access."""
 
     __slots__ = ("level", "_pairs")
 
@@ -120,29 +121,18 @@ class SpectralTable:
 
     @property
     def probs(self) -> dict[TwoRowTableau, Fraction]:
-        return dict(self.items())
-
-    def prob(self, u: TwoRowTableau) -> Fraction:
-        pair = self._pairs.get(u.second_row) if u.n == self.level else None
-        return Fraction(*pair) if pair else Fraction(0)
-
-    def items(self) -> list[tuple[TwoRowTableau, Fraction]]:
-        """Entries sorted by second-row length, then second row."""
         level = self.level
-        return [
-            (TwoRowTableau._trusted(level, row), Fraction(num, den))
+        return {
+            TwoRowTableau._trusted(level, row): Fraction(num, den)
             for row, num, den in self.weights()
-        ]
+        }
 
     def weights(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """The entries of ``items`` as ``(second_row, num, den)``, each
-        weight num / den in lowest terms, with no tableau or ``Fraction``
-        made."""
+        """The entries as ``(second_row, num, den)``, sorted by second-row
+        length, then second row, each weight num / den in lowest terms,
+        with no tableau or ``Fraction`` made."""
         pairs = self._pairs
         return ((row, *pairs[row]) for row in sorted(pairs, key=_by_shape))
-
-    def support(self) -> list[TwoRowTableau]:
-        return [u for u, _ in self.items()]
 
     def restricted(self) -> SpectralTable:
         """The exact marginal one level down: numerators summed over the
@@ -165,7 +155,7 @@ class SpectralTable:
         return self.level == other.level and self._pairs == other._pairs
 
     def __repr__(self) -> str:
-        entries = ", ".join(f"{u.second_row}: {p}" for u, p in self.items())
+        entries = ", ".join(f"{row}: {Fraction(num, den)}" for row, num, den in self.weights())
         return f"SpectralTable(level={self.level}, {{{entries}}})"
 
 
@@ -332,11 +322,11 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
     b of S-entries placed so far, the signed sum of the partial terms, and
     the running norm.  Entry t + 1 in the first row keeps the sums, or, if
     it lies in I, also lets b grow: new[b] += v[b], new[b + 1] += v[b].
-    Entry t + 1 = p_{j+1} in the second row adds v[b] (b - j) to new[b],
-    and, if it lies in I, subtracts v[b] (t - j - b) from new[b + 1]; a
-    factor below 1 adds nothing.  A prefix whose sums are all zero has no
-    tableau of positive weight below it.  At a leaf with k second-row
-    entries, c_u is the sum at b = k."""
+    Entry t + 1 in the second row multiplies v[b] by its ``_rook_factors``
+    at b, as in ``gz``: the factor outside S goes to new[b] and, if t + 1
+    lies in I, the factor inside S to new[b + 1].  A prefix whose sums are
+    all zero has no tableau of positive weight below it.  At a leaf with k
+    second-row entries, c_u is the sum at b = k."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):
@@ -348,6 +338,14 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
     width = min(m, level // 2) + 1
     # The psi isometry constant of each k, as in ``gz.closed_norm_sq_in_H``.
     lift = [comb(level - 2 * k, m - k) for k in range(width)]
+    # The factors of entry t + 1 as the (j + 1)-th second-row entry: its
+    # rook factors by b, outside S (even codes) and inside S (odd codes),
+    # and its norm factor.
+    factors = {}
+    for t in range(1, level):
+        for j in range(min((t + 1) // 2, width - 1)):
+            rook = _rook_factors(t + 1, j, width - 1)
+            factors[t, j] = rook[0::2], rook[1::2], _norm_factor(t + 1, j)
     pairs: dict[tuple[int, ...], tuple[int, int]] = {}
     stack: list[tuple[int, tuple[int, ...], list[int], int]] = [
         (0, (), [1] + [0] * (width - 1), 1)
@@ -366,14 +364,13 @@ def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTab
             stack.append((t + 1, second, stay, norm))
         if 2 * (j + 1) > t + 1 or j + 1 >= width:
             continue
-        up = [0] * width
-        for b in range(j + 1, width):
-            up[b] = v[b] * (b - j)
+        outside, inside, norm_factor = factors[t, j]
         if in_i:
-            for b in range(min(t - j, width - 1)):
-                up[b + 1] -= v[b] * (t - j - b)
+            up = list(map(add, map(mul, v, outside), [0, *map(mul, v, inside)]))
+        else:
+            up = list(map(mul, v, outside))
         if any(up):
-            stack.append((t + 1, second + (t + 1,), up, norm * _norm_factor(t + 1, j)))
+            stack.append((t + 1, second + (t + 1,), up, norm * norm_factor))
     return SpectralTable._trusted(level, pairs)
 
 

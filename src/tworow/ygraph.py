@@ -162,16 +162,6 @@ class TwoRowTableau(_Value):
             return TwoRowTableau._trusted(self.n - 1, self.second_row[:-1])
         return TwoRowTableau._trusted(self.n - 1, self.second_row)
 
-    def extended(self, up: bool) -> TwoRowTableau:
-        """Append entry n + 1 to the second row (up) or the first row; an up
-        step that would make the second row longer than the first raises."""
-        if up:
-            ps = self.second_row + (self.n + 1,)
-            if 2 * len(ps) > self.n + 1:
-                raise ValueError(f"second row too long for {self.n + 1} cells: {ps}")
-            return TwoRowTableau._trusted(self.n + 1, ps)
-        return TwoRowTableau._trusted(self.n + 1, self.second_row)
-
 
 def _second_rows(n: int, k: int) -> list[tuple[int, ...]]:
     """Second rows of the standard tableaux of shape (n - k, k), lexicographic:

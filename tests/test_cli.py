@@ -561,6 +561,93 @@ def test_verify_fails_on_a_corrupted_scan_norm(capsys, monkeypatch):
     assert out.endswith("4 checks, 3 failures\n")
 
 
+def _failed_checks(out):
+    """The FAIL lines of a verify report, without their ``FAIL`` tag."""
+    return [line[5:] for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_verify_fails_on_unsigned_scan_factors(capsys, monkeypatch):
+    """The spectral scan reads its own binding of ``_rook_factors``; with
+    every factor taken unsigned there, the scanned tables lose their mass
+    while the split, which never reads the scan, still passes."""
+    factors = markov._rook_factors
+    monkeypatch.setattr(
+        markov, "_rook_factors", lambda p, j, k: [abs(f) for f in factors(p, j, k)]
+    )
+    code, out, err = run_cli(capsys, "verify", "--scope", "markov", "--n-max", "4")
+    assert (code, err) == (1, "")
+    assert "PASS decompose-step: " in out
+    assert _failed_checks(out) == [
+        "spectral: raised probabilities sum to 3/2, not 1",
+        "parity: raised probabilities sum to 3/2, not 1",
+        "markov-detector: raised probabilities sum to 19/15, not 1",
+    ]
+    assert out.endswith("4 checks, 3 failures\n")
+
+
+def test_verify_fails_central_mass_on_one_doubled_shape_weight(capsys, monkeypatch):
+    """The witness for ``central-mass``: with the central table's weight
+    of shape (11, 3) doubled, the level-11 table weighs more than 1, while
+    the kernel check, which reads ``verify``'s own binding, still passes."""
+    weight = markov.central_shape_weight
+    monkeypatch.setattr(
+        markov,
+        "central_shape_weight",
+        lambda d: weight(d) * (2 if (d.n, d.k) == (11, 3) else 1),
+    )
+    code, out, err = run_cli(capsys, "verify", "--scope", "central")
+    assert (code, err) == (1, "")
+    assert _failed_checks(out) == ["central-mass: n=11: probabilities sum to 677/512, not 1"]
+
+
+def test_verify_fails_matrices_relations_on_one_negated_matrix_entry(capsys, monkeypatch):
+    """The witness for ``matrices-relations``: with the first nonzero
+    off-diagonal entry of the (2 3) matrix of shape (3, 1) negated, that
+    matrix no longer squares to 1 or satisfies either braid relation it
+    enters."""
+    closed = verify.orthogonal_form_matrix
+
+    def negated(i, d):
+        matrix = closed(i, d)
+        if (i, d.n, d.k) == (2, 4, 1):
+            r, c = next(
+                (r, c)
+                for r, row in enumerate(matrix)
+                for c, x in enumerate(row)
+                if r != c and x
+            )
+            matrix[r][c] = -matrix[r][c]
+        return matrix
+
+    monkeypatch.setattr(verify, "orthogonal_form_matrix", negated)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gz")
+    assert (code, err) == (1, "")
+    failed = _failed_checks(out)
+    assert [line.split(":")[0] for line in failed] == ["matrices-agree", "matrices-relations"]
+    assert failed[1] == (
+        "matrices-relations: involution n=4 k=1 i=2; braid n=4 k=1 i=1; braid n=4 k=1 i=2"
+    )
+
+
+def test_verify_fails_alternating_parity_on_a_swapped_central_row(capsys, monkeypatch):
+    """The witness for ``alternating-parity``: with the central row at
+    (4, 1) swapped, the even-level central rows fail there, and so does
+    the central kernel, and nothing else."""
+    row = markov._central_row
+
+    def swapped(n, k):
+        stay, up, den = row(n, k)
+        return (up, stay, den) if (n, k) == (4, 1) else (stay, up, den)
+
+    monkeypatch.setattr(markov, "_central_row", swapped)
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err) == (1, "")
+    assert _failed_checks(out) == [
+        "alternating-parity: even level, central row fails at n=4 k=1",
+        "central-kernel: n=4 k=1",
+    ]
+
+
 @pytest.mark.usefixtures("fresh_basis_cache")
 def test_verify_fails_on_a_wrong_closed_norm(capsys, monkeypatch):
     closed = gz.closed_harmonic_norm_sq

@@ -606,7 +606,7 @@ def test_divisions_give_fractions():
     assert f0 == third and f0.coeffs
     assert all(type(c) is Fraction for c in f0.coeffs.values())
     table = spectral_measure(BitPrefix.from_string("010101"))
-    assert all(type(p) is Fraction for _, p in table.items())
+    assert all(type(p) is Fraction for p in table.probs.values())
     matrix = orthogonal_form_matrix(2, TwoRowDiagram(5, 2))
     assert all(type(x) is Fraction for row in matrix for x in row)
 

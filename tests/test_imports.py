@@ -1,21 +1,22 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, every
-public module-level function is read by package code or named in the
-README, every ``__slots__`` name of a package class is read as an
-attribute, no class but ``forms._Value`` and a few named exemptions
+public module-level function and every public method or property of a
+package class is read by package code or named in the README, bar two
+named exemptions, every ``__slots__`` name of a package class is read as
+an attribute, no class but ``forms._Value`` and a few named exemptions
 writes its own ``__eq__``, ``__hash__`` or ``__repr__``, and every
 package name a docstring quotes still exists.
 
 Deleting a function tends to leave its imports behind, folding one path
 into another tends to leave a private helper behind, moving callers
-to a new route tends to leave the old public function behind with only
-its tests to call it, and dropping a cached field tends to leave its
-slot behind, still assigned; these guards read each module of
+to a new route tends to leave the old public function or method behind
+with only its tests to call it, and dropping a cached field tends to
+leave its slot behind, still assigned; these guards read each module of
 ``src/tworow`` with ``ast`` and name every imported name that no
 expression of the module reads, every module-level ``_name`` that no
-module of the package reads, every public function that no package code
-but its own ``def`` reads and that README.md does not mention, and every
-slot that no module reads as an attribute.  A value class that writes
+module of the package reads, every public function or class member that
+no package code but its own ``def`` reads and that README.md does not
+mention, and every slot that no module reads as an attribute.  A value class that writes
 its own comparison, hash or repr beside the shared one tends to drift
 from it, so another guard names every class that defines one.  And a
 docstring that quotes a helper outlives the helper, so a last guard
@@ -26,6 +27,7 @@ module or class binds.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,17 +82,22 @@ def private_names(tree: ast.Module) -> list[str]:
     return [name for name in bound if name.startswith("_") and not name.startswith("__")]
 
 
-def _read_names(tree: ast.Module) -> set[str]:
+def _read_names(tree: ast.AST) -> set[str]:
     """The names ``tree`` reads as a ``Name``, an attribute or a ``from``
     import; a name or attribute that is only assigned is not read."""
-    read = set()
+    return set(_read_occurrences(tree))
+
+
+def _read_occurrences(tree: ast.AST) -> list[str]:
+    """The names ``tree`` reads, as ``_read_names``, once per read."""
+    read = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            read.append(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            read.append(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            read.update(a.name for a in node.names)
+            read += [a.name for a in node.names]
     return read
 
 
@@ -179,6 +186,78 @@ def test_public_guard_sees_read_and_unread_functions():
 def test_package_reads_every_public_function():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_public_functions(sources, README.read_text()) == []
+
+
+# The public members that no package code reads, each with its reason.
+REFERENCE_MEMBERS = {
+    "forms.SquareFreeForm.embedded": "the form algebra that tests/test_forms.py's "
+    "reference_split builds the reference decomposition from",
+    "forms.SquareFreeForm.times_var": "the form algebra that tests/test_forms.py's "
+    "reference_split builds the reference decomposition from",
+}
+
+
+def unread_public_members(sources: dict[str, str], readme: str) -> list[str]:
+    """``module.Class.name`` for each public method or property of a class
+    of ``sources`` whose name no package code other than its own ``def``
+    reads, as a ``Name``, an attribute or a ``from`` import, and that
+    ``readme`` does not name."""
+    trees = [(module, ast.parse(source)) for module, source in sources.items()]
+    members = [
+        (module, cls, node)
+        for module, tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    reads = Counter(name for _, tree in trees for name in _read_occurrences(tree))
+    named = set(re.findall(r"\w+", readme))
+    return [
+        f"{module}.{cls.name}.{node.name}"
+        for module, cls, node in members
+        if node.name not in named
+        and reads[node.name] == _read_occurrences(node).count(node.name)
+    ]
+
+
+def test_member_guard_sees_read_and_unread_members():
+    sources = {
+        "markov": (
+            "class Table:\n"
+            "    def weights(self): return []\n"
+            "    @property\n"
+            "    def probs(self): return dict(self.weights())\n"
+            "    @property\n"
+            "    def level(self): return 0\n"
+            "    def support(self): return self.support()\n"
+            "    @classmethod\n"
+            "    def build(cls): return cls()\n"
+            "    def documented(self): pass\n"
+            "    def _hidden(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "    class Row:\n"
+            "        def shown(self): pass\n"
+        ),
+        "cli": (
+            "from .markov import Table\n"
+            "def run(t):\n"
+            "    t.level = 3\n"
+            "    return t.probs, Table.build\n"
+        ),
+    }
+    readme = "Call `table.documented()` for the docs."
+    assert unread_public_members(sources, readme) == [
+        "markov.Table.level",
+        "markov.Table.support",
+        "markov.Row.shown",
+    ]
+
+
+def test_package_reads_every_public_member():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(unread_public_members(sources, README.read_text())) == sorted(REFERENCE_MEMBERS)
 
 
 def slot_names(tree: ast.Module) -> list[tuple[str, str]]:

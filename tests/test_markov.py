@@ -319,7 +319,7 @@ def test_table_takes_only_exact_rationals(bad):
     u = TwoRowTableau(1, ())
     with pytest.raises(TypeError):
         SpectralTable(1, {u: bad})
-    assert SpectralTable(1, {u: True}).prob(u) == SpectralTable(1, {u: 1}).prob(u) == 1
+    assert SpectralTable(1, {u: True}).probs == SpectralTable(1, {u: 1}).probs == {u: 1}
 
 
 def test_trusted_table_checks_its_mass():
@@ -342,19 +342,20 @@ def test_table_drops_zero_entries():
     t = SpectralTable(
         2, {TwoRowTableau(2, ()): Fraction(1), TwoRowTableau(2, (2,)): Fraction(0)}
     )
-    assert t.support() == [TwoRowTableau(2, ())]
-    assert t.prob(TwoRowTableau(2, (2,))) == 0
+    assert list(t.probs) == [TwoRowTableau(2, ())]
 
 
 def test_measure_01():
     table = spectral_measure(BitPrefix.from_string("01"))
-    assert table.prob(TwoRowTableau(2, ())) == Fraction(1, 2)
-    assert table.prob(TwoRowTableau(2, (2,))) == Fraction(1, 2)
+    assert table.probs == {
+        TwoRowTableau(2, ()): Fraction(1, 2),
+        TwoRowTableau(2, (2,)): Fraction(1, 2),
+    }
 
 
 def test_measure_all_zeros_is_point_mass():
     table = spectral_measure(BitPrefix.from_string("0000"))
-    assert table.items() == [(TwoRowTableau(4, ()), Fraction(1))]
+    assert table.probs == {TwoRowTableau(4, ()): Fraction(1)}
 
 
 def test_measure_0101_full_table():
@@ -367,7 +368,7 @@ def test_measure_0101_full_table():
         (2, 4): Fraction(1, 4),
         (3, 4): Fraction(1, 12),
     }
-    assert {u.second_row: p for u, p in table.items()} == expect
+    assert {u.second_row: p for u, p in table.probs.items()} == expect
 
 
 def test_measure_level_argument():
@@ -446,21 +447,15 @@ def _check_view(table, probs):
     weights as one ``Fraction`` per tableau, summed in ``Fraction``s."""
     level = table.level
     assert SpectralTable(level, table.probs) == table
-    items = table.items()
+    items = list(table.probs.items())
     assert items == sorted(probs.items(), key=_by_shape)
     assert all(type(p) is Fraction for _, p in items)
     assert list(table.weights()) == [(u.second_row, p.numerator, p.denominator) for u, p in items]
-    assert table.probs == probs
-    assert table.support() == [u for u, _ in items]
-    for u in enumerate_all_tableaux(level):
-        assert table.prob(u) == probs.get(u, 0)
-    # The same second row one level up is another tableau, of weight 0.
-    assert table.prob(TwoRowTableau(level + 1, items[0][0].second_row)) == 0
     marginal = {}
     for u, p in probs.items():
         v = u.restricted()
         marginal[v] = marginal.get(v, 0) + p
-    assert table.restricted().items() == sorted(marginal.items(), key=_by_shape)
+    assert list(table.restricted().probs.items()) == sorted(marginal.items(), key=_by_shape)
     assert table.restricted() == SpectralTable(level - 1, marginal)
     return any(u not in probs for u in enumerate_all_tableaux(level))
 
@@ -650,7 +645,7 @@ def test_measure_marginals_are_coherent(p):
 def test_measure_support_respects_degree(p):
     table = spectral_measure(p)
     m = p.ones(len(p))
-    for u in table.support():
+    for u in table.probs:
         assert len(u.second_row) <= m
 
 
@@ -739,7 +734,7 @@ def test_integer_routes_build_no_tableau_or_fraction(monkeypatch):
     assert counts == {"tableaux": 0, "fractions": 0}
     central_table(9)
     assert counts == {"tableaux": 0, "fractions": 5}
-    entries = len(deeper.items())
+    entries = len(deeper.probs)
     assert counts == {"tableaux": entries, "fractions": 5 + entries}
 
 
@@ -837,8 +832,8 @@ def test_spectral_table_is_not_central():
     """Same-shape tableaux get different weights under a direction sequence,
     so the two families of measures genuinely differ."""
     table = spectral_measure(BitPrefix.from_string("0101"))
-    a = table.prob(TwoRowTableau(4, (2,)))
-    b = table.prob(TwoRowTableau(4, (3,)))
+    a = table.probs.get(TwoRowTableau(4, (2,)), 0)
+    b = table.probs.get(TwoRowTableau(4, (3,)), 0)
     assert TwoRowTableau(4, (2,)).shape == TwoRowTableau(4, (3,)).shape
     assert a == Fraction(1, 4)
     assert b == Fraction(1, 12)

@@ -242,7 +242,7 @@ def _measure_doc(prefix, table, kernel, match):
         "table": {
             "level": table.level,
             "entries": [
-                {"second_row": list(u.second_row), **_fraction(p)} for u, p in table.items()
+                {"second_row": list(u.second_row), **_fraction(p)} for u, p in table.probs.items()
             ],
         },
         "kernel": [
@@ -320,7 +320,7 @@ def test_table_roundtrip_and_layout():
     assert rows == sorted(set(rows), key=lambda row: (len(row), row))
     assert len(rows) == len(table.probs) > 2
     for row, entry in zip(rows, obj["entries"]):
-        _assert_lowest_terms(entry, table.prob(TwoRowTableau(obj["level"], row)))
+        _assert_lowest_terms(entry, table.probs[TwoRowTableau(obj["level"], row)])
 
 
 def test_kernel_csv_golden():

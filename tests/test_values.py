@@ -83,7 +83,7 @@ def test_list_fields_are_stored_as_tuples():
         assert hash(from_list) == hash(from_tuple)
         assert repr(from_list) == repr(from_tuple)
     table = SpectralTable(4, {TwoRowTableau(4, [2, 4]): 1})
-    assert table.prob(TwoRowTableau(4, (2, 4))) == 1
+    assert table.probs == {TwoRowTableau(4, (2, 4)): 1}
 
 
 def test_gz_vectors_compare_by_identity():

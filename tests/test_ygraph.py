@@ -215,17 +215,6 @@ def test_first_entries_content(u):
         assert u.content(2) == (-1 if 2 in u.second_row else 1)
 
 
-@given(tableaux(max_n=9), st.integers(min_value=0, max_value=1))
-def test_extend_then_restrict(u, up):
-    if up == 1 and 2 * (u.shape.k + 1) > u.n + 1:
-        with pytest.raises(ValueError):
-            u.extended(up)
-        return
-    v = u.extended(up)
-    assert v.n == u.n + 1
-    assert v.restricted() == u
-
-
 @given(tableaux(max_n=9))
 def test_restriction_chain_reaches_empty(u):
     while u.n > 0:
