@@ -30,10 +30,10 @@ lexicographic subset order: a gather of the k-subsets of each m-subset,
 and its transpose, the m-subsets over each k-subset.  At m == k it is
 the identity lift, one slot per subset each way, with no case of its
 own.  psi(g, m - k) of a dense g is one gather and one running sum,
-differenced at the end of each m-subset's run, which is how ``gz`` builds
-its lifted vectors; the adjoint of psi is the same over the transpose,
-and the divergence is that adjoint at (n, k, k - 1).  ``psi`` itself
-stays the term-by-term lift.  The harmonicity and lift checks of
+differenced at the end of each m-subset's run; the adjoint of psi is
+the same over the transpose, and the divergence is that adjoint at
+(n, k, k - 1).  ``psi`` itself stays the term-by-term lift.  The
+harmonicity and lift checks of
 ``decompose_step`` and ``harmonic_preimage`` and the split's tail run
 this way, on dense lists.  Only ``decompose_step`` and
 ``_scaled_preimage`` share a caller's lift tables: a caller with many
@@ -380,9 +380,9 @@ def _getter(positions: Sequence[int]) -> Getter:
 
 
 def _lift_table(n: int, m: int, k: int) -> LiftTable:
-    """The lift of (n, m, k), for 0 <= k <= m <= n, without its transpose:
-    the basis builder ``gz._vectors`` reads only the gather.  At k == m
-    the gather is 0, 1, .., C(n, m) - 1, one slot wide."""
+    """The lift of (n, m, k), for 0 <= k <= m <= n, without the transpose
+    that ``_table`` adds.  At k == m the gather is 0, 1, .., C(n, m) - 1,
+    one slot wide."""
     subsets = list(combinations(range(1, n + 1), k))
     position = {subset: i for i, subset in enumerate(subsets)}
     keys = list(combinations(range(1, n + 1), m))

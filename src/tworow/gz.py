@@ -1,4 +1,4 @@
-"""Gelfand-Tsetlin bases for two-row representations, from closed formulas.
+"""Gelfand-Tsetlin bases for two-row representations, by the branching rule.
 
 For a tableau u with second-row entries p_1 < ... < p_k, the harmonic basis
 vector is the sum of pseudo-monomials
@@ -9,50 +9,35 @@ over all choices i_1, .., i_k with i_j < p_j and all 2k indices pairwise
 distinct.  These vectors are eigenvectors of every partial-transposition-sum
 operator, with eigenvalue at level l the content of the cell holding l, so
 they form the Gelfand-Tsetlin basis of the harmonic space.  Applying psi
-carries the basis into each higher-degree copy of the same irreducible.
+carries the basis into each higher-degree copy of the same irreducible,
+and psi(h_u, m - k) is the vector of u in the degree-m module.
 
-Applying psi(., m - k) to h_u gives the vector of u in the degree-m module.
-Its coefficient on x_I, for an m-subset I, is a closed sum that needs no
-expansion: it is the sum over k-subsets S of I of
+Every such vector is built from the two vectors of its restriction one
+level down.  Write V(s, d) for psi(h, d - j) as the dense list of its
+coefficients on the d-subsets of 1..s in colexicographic order, so that
+the subsets without s come first, where h is the harmonic of u's
+restriction to the entries 1..s and j its second-row length.  It is zero
+unless j <= d <= s - j, and V(0, 0) = [1].  With j now the second-row
+length at level s - 1:
 
-    (-1)^|H| * R1 * R2,    H = {j : p_j in S},
+- s in the first row: V(s, d) = V(s - 1, d) ++ V(s - 1, d - 1), the
+  monomials without x_s and those with it;
+- s in the second row: V(s, d) = (d - j) V(s - 1, d) ++
+  -(s - d - j) V(s - 1, d - 1).
 
-where P = {p_1, .., p_k}, R1 counts the ways to match S - P onto the p_j
-outside H with i_j < p_j, and R2 counts the ways to give each p_j in H a
-distinct free low i_j < p_j from {1, .., n} - (P union S).  Both are
-Ferrers-board rook numbers: walking the p's upwards, each contributes the
-number of entries available below it minus those already placed, and the
-count is 0 once a factor is not positive.  At m = k the sum has the single
-term S = I, so the term of S is the coefficient of x_S in h_u itself, and
-``gz_harmonic`` never expands the products of differences.
-
-The factor of p_j depends on S only through b, the number of entries of S
-below p_j, and whether p_j lies in S: it is one of the 2k + 2 values of
-``_rook_factors`` indexed by the code 2b + [p_j in S].  ``_rook_columns``
-computes that code once per entry value p for every k-subset, in
-lexicographic order, and maps it to one column of factors for each (p, j)
-that the given tableaux hold; the dense harmonic of u is the elementwise
-product of its k columns.  ``markov.spectral_measure`` reads the same
-``_rook_factors``, split by the parity of the code, to sum the terms of
-one monomial for every tableau at once, in one scan over the entries
-1, .., n.
-
-So the lifted vector sums h_u over the k-subsets of each m-subset, and that
-index structure depends only on (n, m, k), not on u.  ``_lift_table``,
-from ``forms``, whose lift checks read the same table, lays it out as one
-getter of the positions of the k-subsets of every m-subset in turn,
-C(m, k) slots each.  ``_vectors`` is the one vector
-builder: for the tableaux of one shape it builds the rook columns and, for
-k < m, the lift table once, then gathers every slot of each dense harmonic
-at once and takes each coefficient as the difference of one running sum
-at the ends of its m-subset's run, so a lifted vector costs
-C(n, m) * C(m, k) additions in C-level passes and builds no index tuples.
-``iter_basis`` runs it once per shape and ``gz_in_H`` on one tableau;
-verify's good-tableau check passes it one tableau's rook columns, built
-once for all the degrees it lifts to.  The
-level operators X_l = sum_{i<l} (i l) take a similar form: ``yjm_rows``
-gives, for each k-subset, its count of fixing transpositions and a gather
-of the monomials the others carry onto it.
+The recurrence takes no division and no index tuple: each slice is list
+concatenations and scalings.  ``_vector`` walks it on one ``_Chain`` of
+slices, one per level, each holding V(s, d) for the degrees d that still
+reach m at level n.  Tableaux taken in ``iter_basis`` order, second rows
+in lexicographic order, are the leaves of the tree of prefixes with the
+second row taken first, so a chain shared by them rebuilds only the
+levels after the first entry where a tableau leaves the one before.  The
+chain's getter then reads the colexicographic list off in the
+lexicographic order of ``keys``.  ``iter_basis`` shares one chain among
+all its tableaux, ``gz_harmonic`` and ``gz_in_H`` walk one of their own.
+The level operators X_l = sum_{i<l} (i l) take a gather form:
+``yjm_rows`` gives, for each k-subset, its count of fixing transpositions
+and a gather of the monomials the others carry onto it.
 
 Vectors are kept unnormalized, only as the dense ``int`` lists that the
 builder computes and ``serialize.write_basis`` and ``verify`` read; their
@@ -67,23 +52,22 @@ time, so a streamed export such as ``tworow basis`` holds one vector.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .forms import Key, SquareFreeForm, _lift, _lift_table, _sparse
+from .forms import Key, SquareFreeForm, _getter, _sparse
 from .ygraph import TwoRowDiagram, TwoRowTableau, enumerate_tableaux
 
 
 class GzVector:
     """A basis vector: tableau label, its coefficient on each of ``keys``,
     the m-subsets in lexicographic order that the vectors of one builder
-    call share, and closed squared norm.  ``coeffs`` is the one copy of the
-    vector: each read of ``form`` builds a fresh ``SquareFreeForm`` view.
-    Vectors compare by identity; compare fields to compare values."""
+    chain share, and closed squared norm.  ``coeffs`` is the one copy of
+    the vector: each read of ``form`` builds a fresh ``SquareFreeForm``
+    view.  Vectors compare by identity; compare fields to compare values."""
 
     __slots__ = ("tableau", "coeffs", "keys", "norm_sq")
 
@@ -101,15 +85,12 @@ class GzVector:
         return f"GzVector(tableau={self.tableau!r}, form={self.form!r}, norm_sq={self.norm_sq!r})"
 
 
-def gz_harmonic(u: TwoRowTableau, columns: RookColumns | None = None) -> GzVector:
-    """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized: the
-    coefficient of x_S is the product of the rook factors of u's entries
-    at S.  ``columns`` is a ``_rook_columns`` table of u's shape that holds
-    every (p_j, j) of u, whose k-subsets the vector shares as its keys; by
-    default u builds only its own k columns."""
-    if columns is None:
-        columns = _rook_columns(u.n, len(u.second_row), (u,))
-    return GzVector(u, _dense_harmonic(u, columns), columns[0], closed_harmonic_norm_sq(u))
+def gz_harmonic(u: TwoRowTableau, columns: _Chain | None = None) -> GzVector:
+    """The harmonic Gelfand-Tsetlin vector labeled by u, unnormalized.
+    ``columns`` is a ``_Chain`` of degree k at u's level that the caller
+    shares among tableaux in ``iter_basis`` order; by default u walks a
+    chain of its own."""
+    return _vector(u, columns or _Chain(u.n, len(u.second_row)))
 
 
 def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
@@ -119,78 +100,61 @@ def gz_in_H(u: TwoRowTableau, m: int) -> GzVector:
         raise ValueError(f"degree {m} is below the tableau's second row {k}")
     if 2 * m > u.n:
         raise ValueError(f"degree {m} exceeds half of {u.n} variables")
-    return next(_vectors(u.n, m, k, (u,)))
+    return _vector(u, _Chain(u.n, m))
 
 
-RookColumns = tuple[list[Key], dict[tuple[int, int], list[int]]]
+class _Chain:
+    """The branching rule's slices for tableaux of level n in the degree-m
+    module: the m-subsets ``keys`` in lexicographic order, which its
+    vectors share, the getter ``order`` of their positions in the
+    colexicographic order, the second-row set ``row`` of the tableau last
+    built, and ``slices``, whose entry s maps each degree d to V(s, d) of
+    that tableau's entries 1..s, from V(0, 0) = [1] up."""
+
+    __slots__ = ("n", "m", "keys", "order", "row", "slices")
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.keys = list(combinations(range(1, n + 1), m))
+        colex = {key: i for i, key in enumerate(sorted(self.keys, key=lambda key: key[::-1]))}
+        self.order = _getter(list(map(colex.__getitem__, self.keys)))
+        self.row: set[int] = set()
+        self.slices = [{0: [1]}]
 
 
-def _rook_factors(p: int, j: int, k: int) -> list[int]:
-    """The rook factor of a second-row entry p with j smaller entries, at a
-    k-subset S, indexed by the code 2b + [p in S], where b is the number of
-    entries of S below p; a count that is not positive gives the factor 0,
-    which zeroes the term of S."""
-    factors = []
-    for b in range(k + 1):
-        # p not in S: each smaller p uses up one entry of S below p, itself
-        # when in H, else its matched entry of S - P.  p in H (sign -1): of
-        # the p - 1 entries below it, the smaller p's, the entries of S - P
-        # and one free low per smaller p in H are taken; the last two number
-        # b together, as the smaller p's in H are the entries of both S and
-        # P below p.
-        factors += (max(b - j, 0), -max(p - 1 - j - b, 0))
-    return factors
+def _slice(
+    below: dict[int, list[int]], s: int, j: int, second: bool, degrees: range
+) -> dict[int, list[int]]:
+    """V(s, d) for each d of ``degrees``, from the slice ``below`` of the
+    entries 1..s - 1, j of them in the second row, where s joins the
+    second row if ``second``.  A degree missing from ``below`` is zero
+    there, which happens only at the ends of a first-row step."""
+    lists = {}
+    for d in degrees:
+        if second:
+            no_s, has_s = d - j, d + j - s
+            lists[d] = [no_s * c for c in below[d]] + [has_s * c for c in below[d - 1]]
+        else:
+            head = below.get(d) or [0] * comb(s - 1, d)
+            lists[d] = head + (below.get(d - 1) or [0] * (comb(s, d) - len(head)))
+    return lists
 
 
-def _rook_columns(n: int, k: int, tableaux: Iterable[TwoRowTableau]) -> RookColumns:
-    """The k-subsets S of 1..n in lexicographic order, and for each (p, j)
-    that one of ``tableaux`` holds, entry value p with j smaller entries,
-    the column of its rook factors over those S: the code 2b + [p in S] of
-    each S, computed once per p, mapped through ``_rook_factors``."""
-    held = {(p, j) for u in tableaux for j, p in enumerate(u.second_row)}
-    subsets = list(combinations(range(1, n + 1), k))
-    values = {p for p, _ in held}
-    codes = {p: [2 * bisect_left(s, p) + (p in s) for s in subsets] for p in values}
-    columns = {(p, j): list(map(_rook_factors(p, j, k).__getitem__, codes[p])) for p, j in held}
-    return subsets, columns
-
-
-def _dense_harmonic(u: TwoRowTableau, columns: RookColumns) -> list[int]:
-    """The coefficients of h_u on every k-subset of ``columns``, in its
-    order, zeros included: the elementwise product of u's k columns."""
-    subsets, factors = columns
-    dense = [1] * len(subsets)
-    for j, p in enumerate(u.second_row):
-        dense = list(map(mul, dense, factors[p, j]))
-    return dense
-
-
-def _vectors(
-    n: int,
-    m: int,
-    k: int,
-    tableaux: Collection[TwoRowTableau],
-    columns: RookColumns | None = None,
-) -> Iterator[GzVector]:
-    """psi(h_u, m - k) with its closed norm for each u of ``tableaux``, of
-    shape (n, k), for a checked degree m, built when requested from one
-    ``_rook_columns`` table and, for k < m, one ``_lift_table``.  A caller
-    that already holds a table of rook columns for these tableaux passes
-    it as ``columns``; by default the call builds its own.  Each
-    coefficient sums the dense h_u over the k-subsets of its m-subset: the
-    running sum of all gathered slots at the end of the m-subset's C(m, k)
-    slots, differenced.  The vectors share the lift table's m-subsets, or
-    at k == m the rook columns' k-subsets, as their keys."""
-    if columns is None:
-        columns = _rook_columns(n, k, tableaux)
-    if k == m:
-        for u in tableaux:
-            yield gz_harmonic(u, columns)
-        return
-    table = _lift_table(n, m, k)
-    for u in tableaux:
-        coeffs = _lift(table, _dense_harmonic(u, columns))
-        yield GzVector(u, coeffs, table.keys, closed_norm_sq_in_H(u, m))
+def _vector(u: TwoRowTableau, chain: _Chain) -> GzVector:
+    """psi(h_u, m - k) with its closed norm, from the slices of ``chain``
+    that u shares with the tableau the chain last built: the levels from
+    the first entry where the two second rows differ are built again."""
+    n, m, slices = chain.n, chain.m, chain.slices
+    row = set(u.second_row)
+    del slices[min(row ^ chain.row, default=n + 1):]
+    chain.row = row
+    j = sum(p < len(slices) for p in u.second_row)
+    for s in range(len(slices), n + 1):
+        second = s in row
+        j += second
+        degrees = range(max(j, m - n + s), min(m, s - j) + 1)
+        slices.append(_slice(slices[-1], s, j - second, second, degrees))
+    return GzVector(u, list(chain.order(slices[n][m])), chain.keys, closed_norm_sq_in_H(u, m))
 
 
 def _norm_factor(p: int, j: int) -> int:
@@ -215,17 +179,19 @@ def iter_basis(n: int, m: int):
     """Yield the Gelfand-Tsetlin basis of the degree-m module in n variables.
 
     Vectors are ordered by second-row length k, then lexicographically by
-    second-row entries; their count telescopes to C(n, m).  Each shape's
-    vectors come from one ``_vectors`` call, so its tableaux share one
-    table of rook columns and, below k = m, one lift table.  Vectors are
-    built when requested and not cached, so a consumer that writes each
-    vector before asking for the next holds one at a time, plus the
-    current tables.
+    second-row entries; their count telescopes to C(n, m).  All of them
+    walk one ``_Chain``, so each prefix of a shape's tableaux is built
+    once, and share its ``keys``.  Vectors are built when requested and
+    not cached, so a consumer that writes each vector before asking for
+    the next holds one at a time, plus the chain's slices.
     """
     if not 0 <= 2 * m <= n:
         raise ValueError(f"need 0 <= m <= n/2, got n={n}, m={m}")
+    chain = _Chain(n, m)
     for k in range(m + 1):
-        yield from _vectors(n, m, k, enumerate_tableaux(TwoRowDiagram(n, k)))
+        build = gz_harmonic if k == m else _vector
+        for u in enumerate_tableaux(TwoRowDiagram(n, k)):
+            yield build(u, chain)
 
 
 @lru_cache(maxsize=None)

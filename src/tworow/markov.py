@@ -12,8 +12,8 @@ the walk staying at second-row length k or moving up depends only on
 A table maps each second row of positive weight to a ``(num, den)`` pair
 in lowest terms.  Both routes to a table walk the tree of tableau
 prefixes once in integers and reduce each leaf with one gcd:
-``spectral_measure`` carries the partial rook-count sums of ``gz``'s
-closed coefficients and the closed norm, and ``path_product_table`` the
+``spectral_measure`` carries the partial rook-count sums of the GZ
+coefficients and the closed norm, and ``path_product_table`` the
 product of the rows of a kernel its caller passes in and keeps.
 Marginals, equality and cross-multiplied step ratios work on the pairs,
 and path products and sampler thresholds on a kernel's integer rows;
@@ -35,7 +35,7 @@ from operator import add, mul
 from typing import Iterator, NamedTuple
 
 from .forms import _index, _scalar, _Value
-from .gz import _norm_factor, _rook_factors
+from .gz import _norm_factor
 from .ygraph import (
     TwoRowDiagram,
     TwoRowTableau,
@@ -311,22 +311,47 @@ def kernel_from_prefix(prefix: BitPrefix, depth: int | None = None) -> Transitio
     return TransitionKernel._trusted(depth, entries)
 
 
+def _rook_factors(p: int, j: int, k: int) -> list[int]:
+    """The rook factor of a second-row entry p with j smaller entries, at a
+    k-subset S, indexed by the code 2b + [p in S], where b is the number of
+    entries of S below p; a count that is not positive gives the factor 0,
+    which zeroes the term of S."""
+    factors = []
+    for b in range(k + 1):
+        # p not in S: each smaller p uses up one entry of S below p, itself
+        # when in H, else its matched entry of S - P.  p in H (sign -1): of
+        # the p - 1 entries below it, the smaller p's, the entries of S - P
+        # and one free low per smaller p in H are taken; the last two number
+        # b together, as the smaller p's in H are the entries of both S and
+        # P below p.
+        factors += (max(b - j, 0), -max(p - 1 - j - b, 0))
+    return factors
+
+
 def spectral_measure(prefix: BitPrefix, level: int | None = None) -> SpectralTable:
     """Project the direction sequence's monomial x_I onto the basis: the
     weight of tableau u is the squared coefficient c_u over the closed
     squared norm of u's vector.  No basis vector is built.
 
-    c_u is the closed rook-count sum of ``gz`` over the k-subsets S of I,
-    and each of its terms factorises along the entries 1, 2, .. in order.
-    So one depth-first scan over tableau prefixes carries, for each count
-    b of S-entries placed so far, the signed sum of the partial terms, and
-    the running norm.  Entry t + 1 in the first row keeps the sums, or, if
-    it lies in I, also lets b grow: new[b] += v[b], new[b + 1] += v[b].
-    Entry t + 1 in the second row multiplies v[b] by its ``_rook_factors``
-    at b, as in ``gz``: the factor outside S goes to new[b] and, if t + 1
-    lies in I, the factor inside S to new[b + 1].  A prefix whose sums are
-    all zero has no tableau of positive weight below it.  At a leaf with k
-    second-row entries, c_u is the sum at b = k."""
+    c_u, the coefficient of x_I in psi(h_u, m - k), is a closed sum over
+    the k-subsets S of I of (-1)^|H| R1 R2, H = {j : p_j in S}, with P the
+    second row: R1 counts the ways to match S - P onto the p_j outside H
+    with i_j < p_j, and R2 the ways to give each p_j in H a distinct free
+    low i_j < p_j from {1, .., n} - (P union S).  Both are Ferrers-board
+    rook numbers, and the term of S is the coefficient of x_S in h_u.
+    Walking the p's upwards, each contributes the number of entries
+    available below it minus those already placed, its ``_rook_factors``,
+    so each term factorises along the entries 1, 2, .. in order.
+
+    Hence one depth-first scan over tableau prefixes carries, for each
+    count b of S-entries placed so far, the signed sum of the partial
+    terms, and the running norm.  Entry t + 1 in the first row keeps the
+    sums, or, if it lies in I, also lets b grow: new[b] += v[b],
+    new[b + 1] += v[b].  Entry t + 1 in the second row multiplies v[b] by
+    its ``_rook_factors`` at b: the factor outside S goes to new[b] and,
+    if t + 1 lies in I, the factor inside S to new[b + 1].  A prefix whose
+    sums are all zero has no tableau of positive weight below it.  At a
+    leaf with k second-row entries, c_u is the sum at b = k."""
     if level is None:
         level = len(prefix)
     if not 1 <= level <= len(prefix):

@@ -34,8 +34,8 @@ it is checked against live here, private to this module:
 A whole shape's vectors, at any degree, come only from the cached
 ``gz.full_gz_basis`` that ``check_basis`` certifies; it reads the
 harmonics as the last block of each basis.  Only ``check_good`` builds
-single vectors, the ones it tests, by gz's one vector builder ``_vectors``
-from one table of rook columns per good tableau.
+single vectors, the ones it tests, each by ``gz.gz_in_H`` on a chain of
+the branching rule of its own, the same recurrence that builds the bases.
 A suite compares basis vectors as their dense ``coeffs``, and reads a
 vector's ``form``, a fresh view, once where a ``forms`` route takes one:
 the harmonic for ``psi``, f0 and f for ``decompose_step``, a shape's
@@ -72,9 +72,8 @@ from .forms import (
 from .gz import (
     GzVector,
     YjmRows,
-    _rook_columns,
-    _vectors,
     full_gz_basis,
+    gz_in_H,
     orthogonal_form_matrix,
     yjm_rows,
 )
@@ -449,17 +448,16 @@ def check_spectral(n_max: int) -> list[CheckResult]:
 
 def check_good(n_max: int) -> list[CheckResult]:
     """Norms and level ratios for the tableau with second row 2, 4, ..., 2k.
-    Its vectors are built alone, not read from the cached bases: one table
-    of rook columns per good tableau feeds every degree m >= k it lifts
-    to, the harmonic itself at m = k."""
+    Its vectors are built alone, not read from the cached bases: one
+    ``gz_in_H`` per degree m >= k it lifts to, the harmonic itself at
+    m = k, each walking the branching rule from level 0."""
     norm_fail: list[str] = []
     ratio_fail: list[str] = []
     for n in range(0, n_max + 1):
         for k in range(n // 2 + 1):
             u = good_tableau(n, k)
-            columns = _rook_columns(n, k, (u,))
             for m in range(k, n // 2 + 1):
-                coeffs = next(_vectors(n, m, k, (u,), columns)).coeffs
+                coeffs = gz_in_H(u, m).coeffs
                 if sum(map(mul, coeffs, coeffs)) != 2**k * comb(n - 2 * k, m - k):
                     label = f"lifted n={n} k={k} m={m}" if m > k else f"harmonic n={n} k={k}"
                     norm_fail.append(label)

@@ -136,10 +136,6 @@ class TwoRowTableau(_Value):
         u.second_row = second_row
         return u
 
-    @property
-    def shape(self) -> TwoRowDiagram:
-        return TwoRowDiagram(self.n, len(self.second_row))
-
     def cell_of(self, entry: int) -> Cell:
         if not 1 <= entry <= self.n:
             raise ValueError(f"entry must lie in 1..{self.n}, got {entry}")

@@ -338,65 +338,69 @@ def test_verify_golden_bytes(capsys, tmp_path):
 # suites collect failures keeps every FAIL detail's text and order; the
 # third and fourth interleave the harmonic and lifted messages of each
 # level.
-DROPPED_LIFT_SLOT_REPORT = (
-    "FAIL basis-eigen: lifted () at n=2 m=1; lifted () at n=3 m=1; lifted () at n=4 m=1;"
-    " lifted () at n=4 m=2; lifted (2,) at n=4 m=2; and 117 more\n"
-    "FAIL basis-orthogonal: n=2 m=1: () vs (2,); n=3 m=1: () vs (2,);"
-    " n=3 m=1: () vs (3,); n=4 m=1: () vs (2,); n=4 m=1: () vs (3,); and 1633 more\n"
-    "FAIL basis-norms: lifted norm () at n=2 m=1; lifted norm () at n=3 m=1;"
-    " lifted norm () at n=4 m=1; lifted norm () at n=4 m=2; lifted norm (2,) at n=4 m=2;"
-    " and 117 more\n"
-    "FAIL psi-isometry: basis vector n=2, u=(), m=1 is not psi;"
-    " basis vector n=3, u=(), m=1 is not psi; basis vector n=4, u=(), m=1 is not psi;"
-    " basis vector n=4, u=(), m=2 is not psi; basis vector n=4, u=(2,), m=2 is not psi;"
-    " and 117 more\n"
-    "FAIL good-tableau-norms: lifted n=2 k=0 m=1; lifted n=3 k=0 m=1;"
-    " lifted n=4 k=0 m=1; lifted n=4 k=0 m=2; lifted n=4 k=1 m=2; and 56 more\n"
+DROPPED_SLOT_REPORT = (
+    "FAIL basis-eigen: lifted () at n=4 m=2; lifted (2,) at n=4 m=2; lifted (3,) at n=4"
+    " m=2; harmonic (2, 5) at n=5 differs from its expansion; harmonic (2, 5) at n=5;"
+    " and 289 more\n"
+    "FAIL basis-orthogonal: n=4 m=2: () vs (2,); n=4 m=2: () vs (3,); n=4 m=2: () vs"
+    " (4,); n=4 m=2: () vs (2, 4); n=4 m=2: () vs (3, 4); and 3233 more\n"
+    "FAIL basis-norms: lifted norm () at n=4 m=2; lifted norm (2,) at n=4 m=2; lifted"
+    " norm (3,) at n=4 m=2; harmonic norm (2, 5) at n=5; harmonic norm (3, 5) at n=5;"
+    " and 227 more\n"
+    "FAIL psi-isometry: basis vector n=4, u=(), m=2 is not psi; basis vector n=4,"
+    " u=(2,), m=2 is not psi; basis vector n=4, u=(3,), m=2 is not psi; basis vector"
+    " n=5, u=(), m=2 is not psi; basis vector n=5, u=(2,), m=2 is not psi; and 161 more\n"
+    "FAIL good-tableau-norms: lifted n=4 k=0 m=2; lifted n=4 k=1 m=2; lifted n=5 k=0"
+    " m=2; lifted n=5 k=1 m=2; lifted n=6 k=0 m=2; and 45 more\n"
     "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
     " for n <= 12\n"
-    "FAIL matrices-agree: lifted n=2 k=0 i=1; lifted n=3 k=0 i=1; lifted n=4 k=0 i=1;"
-    " lifted n=4 k=1 i=1; lifted n=4 k=1 i=2; and 8 more\n"
-    "PASS matrices-relations: involution, braid and commutation relations hold"
-    " for n <= 6\n"
-    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
-    " for n <= 10\n"
-    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m)"
-    " for n <= 10\n"
+    "FAIL matrices-agree: lifted n=4 k=1 i=1; lifted n=4 k=1 i=3; lifted n=5 k=1 i=1;"
+    " lifted n=5 k=1 i=3; lifted n=5 k=1 i=4; and 15 more\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold for n <="
+    " 6\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1) for n"
+    " <= 10\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m) for n <="
+    " 10\n"
     "10 checks, 6 failures\n"
 )
 
-UNSIGNED_ROOK_FACTOR_REPORT = (
-    "FAIL basis-eigen: harmonic (2,) at n=2 differs from its expansion;"
-    " harmonic (2,) at n=2; lifted (2,) at n=2 m=1;"
-    " harmonic (2,) at n=3 differs from its expansion; harmonic (2,) at n=3; and 22 more\n"
-    "FAIL basis-orthogonal: n=2 m=1: () vs (2,); n=3 m=1: () vs (2,);"
-    " n=3 m=1: () vs (3,); n=3 m=1: (2,) vs (3,); n=4 m=1: () vs (2,); and 20 more\n"
-    "FAIL basis-norms: lifted norm (2,) at n=4 m=2; lifted norm (3,) at n=4 m=2;"
-    " lifted norm (4,) at n=4 m=2\n"
-    "FAIL psi-isometry: n=4, u=(2,), m=2; n=4, u=(3,), m=2; n=4, u=(4,), m=2\n"
-    "FAIL good-tableau-norms: lifted n=4 k=1 m=2\n"
+OFF_BY_ONE_FACTOR_REPORT = (
+    "FAIL basis-eigen: harmonic (2, 4) at n=4 differs from its expansion; harmonic (2,"
+    " 4) at n=4; harmonic (3, 4) at n=4 differs from its expansion; harmonic (3, 4) at"
+    " n=4; lifted (4,) at n=4 m=2; and 2 more\n"
+    "FAIL basis-orthogonal: n=4 m=2: () vs (4,); n=4 m=2: (2,) vs (2, 4); n=4 m=2: (3,)"
+    " vs (3, 4)\n"
+    "FAIL basis-norms: harmonic norm (2, 4) at n=4; harmonic norm (3, 4) at n=4; lifted"
+    " norm (4,) at n=4 m=2; lifted norm (2, 4) at n=4 m=2; lifted norm (3, 4) at n=4"
+    " m=2\n"
+    "FAIL psi-isometry: basis vector n=4, u=(4,), m=2 is not psi\n"
+    "FAIL good-tableau-norms: harmonic n=4 k=2\n"
     "PASS good-tableau-ratio: consecutive-level norm ratios equal the stay probability"
     " for n <= 4\n"
-    "FAIL matrices-agree: n=2 k=1 i=1; n=3 k=1 i=1; n=3 k=1 i=2; n=4 k=1 i=1;"
-    " lifted n=4 k=1 i=1; and 7 more\n"
-    "PASS matrices-relations: involution, braid and commutation relations hold"
-    " for n <= 4\n"
-    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1)"
-    " for n <= 4\n"
-    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m) for n <= 4\n"
-    "FAIL decompose: raised f0 is not harmonic\n"
-    "FAIL spectral: raised probabilities sum to 3/2, not 1\n"
+    "FAIL matrices-agree: lifted n=4 k=1 i=3; n=4 k=2 i=3\n"
+    "PASS matrices-relations: involution, braid and commutation relations hold for n <="
+    " 4\n"
+    "PASS harmonic-dimension: divergence kernel ranks equal C(n, k) - C(n, k - 1) for n"
+    " <= 4\n"
+    "PASS module-filling: harmonic pieces fill the degree-m module to C(n, m) for n <="
+    " 4\n"
+    "FAIL decompose: raised f is not the psi-image of f0\n"
+    "PASS spectral-vs-paths: projection and path-product tables agree for all 12 valid"
+    " sequences of length <= 4\n"
+    "PASS spectral-markov: step ratios depend only on the shape and match the closed"
+    " kernel for all sequences of length <= 4\n"
     "PASS alternating-parity: flat (1/2, 1/2) rows at odd levels, central rows at even"
-    " levels, certified against direct projection for n <= 4;"
-    " the opposite parity attribution is refuted\n"
-    "FAIL markov-detector: raised probabilities sum to 37/12, not 1\n"
+    " levels, certified against direct projection for n <= 4; the opposite parity"
+    " attribution is refuted\n"
+    "FAIL markov-detector: raised probabilities sum to 65/48, not 1\n"
     "PASS central-mass: per-path weights 2^-n prod (2 + content)/hook sum to exactly 1"
     " at every level n <= 4\n"
-    "PASS central-kernel: the rows ((n - 2k + 2)/(2(n - 2k + 1)),"
-    " (n - 2k)/(2(n - 2k + 1))) equal the weight ratios at every level n <= 4"
-    " and every k, with no parity restriction\n"
+    "PASS central-kernel: the rows ((n - 2k + 2)/(2(n - 2k + 1)), (n - 2k)/(2(n - 2k +"
+    " 1))) equal the weight ratios at every level n <= 4 and every k, with no parity"
+    " restriction\n"
     "PASS central-markov: central tables pass the shape-dependence test across levels\n"
-    "17 checks, 9 failures\n"
+    "18 checks, 8 failures\n"
 )
 
 WRONG_CLOSED_NORM_REPORT = (
@@ -542,13 +546,34 @@ def fresh_basis_cache():
     gz.full_gz_basis.cache_clear()
 
 
+def _corrupt_slice(monkeypatch, corrupt):
+    """Build every GZ vector with ``corrupt(s, second, below, out)`` applied
+    to each slice ``out`` that ``gz._slice`` returns."""
+    real = gz._slice
+
+    def corrupted(below, s, j, second, degrees):
+        out = real(below, s, j, second, degrees)
+        corrupt(s, j, second, below, out)
+        return out
+
+    monkeypatch.setattr(gz, "_slice", corrupted)
+
+
 @pytest.mark.usefixtures("fresh_basis_cache")
-def test_verify_fails_on_a_corrupted_rook_term(capsys, monkeypatch):
-    factors = gz._rook_factors
-    monkeypatch.setattr(gz, "_rook_factors", lambda p, j, k: [abs(f) for f in factors(p, j, k)])
+def test_verify_fails_on_an_off_by_one_second_row_factor(capsys, monkeypatch):
+    """The witness for the second-row step of the branching rule: with the
+    factor d - j of V(4, 2) one too large, the basis, psi, good-tableau
+    norm and matrix action checks fail at level 4, and the split and the
+    detector, which read those vectors, raise."""
+
+    def bumped(s, j, second, below, out):
+        if (s, second) == (4, True) and 2 in out:
+            out[2][: len(below[2])] = [(3 - j) * c for c in below[2]]
+
+    _corrupt_slice(monkeypatch, bumped)
     code, out, err = run_cli(capsys, "verify", "--n-max", "4")
     assert (code, err) == (1, "")
-    assert out == UNSIGNED_ROOK_FACTOR_REPORT
+    assert out == OFF_BY_ONE_FACTOR_REPORT
 
 
 def test_verify_fails_on_a_corrupted_scan_norm(capsys, monkeypatch):
@@ -661,17 +686,20 @@ def test_verify_fails_on_a_wrong_closed_norm(capsys, monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_basis_cache")
-def test_verify_fails_on_a_corrupted_lift(capsys, monkeypatch):
-    table = gz._lift_table
+def test_verify_fails_on_a_dropped_first_row_slot(capsys, monkeypatch):
+    """The witness for the first-row step: with the first slot of the
+    monomials with x_4 dropped from V(4, 2), the basis, psi, good-tableau
+    norm and matrix action checks fail at level 4 and above it, where the
+    dropped slot feeds every later slice."""
 
-    def dropped(n, m, k):
-        lift = table(n, m, k)
-        return lift._replace(gather=lambda dense: (0, *lift.gather(dense)[1:]))
+    def dropped(s, j, second, below, out):
+        if (s, second) == (4, False) and 2 in out:
+            out[2][len(below[2])] = 0
 
-    monkeypatch.setattr(gz, "_lift_table", dropped)
+    _corrupt_slice(monkeypatch, dropped)
     code, out, err = run_cli(capsys, "verify", "--scope", "gz")
     assert (code, err) == (1, "")
-    assert out == DROPPED_LIFT_SLOT_REPORT
+    assert out == DROPPED_SLOT_REPORT
 
 
 @pytest.mark.usefixtures("fresh_basis_cache")

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -254,6 +255,34 @@ def test_gz_harmonic_equals_expansion():
                 assert gz_harmonic(u).form == _expanded_harmonic(u), u
 
 
+def _lifted_coeffs(f, l):
+    """The coefficients of psi(f, l), empty where its degree f.k + l falls
+    outside 0..n and psi has no monomial to put them on."""
+    return psi(f, l).coeffs if 0 <= l and f.k + l <= f.n else {}
+
+
+@given(tableaux(max_n=10), st.data())
+def test_branching_rule_splits_the_expanded_lift_by_its_last_variable(u, data):
+    """The branching rule that builds every vector, stated on expansions
+    alone: for u at level n with j second-row entries and j <= d <= n - j,
+    the monomials of psi(h_u, d - j) without x_n are a multiple of
+    psi(h', d - j'), and those with x_n, x_n dropped, of psi(h', d - 1 - j'),
+    where h' is the harmonic of u's restriction, with j' entries.  The
+    multiples are 1 and 1 when n is in the first row, and d - j' and
+    -(n - d - j') when n is the (j' + 1)-th second-row entry."""
+    n, j = u.n, len(u.second_row)
+    d = data.draw(st.integers(min_value=j, max_value=n - j))
+    below = u.restricted()
+    h, j_below = _expanded_harmonic(below), len(below.second_row)
+    without, with_n = (1, 1) if j == j_below else (d - j_below, -(n - d - j_below))
+    split = ({}, {})
+    for key, val in psi(_expanded_harmonic(u), d - j).coeffs.items():
+        has_n = key[-1:] == (n,)
+        split[has_n][key[: len(key) - has_n]] = val
+    assert split[0] == {key: without * c for key, c in _lifted_coeffs(h, d - j_below).items()}
+    assert split[1] == {key: with_n * c for key, c in _lifted_coeffs(h, d - 1 - j_below).items()}
+
+
 def test_closed_norms_are_int():
     u = TwoRowTableau(6, (3, 5))
     assert type(closed_harmonic_norm_sq(u)) is int
@@ -425,7 +454,7 @@ def test_basis_check_reads_every_harmonic_from_the_cached_bases(monkeypatch, for
 
         return call
 
-    monkeypatch.setattr(verify, "_vectors", lone)
+    monkeypatch.setattr(verify, "gz_in_H", lone)
     monkeypatch.setattr(verify, "_yjm_misses", counted("_yjm_misses"))
     results = verify.check_basis(8)
     assert all(r.ok for r in results), results
@@ -449,50 +478,44 @@ def test_psi_check_reads_one_form_per_tableau(form_reads):
     assert form_reads == {u: 1 for n in range(9) for u in enumerate_all_tableaux(n)}
 
 
-def test_basis_builds_each_rook_column_once_per_shape(monkeypatch):
-    """An ``iter_basis`` call builds each (p, j) column that a tableau of a
-    shape holds once for that shape, and the next call builds it again; a
-    lone ``gz_harmonic`` builds only its own k columns.  Lift tables follow
-    the same rule: one per k < m per ``iter_basis`` call, one per
-    ``gz_in_H`` call below its own k, none for ``gz_harmonic``.  No table
-    outlives its call: ``full_gz_basis`` stays the module's only cache."""
+def test_basis_builds_each_slice_at_most_once_per_call(monkeypatch):
+    """An ``iter_basis`` call builds each level-s slice of a shape's
+    tableau prefixes at most once, and the next call builds them again; a
+    lone ``gz_harmonic`` or ``gz_in_H`` builds the n slices of its own
+    tableau.  No chain outlives its call: ``full_gz_basis`` stays the
+    module's only cache."""
     built = Counter()
-    real = gz._rook_factors
+    walking = []
+    vector, real = gz._vector, gz._slice
 
-    def counted(p, j, k):
-        built[p, j, k] += 1
-        return real(p, j, k)
+    def walked(u, chain):
+        walking[:] = [u]
+        return vector(u, chain)
 
-    lifts = Counter()
-    table = gz._lift_table
+    def counted(below, s, j, second, degrees):
+        (u,) = walking
+        built[len(u.second_row), tuple(p for p in u.second_row if p <= s), s] += 1
+        return real(below, s, j, second, degrees)
 
-    def counted_table(n, m, k):
-        lifts[n, m, k] += 1
-        return table(n, m, k)
-
-    monkeypatch.setattr(gz, "_rook_factors", counted)
-    monkeypatch.setattr(gz, "_lift_table", counted_table)
+    monkeypatch.setattr(gz, "_vector", walked)
+    monkeypatch.setattr(gz, "_slice", counted)
     n, m = 10, 5
-    held = {
-        (p, j, k)
+    prefixes = {
+        (k, tuple(p for p in u.second_row if p <= s), s)
         for k in range(m + 1)
         for u in enumerate_tableaux(TwoRowDiagram(n, k))
-        for j, p in enumerate(u.second_row)
+        for s in range(1, n + 1)
     }
     for runs in (1, 2):
         assert len(list(iter_basis(n, m))) == comb(n, m)
-        assert built == {key: runs for key in held}
-        assert lifts == {(n, m, k): runs for k in range(m)}
-    built.clear()
-    lifts.clear()
-    gz_harmonic(TwoRowTableau(12, (2, 5, 9)))
-    assert built == {(2, 0, 3): 1, (5, 1, 3): 1, (9, 2, 3): 1}
-    assert not lifts
+        assert set(built) <= prefixes
+        assert max(built.values()) == runs
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, gz._Chain)]
     u = TwoRowTableau(12, (2, 5, 9))
-    for runs in (1, 2):
-        gz_in_H(u, 3)
-        gz_in_H(u, 5)
-        assert lifts == {(12, 5, 3): runs}
+    for build in (lambda: gz_harmonic(u), lambda: gz_in_H(u, 3), lambda: gz_in_H(u, 5)):
+        built.clear()
+        build()
+        assert built == {(3, tuple(p for p in u.second_row if p <= s), s): 1 for s in range(1, 13)}
     assert [name for name, fn in vars(gz).items() if hasattr(fn, "cache_info")] == [
         "full_gz_basis"
     ]
@@ -851,8 +874,8 @@ def test_closed_matrices_act_on_both_bases():
 
 def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
     """Once ``full_gz_basis`` is warm for n <= 8, ``check_matrices`` and
-    ``check_psi`` build neither rook columns nor lift tables: every vector
-    they read is a cached one."""
+    ``check_psi`` walk no chain and build no slice: every vector they read
+    is a cached one."""
     for n in range(9):
         for m in range(n // 2 + 1):
             full_gz_basis(n, m)
@@ -867,7 +890,7 @@ def test_matrix_and_psi_checks_read_the_cached_bases(monkeypatch):
 
         return call
 
-    for name in ("_rook_columns", "_lift_table"):
+    for name in ("_vector", "_slice"):
         monkeypatch.setattr(gz, name, counted(name))
     results = verify.check_matrices(6) + verify.check_psi(8)
     assert all(r.ok for r in results), results
@@ -912,27 +935,30 @@ def test_matrix_relations_multiply_integers_only(monkeypatch):
     assert len(products) == 251 and all(products)
 
 
-def test_good_check_builds_one_rook_table_per_good_tableau(monkeypatch):
-    """``check_good(12)`` builds the rook columns of each of its 49 good
-    tableaux once and feeds them to every degree it lifts to, where a lone
-    ``gz_in_H`` per vector would build 189.  Its harmonic is the m = k
-    step of those lifts, built once per good tableau: 49 in all."""
-    built = Counter()
-    real = gz._rook_columns
-    harmonics = Counter()
-    harmonic = gz.gz_harmonic
+def test_good_check_builds_each_good_vector_on_a_chain_of_its_own(monkeypatch):
+    """``check_good(12)`` builds each of its 140 vectors, its 49 good
+    tableaux at every degree they lift to, by one ``gz_in_H`` call on a
+    chain of its own, and reads none from the cached bases."""
+    calls = Counter()
+    chains = Counter()
+    lone, chain = verify.gz_in_H, gz._Chain
 
-    def counted(n, k, tableaux):
-        built[n, k] += 1
-        return real(n, k, tableaux)
+    def counted(n, m):
+        chains[n, m] += 1
+        return chain(n, m)
 
-    monkeypatch.setattr(gz, "_rook_columns", counted)
-    monkeypatch.setattr(verify, "_rook_columns", counted, raising=False)
-    monkeypatch.setattr(gz, "gz_harmonic", lambda u, c: harmonics.update([u]) or harmonic(u, c))
+    monkeypatch.setattr(verify, "gz_in_H", lambda u, m: calls.update([(u, m)]) or lone(u, m))
+    monkeypatch.setattr(gz, "_Chain", counted)
+    monkeypatch.setattr(verify, "full_gz_basis", None)
     assert all(r.ok for r in verify.check_good(12))
-    assert built == {(n, k): 1 for n in range(13) for k in range(n // 2 + 1)}
-    assert sum(built.values()) == 49
-    assert harmonics == {good_tableau(n, k): 1 for n in range(13) for k in range(n // 2 + 1)}
+    expected = {
+        (good_tableau(n, k), m): 1
+        for n in range(13)
+        for k in range(n // 2 + 1)
+        for m in range(k, n // 2 + 1)
+    }
+    assert calls == expected and len(expected) == 140
+    assert chains == Counter((u.n, m) for u, m in expected)
 
 
 def test_decompose_check_calls_psi_zero_times(monkeypatch):

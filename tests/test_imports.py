@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, every
 public module-level function and every public method or property of a
-package class is read by package code or named in the README, bar two
-named exemptions, every ``__slots__`` name of a package class is read as
+package class is read by package code or named in the code of the
+README, its backticked spans and fenced blocks, bar two named exemptions, every ``__slots__`` name of a package class is read as
 an attribute, no class but ``forms._Value`` and a few named exemptions
 writes its own ``__eq__``, ``__hash__`` or ``__repr__``, and every
 package name a docstring quotes still exists.
@@ -16,7 +16,7 @@ leave its slot behind, still assigned; these guards read each module of
 expression of the module reads, every module-level ``_name`` that no
 module of the package reads, every public function or class member that
 no package code but its own ``def`` reads and that README.md does not
-mention, and every slot that no module reads as an attribute.  A value class that writes
+name in its code, and every slot that no module reads as an attribute.  A value class that writes
 its own comparison, hash or repr beside the shared one tends to drift
 from it, so another guard names every class that defines one.  And a
 docstring that quotes a helper outlives the helper, so a last guard
@@ -134,15 +134,24 @@ def test_package_reads_every_private_module_level_name():
     assert unread_private_names(sources) == []
 
 
+def readme_code_names(readme: str) -> set[str]:
+    """The words of the code in ``readme``: its backticked spans and its
+    fenced blocks, without their ``#`` comments; prose and comments that
+    use a member's name as a plain word do not count."""
+    code = " ".join(re.findall(r"```.*?```|`[^`]+`", readme, re.S))
+    return set(re.findall(r"\w+", re.sub(r"#.*", "", code)))
+
+
 def unread_public_functions(sources: dict[str, str], readme: str) -> list[str]:
     """``module.name`` for each public module-level function of ``sources``
     that no package code other than its own ``def`` reads, as a ``Name``,
-    an attribute or a ``from`` import, and that ``readme`` does not name."""
+    an attribute or a ``from`` import, and that ``readme`` does not name
+    in its code."""
     statements = [
         (module, node) for module, source in sources.items() for node in ast.parse(source).body
     ]
     reads = [_read_names(node) for _, node in statements]
-    named = set(re.findall(r"\w+", readme))
+    named = readme_code_names(readme)
     return [
         f"{module}.{node.name}"
         for (module, node), own in zip(statements, reads)
@@ -174,7 +183,7 @@ def test_public_guard_sees_read_and_unread_functions():
         ),
         "other": "def trace_to_csv(): pass\n",
     }
-    readme = "Call `documented()` for the docs."
+    readme = "Call `documented()` for the docs; the unread ones are in prose only."
     assert unread_public_functions(sources, readme) == [
         "serialize.trace_to_csv",
         "serialize.recursive",
@@ -201,7 +210,7 @@ def unread_public_members(sources: dict[str, str], readme: str) -> list[str]:
     """``module.Class.name`` for each public method or property of a class
     of ``sources`` whose name no package code other than its own ``def``
     reads, as a ``Name``, an attribute or a ``from`` import, and that
-    ``readme`` does not name."""
+    ``readme`` does not name in its code."""
     trees = [(module, ast.parse(source)) for module, source in sources.items()]
     members = [
         (module, cls, node)
@@ -213,7 +222,7 @@ def unread_public_members(sources: dict[str, str], readme: str) -> list[str]:
         and not node.name.startswith("_")
     ]
     reads = Counter(name for _, tree in trees for name in _read_occurrences(tree))
-    named = set(re.findall(r"\w+", readme))
+    named = readme_code_names(readme)
     return [
         f"{module}.{cls.name}.{node.name}"
         for module, cls, node in members
@@ -247,7 +256,10 @@ def test_member_guard_sees_read_and_unread_members():
             "    return t.probs, Table.build\n"
         ),
     }
-    readme = "Call `table.documented()` for the docs."
+    readme = (
+        "Call `table.documented()` at any level.\n"
+        "```python\ntable.documented()  # support\n```\n"
+    )
     assert unread_public_members(sources, readme) == [
         "markov.Table.level",
         "markov.Table.support",
